@@ -6,16 +6,14 @@
 //! event — while the sink-backed rows price construction, cloning, and
 //! serialization.
 
-use std::sync::Arc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use aum::baselines::AllAu;
 use aum::experiment::{run_experiment_traced, ExperimentConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
-use aum_sim::telemetry::{JsonlSink, MemorySink, MetricsRegistry, NullSink, Tracer};
-use aum_sim::{SimDuration, SimTime};
+use aum_sim::telemetry::{JsonlSink, MemorySink, NullSink, Tracer};
+use aum_sim::SimDuration;
 
 fn short_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper_default(PlatformSpec::gen_a(), Scenario::Chatbot, None);
@@ -59,33 +57,6 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // Quiet-interval snapshots must reuse the registry's cached Arc maps
-    // instead of cloning the BTreeMaps — 10k snapshots between mutations
-    // allocate nothing beyond the snapshot structs themselves. The
-    // assertion guards the satellite fix; the bench row prices it.
-    let mut snap_group = c.benchmark_group("metrics_registry");
-    snap_group.sample_size(10);
-    snap_group.bench_function("registry_snapshot_10k", |b| {
-        b.iter(|| {
-            let mut registry = MetricsRegistry::new();
-            registry.counter_add("tokens", 1024);
-            registry.gauge_set("power_w", 231.5);
-            let first = {
-                let snap = registry.snapshot(SimTime::ZERO);
-                (Arc::clone(&snap.counters), Arc::clone(&snap.gauges))
-            };
-            for i in 1..10_000u64 {
-                let snap = registry.snapshot(SimTime::from_secs(i));
-                assert!(
-                    Arc::ptr_eq(&snap.counters, &first.0) && Arc::ptr_eq(&snap.gauges, &first.1),
-                    "quiet snapshot must share map allocations"
-                );
-            }
-            black_box(registry.snapshot(SimTime::from_secs(10_000)).at)
-        })
-    });
-    snap_group.finish();
 
     // Self-profiling scoped-timer budget: the disabled path is one relaxed
     // atomic load and must stay within 1.05x of the bare loop — that is the

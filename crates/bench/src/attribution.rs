@@ -150,10 +150,7 @@ pub fn run_study(study: &str, quick: bool) -> Result<StudyReport, String> {
     render_timeline(&mut text, ledger);
     render_breach_blame(&mut text, ledger, &records);
 
-    let mut prom_text = String::new();
-    if let Some(last) = outcome.metrics.last() {
-        prom_text.push_str(&prom::render_registry(last));
-    }
+    let mut prom_text = prom::render_registry(&outcome.metrics);
     prom_text.push_str(&prom::render_ledger(ledger));
     // The run's latency distributions as Prometheus histograms, from the
     // same mergeable log-linear buckets the SLO report quantiles use.

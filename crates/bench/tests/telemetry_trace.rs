@@ -10,7 +10,7 @@ use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::telemetry::{parse_jsonl, Event, JsonlSink, OrderingSink, Tracer};
-use aum_sim::SimDuration;
+use aum_sim::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
 #[test]
@@ -89,12 +89,16 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     let reparsed = parse_jsonl(&rewritten).expect("re-serialized trace parses");
     assert_eq!(records, reparsed, "serde round-trip must be lossless");
 
-    // The outcome's metrics time series covers the run.
-    assert!(
-        !outcome.metrics.is_empty(),
-        "traced run should snapshot the metrics registry"
+    // The registry is snapshotted once, at the end of the run, and agrees
+    // exactly with the outcome's own accounting.
+    let metrics = &outcome.metrics;
+    assert_eq!(metrics.at, SimTime::ZERO + cfg.duration);
+    assert_eq!(metrics.counters["decode_tokens"], outcome.slo.tokens as u64);
+    assert_eq!(metrics.counters["requests_completed"], outcome.completed);
+    assert_eq!(
+        metrics.gauges["power_w"].to_bits(),
+        outcome.power.last_value().expect("power series").to_bits()
     );
-    assert!(outcome.metrics.windows(2).all(|w| w[0].at < w[1].at));
 }
 
 /// `Tracer::emit` with no sink must short-circuit before constructing the

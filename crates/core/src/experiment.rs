@@ -41,7 +41,7 @@ use aum_sim::attrib::{self, IntervalLedger, Ledger, RegionSample, WorkFractions}
 use aum_sim::rng::DetRng;
 use aum_sim::series::TimeSeries;
 use aum_sim::span::{SpanId, SpanKind};
-use aum_sim::stats::Samples;
+use aum_sim::stats::{quantile_in_place, Samples};
 use aum_sim::telemetry::{Event, MetricsRegistry, MetricsSnapshot, ResilienceMode, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::{BeKind, BeProfile};
@@ -139,11 +139,11 @@ pub struct Outcome {
     pub freq_low: TimeSeries,
     /// Package power telemetry.
     pub power: TimeSeries,
-    /// Metrics-registry snapshots, one per control interval: counters
-    /// (tokens, completions), gauges (power, utilization, queue depth) and
-    /// per-interval latency quantiles.
+    /// Metrics-registry snapshot taken once, at the end of the run:
+    /// counters (tokens, completions) over the whole run and gauges (power,
+    /// utilization, queue depth, sensed latencies) of the last interval.
     #[serde(default)]
-    pub metrics: Vec<MetricsSnapshot>,
+    pub metrics: MetricsSnapshot,
     /// Per-interval, per-region time/energy attribution (see
     /// [`aum_sim::attrib`]). Verified against the conservation invariants
     /// before the run returns; pre-ledger outcomes deserialize empty.
@@ -328,6 +328,9 @@ pub fn try_run_experiment_traced(
     let steps = (cfg.duration.as_nanos() / dt.as_nanos().max(1)) as usize;
 
     let mut registry = MetricsRegistry::new();
+    // Sensing scratch, reused every interval: the recent-latency windows are
+    // copied into it, so sensing costs O(window) however long the run is.
+    let mut scratch: Vec<f64> = Vec::with_capacity(TOKEN_WINDOW);
     let mut last_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
     let mut ledger = Ledger::new();
     let mut stall_intervals: u32 = 0;
@@ -470,16 +473,14 @@ pub fn try_run_experiment_traced(
         }
 
         // --- 1. Manager observes and decides. ---
-        let (ttft_p50, ttft_p90) = recent_quantiles(
-            engine.ttft_records().iter().map(|r| r.ttft.as_secs_f64()),
-            engine.ttft_records().len(),
-            30,
-        );
-        let (tpot_p50, tpot_p90) = recent_quantiles(
-            engine.token_records().iter().map(|r| r.exec.as_secs_f64()),
-            engine.token_records().len(),
-            300,
-        );
+        let (ttft_p50, ttft_p90) =
+            recent_quantiles(&mut scratch, engine.ttft_records(), TTFT_WINDOW, |r| {
+                r.ttft.as_secs_f64()
+            });
+        let (tpot_p50, tpot_p90) =
+            recent_quantiles(&mut scratch, engine.token_records(), TOKEN_WINDOW, |r| {
+                r.exec.as_secs_f64()
+            });
         let state = SystemState {
             now,
             scenario: cfg.scenario,
@@ -927,7 +928,8 @@ pub fn try_run_experiment_traced(
         freq_low.push(now, snap.freqs[IDX_LOW].value());
         power_series.push(now, snap.power.value());
 
-        // Metrics registry: one snapshot per control interval.
+        // Metrics registry: counters accumulate and gauges hold the latest
+        // interval; it is snapshotted once, at the end of the run.
         registry.counter_add("prefill_tokens", stats.prefill_tokens);
         registry.counter_add("decode_tokens", stats.decode_tokens);
         registry.counter_add("requests_completed", stats.completed);
@@ -939,7 +941,6 @@ pub fn try_run_experiment_traced(
         registry.gauge_set("shared_llc_ways", f64::from(shared_llc));
         registry.gauge_set("recent_ttft_p90", state.recent_ttft_p90);
         registry.gauge_set("recent_tpot_p50", state.recent_tpot_p50);
-        let _ = registry.snapshot(until);
         tracer.emit(until, || Event::SpanClose {
             id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
             kind: SpanKind::ControllerInterval,
@@ -997,7 +998,7 @@ pub fn try_run_experiment_traced(
         none_core_samples,
         freq_low,
         power: power_series,
-        metrics: registry.into_history(),
+        metrics: registry.snapshot(end),
         ledger,
     };
     publish_live(&outcome);
@@ -1009,8 +1010,8 @@ pub fn try_run_experiment_traced(
 /// this is 8 s of simulated dead air — far beyond any healthy pause.
 const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
-/// Publishes this run's final Prometheus exposition — the last registry
-/// snapshot plus the SLO latency histograms — to the live `/metrics`
+/// Publishes this run's final Prometheus exposition — the end-of-run
+/// registry snapshot plus the SLO latency histograms — to the live `/metrics`
 /// endpoint, when one is installed ([`aum_sim::live`]). Runs executed as
 /// sweep cells call this on completion, which is exactly the "refresh per
 /// completed cell" contract of the live plane. Wall-clock observability
@@ -1019,10 +1020,7 @@ fn publish_live(outcome: &Outcome) {
     let Some(live) = aum_sim::live::installed() else {
         return;
     };
-    let mut text = String::new();
-    if let Some(last) = outcome.metrics.last() {
-        text.push_str(&aum_sim::prom::render_registry(last));
-    }
+    let mut text = aum_sim::prom::render_registry(&outcome.metrics);
     text.push_str(&aum_sim::prom::render_histogram(
         "aum_ttft_seconds",
         "Time-to-first-token distribution of the last completed cell.",
@@ -1076,15 +1074,27 @@ fn apply_core_offline(div: ProcessorDivision, count: usize) -> ProcessorDivision
     ProcessorDivision::new(high, low, none)
 }
 
-/// Quantiles over the most recent `window` of an iterator of length `len`.
-fn recent_quantiles(values: impl Iterator<Item = f64>, len: usize, window: usize) -> (f64, f64) {
-    let skip = len.saturating_sub(window);
-    let recent: Samples = values.skip(skip).collect();
-    if recent.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (recent.quantile(0.5), recent.quantile(0.9))
-    }
+/// Sensing windows: the controller sees p50/p90 over the last 30 TTFTs and
+/// the last 300 token execution times.
+const TTFT_WINDOW: usize = 30;
+const TOKEN_WINDOW: usize = 300;
+
+/// p50 and p90 of `value` over the last `window` records, taken in
+/// `scratch`. Non-finite values are dropped, as [`Samples::record`] does;
+/// an empty window gives `(0.0, 0.0)`.
+fn recent_quantiles<T>(
+    scratch: &mut Vec<f64>,
+    records: &[T],
+    window: usize,
+    value: impl Fn(&T) -> f64,
+) -> (f64, f64) {
+    let recent = &records[records.len().saturating_sub(window)..];
+    scratch.clear();
+    scratch.extend(recent.iter().map(value).filter(|v| v.is_finite()));
+    (
+        quantile_in_place(scratch, 0.5),
+        quantile_in_place(scratch, 0.9),
+    )
 }
 
 #[cfg(test)]

@@ -832,7 +832,7 @@ pub fn run_fleet_traced(
                 // Snapshot unconditionally (registry state must not
                 // depend on whether the tracer is enabled) so node-down
                 // incident dumps carry the offending node's metrics.
-                let snap = node_regs[i].snapshot(at).clone();
+                let snap = node_regs[i].snapshot(at);
                 tracer.emit(at, || Event::NodeMetricsSnapshot {
                     node: i,
                     label: node_labels[i].clone(),
@@ -1138,7 +1138,7 @@ pub fn run_fleet_traced(
             reg.gauge_set("epoch_latency_proxy_secs/p90", h.quantile(0.9));
             reg.gauge_set("epoch_latency_proxy_secs/p99", h.quantile(0.99));
         }
-        let snapshot = reg.snapshot(end).clone();
+        let snapshot = reg.snapshot(end);
         node_metrics.push(NodeMetricsRollup {
             label: node_labels[i].clone(),
             snapshot,

@@ -392,11 +392,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
     use crate::telemetry::{Event, MemorySink, Tracer};
     use crate::time::SimTime;
 
+    /// Held by every test that runs a sweep or sets the worker count: both
+    /// touch the process-global executor counters and override, which
+    /// `stats_accumulate_busy_and_wall_time` reads as exact deltas.
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
+    /// Poison is ignored because `worker_panics_propagate` panics on purpose
+    /// while holding the lock.
+    fn lock_globals() -> MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn results_come_back_in_cell_order_for_any_job_count() {
+        let _globals = lock_globals();
         let cells: Vec<usize> = (0..37).collect();
         for jobs in [1, 2, 4, 8] {
             let out = sweep_jobs(jobs, cells.clone(), |i, c| {
@@ -414,6 +428,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_cell_sweeps_work() {
+        let _globals = lock_globals();
         let empty: Vec<u32> = Vec::new();
         assert!(sweep_jobs(4, empty, |_, c: u32| c).is_empty());
         assert_eq!(sweep_jobs(4, vec![9u32], |_, c| c + 1), vec![10]);
@@ -421,6 +436,7 @@ mod tests {
 
     #[test]
     fn traced_sweep_merges_in_cell_order_regardless_of_jobs() {
+        let _globals = lock_globals();
         let run = |jobs: usize| -> Vec<String> {
             set_jobs(jobs);
             let (parent, sink) = Tracer::shared(MemorySink::new());
@@ -453,6 +469,7 @@ mod tests {
 
     #[test]
     fn traced_hist_sweep_folds_identically_for_any_job_count() {
+        let _globals = lock_globals();
         let run = |jobs: usize| -> String {
             set_jobs(jobs);
             let cells: Vec<usize> = (0..10).collect();
@@ -476,6 +493,7 @@ mod tests {
 
     #[test]
     fn disabled_parent_hands_out_disabled_tracers() {
+        let _globals = lock_globals();
         let parent = Tracer::disabled();
         let out = sweep_traced(&parent, vec![1, 2, 3], |_, c, tracer| {
             assert!(!tracer.is_enabled());
@@ -486,6 +504,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_busy_and_wall_time() {
+        let _globals = lock_globals();
         let before = stats();
         let _ = sweep_jobs(2, (0..8).collect::<Vec<_>>(), |_, c: u64| {
             std::thread::sleep(Duration::from_millis(2));
@@ -501,6 +520,7 @@ mod tests {
 
     #[test]
     fn jobs_override_takes_priority() {
+        let _globals = lock_globals();
         set_jobs(3);
         assert_eq!(jobs(), 3);
         set_jobs(0);
@@ -510,6 +530,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell panic")]
     fn worker_panics_propagate() {
+        let _globals = lock_globals();
         let _ = sweep_jobs(4, (0..16).collect::<Vec<_>>(), |_, c: u32| {
             assert!(c != 7, "cell panic");
             c

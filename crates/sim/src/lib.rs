@@ -21,7 +21,7 @@
 //! - [`series`]: zero-order-hold time series for telemetry;
 //! - [`telemetry`]: typed event tracing ([`telemetry::Event`],
 //!   [`telemetry::TraceSink`], [`telemetry::Tracer`]) and a metrics
-//!   registry snapshotted per control interval;
+//!   registry snapshotted on demand;
 //! - [`span`]: hierarchical request/iteration/interval spans over the
 //!   telemetry stream ([`span::SpanId`], [`span::collect_spans`]);
 //! - [`attrib`]: per-interval, per-region time/energy attribution ledger

@@ -357,7 +357,7 @@ mod tests {
         registry.counter_add("decisions", 3);
         registry.gauge_set("tpot_secs/p50", 0.031);
         let snap = registry.snapshot(SimTime::from_secs(2));
-        let text = render_registry(snap);
+        let text = render_registry(&snap);
         assert!(text.contains("# TYPE decisions counter"));
         assert!(text.contains("decisions 3"));
         assert!(text.contains("# TYPE tpot_secs_p50 gauge"));
@@ -373,8 +373,8 @@ mod tests {
         a.gauge_set("health_factor", 1.0);
         let mut b = crate::telemetry::MetricsRegistry::new();
         b.counter_add("completed", 7);
-        let snap_a = a.snapshot(SimTime::from_secs(3)).clone();
-        let snap_b = b.snapshot(SimTime::from_secs(3)).clone();
+        let snap_a = a.snapshot(SimTime::from_secs(3));
+        let snap_b = b.snapshot(SimTime::from_secs(3));
         let text = render_node_registries(&[
             ("node0/GenA".to_string(), &snap_a),
             ("node1/GenB".to_string(), &snap_b),
@@ -402,7 +402,7 @@ mod tests {
         let mut reg = crate::telemetry::MetricsRegistry::new();
         reg.counter_add("completed", 1);
         reg.gauge_set("health_factor", 0.5);
-        let snap = reg.snapshot(SimTime::from_secs(1)).clone();
+        let snap = reg.snapshot(SimTime::from_secs(1));
         let hostile = "node\"0\\weird\nname";
         let text = render_node_registries(&[(hostile.to_string(), &snap)]);
         // The raw hostile bytes never appear unescaped.

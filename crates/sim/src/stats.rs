@@ -3,7 +3,8 @@
 //! The paper reports 50% ("average" in its bucket tables), 90% tail, and
 //! full CDFs of performance and resource allocations. [`Summary`] provides
 //! streaming moments; [`Samples`] retains observations for exact quantiles
-//! and CDF extraction.
+//! and CDF extraction. [`quantile_in_place`] is the one exact-quantile rule,
+//! also usable on a caller-owned scratch slice.
 
 use serde::{Deserialize, Serialize};
 
@@ -187,13 +188,13 @@ impl Samples {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite values are comparable"));
+            self.values.sort_by(cmp_finite);
             self.sorted = true;
         }
     }
 
-    /// Exact sample quantile with nearest-rank interpolation.
+    /// Exact sample quantile with nearest-rank interpolation (see
+    /// [`quantile_in_place`]).
     ///
     /// Returns 0 for an empty set.
     ///
@@ -202,22 +203,7 @@ impl Samples {
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mut copy = self.clone();
-        copy.ensure_sorted();
-        let n = copy.values.len();
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            copy.values[lo]
-        } else {
-            let frac = pos - lo as f64;
-            copy.values[lo] * (1.0 - frac) + copy.values[hi] * frac
-        }
+        quantile_in_place(&mut self.values.clone(), q)
     }
 
     /// Fraction of observations at or below `threshold`.
@@ -264,6 +250,45 @@ impl Samples {
             s.record(v);
         }
         s
+    }
+}
+
+fn cmp_finite(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("finite values are comparable")
+}
+
+/// Exact `q`-quantile of `values`, interpolating linearly between the two
+/// order statistics around rank `q·(n−1)`. Returns 0 for an empty slice.
+///
+/// Reorders `values` in place and costs O(n): selection places the lower
+/// order statistic, and the minimum of the partition above it is the upper
+/// one. Values that compare equal are interchangeable, so the result is
+/// bit-identical to interpolating over a sorted copy — except that `-0.0`
+/// and `0.0`, which compare equal, may trade places.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]` or a value is NaN.
+#[must_use]
+pub fn quantile_in_place(values: &mut [f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    if values.is_empty() {
+        return 0.0;
+    }
+    let pos = q * (values.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let (_, lower, above) = values.select_nth_unstable_by(lo, cmp_finite);
+    if lo == hi {
+        *lower
+    } else {
+        let upper = above
+            .iter()
+            .copied()
+            .min_by(cmp_finite)
+            .expect("the upper rank lies above the lower one");
+        let frac = pos - lo as f64;
+        *lower * (1.0 - frac) + upper * frac
     }
 }
 

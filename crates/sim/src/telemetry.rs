@@ -17,8 +17,8 @@
 //! - [`Tracer`] — the cheap cloneable handle threaded through the engine,
 //!   platform, controller and experiment loop so one sink observes the
 //!   whole stack.
-//! - [`MetricsRegistry`] — counters/gauges/histograms snapshotted every
-//!   control interval into a time series usable by experiment outcomes.
+//! - [`MetricsRegistry`] — counters/gauges/histograms, snapshotted on
+//!   demand; experiment outcomes carry one end-of-run snapshot.
 //!
 //! Events carry only primitives (ids, lengths, seconds, way counts), so the
 //! JSONL schema is stable and self-describing; `TraceRecord` pairs each
@@ -731,14 +731,9 @@ impl Tracer {
     }
 }
 
-/// One point-in-time capture of the registry, taken per control interval.
-///
-/// The maps are `Arc`-shared with the registry's internal caches: an
-/// interval in which no counter (or gauge) changed reuses the previous
-/// snapshot's allocation instead of cloning every entry, so a long run's
-/// history costs O(changed intervals), not O(intervals × map size). The
-/// `telemetry_overhead` bench's `registry_snapshot_10k` case asserts this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One point-in-time capture of a [`MetricsRegistry`]. The maps sit behind
+/// `Arc`s so trace events and rollups that carry a snapshot clone cheaply.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// When the snapshot was taken.
     pub at: SimTime,
@@ -749,20 +744,21 @@ pub struct MetricsSnapshot {
     pub gauges: Arc<BTreeMap<String, f64>>,
 }
 
+impl MetricsSnapshot {
+    /// Drops every counter and gauge, keeping the capture time.
+    pub fn clear(&mut self) {
+        self.counters = Arc::default();
+        self.gauges = Arc::default();
+    }
+}
+
 /// Lightweight metrics registry: named counters, gauges and histograms,
-/// snapshotted on demand into a time series.
+/// snapshotted on demand.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Samples>,
-    history: Vec<MetricsSnapshot>,
-    /// Snapshot of `counters` as of the last `snapshot()` call, reused
-    /// while no counter mutates. `None` = dirty.
-    counters_cache: Option<Arc<BTreeMap<String, u64>>>,
-    /// Same for `gauges` (only usable when no histogram quantiles need
-    /// materializing into the snapshot).
-    gauges_cache: Option<Arc<BTreeMap<String, f64>>>,
 }
 
 impl MetricsRegistry {
@@ -774,7 +770,6 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a monotonic counter.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        self.counters_cache = None;
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
@@ -786,7 +781,6 @@ impl MetricsRegistry {
 
     /// Sets an instantaneous gauge.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges_cache = None;
         self.gauges.insert(name.to_string(), value);
     }
 
@@ -804,56 +798,24 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Captures the current state into the time series and returns the
-    /// snapshot. Histograms contribute p50/p90/p99 gauges and reset, so
-    /// each snapshot describes one interval's distribution.
-    ///
-    /// Quiet intervals are cheap: when no counter (or gauge/histogram)
-    /// changed since the previous snapshot, the new snapshot shares the
-    /// previous one's map allocation via `Arc` instead of deep-cloning it.
-    pub fn snapshot(&mut self, at: SimTime) -> &MetricsSnapshot {
-        let counters = self
-            .counters_cache
-            .get_or_insert_with(|| Arc::new(self.counters.clone()))
-            .clone();
-        let gauges = if self.histograms.values().any(|s| !s.is_empty()) {
-            // Quantile gauges are per-interval, so this snapshot's gauge
-            // map necessarily differs from the plain gauge state — build
-            // it fresh and leave the cache dirty.
-            let mut gauges = self.gauges.clone();
-            for (name, samples) in &self.histograms {
-                if !samples.is_empty() {
-                    gauges.insert(format!("{name}/p50"), samples.quantile(0.50));
-                    gauges.insert(format!("{name}/p90"), samples.quantile(0.90));
-                    gauges.insert(format!("{name}/p99"), samples.quantile(0.99));
-                }
+    /// Captures the current state. Histograms contribute p50/p90/p99
+    /// gauges and reset, so each snapshot describes the distribution
+    /// observed since the previous one.
+    pub fn snapshot(&mut self, at: SimTime) -> MetricsSnapshot {
+        let mut gauges = self.gauges.clone();
+        for (name, samples) in &self.histograms {
+            if !samples.is_empty() {
+                gauges.insert(format!("{name}/p50"), samples.quantile(0.50));
+                gauges.insert(format!("{name}/p90"), samples.quantile(0.90));
+                gauges.insert(format!("{name}/p99"), samples.quantile(0.99));
             }
-            self.gauges_cache = None;
-            Arc::new(gauges)
-        } else {
-            self.gauges_cache
-                .get_or_insert_with(|| Arc::new(self.gauges.clone()))
-                .clone()
-        };
+        }
         self.histograms.clear();
-        self.history.push(MetricsSnapshot {
+        MetricsSnapshot {
             at,
-            counters,
-            gauges,
-        });
-        self.history.last().expect("just pushed")
-    }
-
-    /// The snapshots taken so far, in time order.
-    #[must_use]
-    pub fn history(&self) -> &[MetricsSnapshot] {
-        &self.history
-    }
-
-    /// Consumes the registry, returning the snapshot time series.
-    #[must_use]
-    pub fn into_history(self) -> Vec<MetricsSnapshot> {
-        self.history
+            counters: Arc::new(self.counters.clone()),
+            gauges: Arc::new(gauges),
+        }
     }
 }
 
@@ -1186,17 +1148,19 @@ mod tests {
         reg.observe("tpot_secs", 0.05);
         reg.observe("tpot_secs", 0.07);
         reg.observe("tpot_secs", 0.06);
-        let snap = reg.snapshot(SimTime::from_secs(1)).clone();
+        let snap = reg.snapshot(SimTime::from_secs(1));
         assert_eq!(snap.counters["requests_finished"], 3);
         assert_eq!(snap.gauges["power_w"], 212.5);
         assert!(snap.gauges["tpot_secs/p50"] >= 0.05);
 
         reg.counter_add("requests_finished", 2);
-        let snap2 = reg.snapshot(SimTime::from_secs(2)).clone();
+        let snap2 = reg.snapshot(SimTime::from_secs(2));
+        assert_eq!(snap2.at, SimTime::from_secs(2));
         assert_eq!(snap2.counters["requests_finished"], 5);
         // Histogram reset between intervals: no stale quantiles.
         assert!(!snap2.gauges.contains_key("tpot_secs/p50"));
-        assert_eq!(reg.history().len(), 2);
+        // An earlier snapshot is a capture, not a view of the registry.
+        assert_eq!(snap.counters["requests_finished"], 3);
 
         // Snapshots serialize (they ride on Outcome).
         let json = serde_json::to_string(&snap).expect("serialize snapshot");
@@ -1239,34 +1203,5 @@ mod tests {
             (1..=5).map(progress).collect::<Vec<_>>(),
             "equal-SimTime records must keep emission order"
         );
-    }
-
-    #[test]
-    fn quiet_snapshots_share_map_allocations() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("requests_finished", 3);
-        reg.gauge_set("power_w", 212.5);
-        let s1 = reg.snapshot(SimTime::from_secs(1)).clone();
-        // Nothing changed: the next snapshot must reuse both allocations.
-        let s2 = reg.snapshot(SimTime::from_secs(2)).clone();
-        assert!(Arc::ptr_eq(&s1.counters, &s2.counters));
-        assert!(Arc::ptr_eq(&s1.gauges, &s2.gauges));
-
-        // A counter bump invalidates only the counter cache.
-        reg.counter_add("requests_finished", 1);
-        let s3 = reg.snapshot(SimTime::from_secs(3)).clone();
-        assert!(!Arc::ptr_eq(&s2.counters, &s3.counters));
-        assert!(Arc::ptr_eq(&s2.gauges, &s3.gauges));
-        assert_eq!(s3.counters["requests_finished"], 4);
-
-        // Histogram quantiles force a fresh gauge map for that interval
-        // only; the cache repopulates from the plain gauges afterwards.
-        reg.observe("tpot_secs", 0.05);
-        let s4 = reg.snapshot(SimTime::from_secs(4)).clone();
-        assert!(s4.gauges.contains_key("tpot_secs/p50"));
-        let s5 = reg.snapshot(SimTime::from_secs(5)).clone();
-        assert!(!s5.gauges.contains_key("tpot_secs/p50"));
-        assert!(!Arc::ptr_eq(&s4.gauges, &s5.gauges));
-        assert!(Arc::ptr_eq(&s4.counters, &s5.counters));
     }
 }

@@ -8,7 +8,7 @@ use aum_sim::attrib::{
 use aum_sim::event::EventQueue;
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{Histogram, Samples, Summary};
+use aum_sim::stats::{quantile_in_place, Histogram, Samples, Summary};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -62,6 +62,32 @@ fn region_sample(region: Region) -> impl Strategy<Value = RegionSample> {
         )
 }
 
+/// The sort-based quantile rule: the window's finite values in a fresh
+/// vector, stable-sorted, interpolated between the order statistics around
+/// rank `q·(n−1)`.
+fn sorted_quantile(window: &[f64], q: f64) -> f64 {
+    let mut sorted: Vec<f64> = window.iter().copied().filter(|v| v.is_finite()).collect();
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+#[test]
+fn quantiles_of_an_empty_window_are_zero() {
+    for q in [0.5, 0.9] {
+        assert_eq!(quantile_in_place(&mut [], q).to_bits(), 0.0f64.to_bits());
+    }
+}
+
 /// A full interval's worth of samples, one per region.
 fn interval_samples() -> impl Strategy<Value = Vec<RegionSample>> {
     (
@@ -90,6 +116,40 @@ proptest! {
             prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
             prop_assert!(v >= last - 1e-9, "quantiles must be monotone in q");
             last = v;
+        }
+    }
+
+    // Sensing selects p50/p90 over the last 30 TTFTs and the last 300 token
+    // times in one reused scratch vector. Decode records carry one execution
+    // time per batch, so inputs are runs of repeated values, with zeros and
+    // a NaN among them; every quantile must equal the sort-based one bit for
+    // bit, including after earlier selections have permuted the scratch.
+    #[test]
+    fn quantile_in_place_matches_a_sorted_copy_bit_for_bit(
+        runs in prop::collection::vec(
+            (prop_oneof![Just(0.0), Just(0.05), 0.0f64..0.5], 1usize..17),
+            0..121,
+        ),
+        nan_at in 0usize..1000,
+    ) {
+        let mut values: Vec<f64> = runs
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+            .take(999)
+            .collect();
+        values.insert(nan_at.min(values.len()), f64::NAN);
+        let mut scratch = Vec::new();
+        for window in [30, 300] {
+            let tail = &values[values.len().saturating_sub(window)..];
+            scratch.clear();
+            scratch.extend(tail.iter().copied().filter(|v| v.is_finite()));
+            for q in [0.0, 0.5, 0.9, 1.0] {
+                prop_assert_eq!(
+                    quantile_in_place(&mut scratch, q).to_bits(),
+                    sorted_quantile(tail, q).to_bits(),
+                    "window {} at q {}", window, q
+                );
+            }
         }
     }
 
