@@ -26,7 +26,7 @@ use aum_sim::telemetry::{Event, MemorySink, OrderingSink, SloMetric, TraceRecord
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
-use crate::common::{harness_tracer, make_manager, ModelCache, Scheme};
+use crate::common::{make_manager, RunCtx, Scheme};
 
 /// Default regression threshold for [`trace_diff`], percentage points of
 /// total time share per cause.
@@ -80,20 +80,27 @@ fn study_config(study: &str, quick: bool) -> Result<(ExperimentConfig, BeKind), 
 
 /// Runs one attribution study end to end.
 ///
-/// The run always traces into an in-process [`MemorySink`] (wrapped in an
-/// [`OrderingSink`] so SLO-breach lookups and re-emission see time order);
-/// when the harness tracer is enabled (`repro --trace`) every record is
-/// re-emitted there so the study's trace lands in the requested file too.
+/// `ctx.quick` selects the short run. The run always traces into an
+/// in-process [`MemorySink`] (wrapped in an [`OrderingSink`] so SLO-breach
+/// lookups and re-emission see time order); when the ctx's tracer is
+/// enabled (`repro --trace`) every record is re-emitted there so the
+/// study's trace lands in the requested file too.
 ///
 /// # Errors
 ///
 /// Returns the experiment's error string — notably an attribution-ledger
 /// conservation violation — or an unknown study name. The `repro` driver
 /// exits 1 on either.
-pub fn run_study(study: &str, quick: bool) -> Result<StudyReport, String> {
-    let (cfg, be) = study_config(study, quick)?;
-    let cache = ModelCache::new();
-    let mut mgr = make_manager(Scheme::Aum, &cfg.platform, cfg.scenario, Some(be), &cache);
+pub fn run_study(ctx: &RunCtx, study: &str) -> Result<StudyReport, String> {
+    let (cfg, be) = study_config(study, ctx.quick)?;
+    let mut mgr = make_manager(
+        Scheme::Aum,
+        &cfg.platform,
+        cfg.scenario,
+        Some(be),
+        &ctx.cache,
+        &ctx.tracer,
+    );
     let (tracer, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
     let outcome = try_run_experiment_traced(&cfg, mgr.as_mut(), tracer)
         .map_err(|e| format!("attrib study '{study}' failed: {e}"))?;
@@ -103,10 +110,9 @@ pub fn run_study(study: &str, quick: bool) -> Result<StudyReport, String> {
         .inner()
         .records()
         .to_vec();
-    let harness = harness_tracer();
-    if harness.is_enabled() {
+    if ctx.tracer.is_enabled() {
         for r in &records {
-            harness.emit(r.at, || r.event.clone());
+            ctx.tracer.emit(r.at, || r.event.clone());
         }
     }
 
@@ -523,6 +529,7 @@ mod tests {
 
     #[test]
     fn unknown_study_is_rejected() {
-        assert!(run_study("fig99", true).is_err());
+        let ctx = RunCtx::new(true, Tracer::disabled());
+        assert!(run_study(&ctx, "fig99").is_err());
     }
 }

@@ -35,6 +35,8 @@ use aum_sim::live::{self, MetricsServer, Watchdog};
 use aum_sim::telemetry::{parse_jsonl, JsonlSink, OrderingSink, TraceSink, Tracer};
 use aum_sim::time::SimDuration;
 
+use aum_bench::common::RunCtx;
+
 /// Identity of a parsed command, used to key flag applicability.
 /// `Run` covers both `repro <id>` and `repro all`.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -243,10 +245,10 @@ enum Command {
     List,
     All,
     One(String),
-    Chaos { quick: bool },
-    FleetChaos { quick: bool },
-    Attrib { study: String, quick: bool },
-    PerfReport { study: String, quick: bool },
+    Chaos,
+    FleetChaos,
+    Attrib { study: String },
+    PerfReport { study: String },
     TraceSummary(PathBuf),
     TraceDiff { a: PathBuf, b: PathBuf },
     TraceExport { input: PathBuf, perfetto: PathBuf },
@@ -257,8 +259,8 @@ impl Command {
         match self {
             Command::List => CmdId::List,
             Command::All | Command::One(_) => CmdId::Run,
-            Command::Chaos { .. } => CmdId::Chaos,
-            Command::FleetChaos { .. } => CmdId::FleetChaos,
+            Command::Chaos => CmdId::Chaos,
+            Command::FleetChaos => CmdId::FleetChaos,
             Command::Attrib { .. } => CmdId::Attrib,
             Command::PerfReport { .. } => CmdId::PerfReport,
             Command::TraceSummary(_) => CmdId::TraceSummary,
@@ -273,10 +275,10 @@ impl Command {
             Command::List => "list".into(),
             Command::All => "all".into(),
             Command::One(id) => id.clone(),
-            Command::Chaos { .. } => "chaos".into(),
-            Command::FleetChaos { .. } => "fleet-chaos".into(),
-            Command::Attrib { study, .. } => format!("attrib-{study}"),
-            Command::PerfReport { study, .. } => format!("perf-report-{study}"),
+            Command::Chaos => "chaos".into(),
+            Command::FleetChaos => "fleet-chaos".into(),
+            Command::Attrib { study } => format!("attrib-{study}"),
+            Command::PerfReport { study } => format!("perf-report-{study}"),
             Command::TraceSummary(_) => "trace-summary".into(),
             Command::TraceDiff { .. } => "trace-diff".into(),
             Command::TraceExport { .. } => "trace-export".into(),
@@ -379,21 +381,18 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let (positionals, raw) = scan_flags(args)?;
     let positionals: Vec<&str> = positionals.iter().map(String::as_str).collect();
-    let quick = raw.has("--quick");
     let command = match positionals.as_slice() {
         [] => return Err("missing command".into()),
         ["list"] => Command::List,
         ["all"] => Command::All,
-        ["chaos"] => Command::Chaos { quick },
-        ["fleet-chaos"] => Command::FleetChaos { quick },
+        ["chaos"] => Command::Chaos,
+        ["fleet-chaos"] => Command::FleetChaos,
         ["attrib", study] => Command::Attrib {
             study: (*study).to_owned(),
-            quick,
         },
         ["attrib"] => return Err("attrib requires a study name (fig14 or chaos)".into()),
         ["perf-report", study] => Command::PerfReport {
             study: (*study).to_owned(),
-            quick,
         },
         ["perf-report"] => return Err("perf-report requires a study id (see `repro list`)".into()),
         ["trace-summary", file] => Command::TraceSummary(PathBuf::from(file)),
@@ -482,7 +481,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         metrics_out: raw.path("--metrics-out"),
         threshold,
         jobs,
-        quick,
+        quick: raw.has("--quick"),
         flight: raw.path("--flight"),
         flight_capacity,
         flight_window_secs,
@@ -561,7 +560,6 @@ fn main() {
     if let Some(n) = cli.jobs {
         aum_sim::exec::set_jobs(n);
     }
-    aum_bench::common::set_quick(cli.quick);
     if let Some(dir) = &cli.out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
@@ -606,7 +604,7 @@ fn main() {
         // raw emission order is not globally monotonic.
         OrderingSink::new(sink)
     };
-    let sink_handle: Option<SinkHandle> = if let Some(dir) = &cli.flight {
+    let (tracer, sink_handle) = if let Some(dir) = &cli.flight {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
@@ -620,19 +618,20 @@ fn main() {
         }
         let inner = cli.trace.as_ref().map(&make_jsonl);
         let (tracer, handle) = Tracer::shared(FlightRecorder::with_inner_opt(fcfg, inner));
-        aum_bench::common::install_tracer(tracer);
         if let Some((state, _)) = &server {
             let flight = handle.clone();
             state.set_flight_source(move || flight.lock().expect("flight lock").stats());
         }
-        Some(SinkHandle::Flight(handle))
+        (tracer, Some(SinkHandle::Flight(handle)))
     } else if let Some(path) = &cli.trace {
         let (tracer, handle) = Tracer::shared(make_jsonl(path));
-        aum_bench::common::install_tracer(tracer);
-        Some(SinkHandle::Plain(handle))
+        (tracer, Some(SinkHandle::Plain(handle)))
     } else {
-        None
+        (Tracer::disabled(), None)
     };
+    // The one run context of this invocation: every study it dispatches
+    // shares the flags, the harness tracer and one AUV-model cache.
+    let ctx = RunCtx::new(cli.quick, tracer);
     // Wall-clock timing goes to stderr so stdout stays byte-identical
     // across runs and worker counts (the CI serial-vs-parallel gate
     // `cmp`s captured stdout).
@@ -684,16 +683,16 @@ fn main() {
                 set_phase(name);
                 let t = Instant::now();
                 let before = aum_sim::exec::stats();
-                let out = run();
+                let out = run(&ctx);
                 emit(name, &out, t.elapsed());
                 report_speedup(name, &before);
             }
             eprintln!("total: {:?}", t0.elapsed());
         }
-        Command::Chaos { quick } => {
+        Command::Chaos => {
             let t = Instant::now();
             let before = aum_sim::exec::stats();
-            let run = aum_bench::chaos::run(*quick);
+            let run = aum_bench::chaos::run(&ctx);
             emit("chaos", &run.text, t.elapsed());
             report_speedup("chaos", &before);
             if run.degenerate {
@@ -701,10 +700,10 @@ fn main() {
                 exit_code = 1;
             }
         }
-        Command::FleetChaos { quick } => {
+        Command::FleetChaos => {
             let t = Instant::now();
             let before = aum_sim::exec::stats();
-            let run = aum_bench::fleetchaos::run(*quick);
+            let run = aum_bench::fleetchaos::run(&ctx);
             emit("fleet-chaos", &run.text, t.elapsed());
             report_speedup("fleet-chaos", &before);
             if run.degenerate {
@@ -715,10 +714,10 @@ fn main() {
                 exit_code = 1;
             }
         }
-        Command::Attrib { study, quick } => {
+        Command::Attrib { study } => {
             let t = Instant::now();
             let before = aum_sim::exec::stats();
-            match aum_bench::attribution::run_study(study, *quick) {
+            match aum_bench::attribution::run_study(&ctx, study) {
                 Ok(report) => {
                     emit(&format!("attrib-{study}"), &report.text, t.elapsed());
                     report_speedup(&format!("attrib-{study}"), &before);
@@ -737,10 +736,10 @@ fn main() {
                 }
             }
         }
-        Command::PerfReport { study, quick } => {
+        Command::PerfReport { study } => {
             let t = Instant::now();
             let before = aum_sim::exec::stats();
-            match aum_bench::perfreport::collect(study, *quick) {
+            match aum_bench::perfreport::collect(&ctx, study) {
                 Ok(report) => {
                     let name = format!("perf-report-{study}");
                     let text = format!(
@@ -844,7 +843,7 @@ fn main() {
             Some((name, run)) => {
                 let t = Instant::now();
                 let before = aum_sim::exec::stats();
-                let out = run();
+                let out = run(&ctx);
                 emit(name, &out, t.elapsed());
                 report_speedup(name, &before);
             }

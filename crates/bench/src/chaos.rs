@@ -30,7 +30,7 @@ use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
-use crate::common::{harness_tracer, ModelCache};
+use crate::common::{ModelCache, RunCtx};
 
 /// Seed shared by every run in the matrix — fixed so the report is
 /// reproducible by construction.
@@ -190,13 +190,15 @@ fn run_scheme(
     cfg.fault = plan.clone();
     match scheme {
         ChaosScheme::Aum => {
-            let mut ctl = AumController::new(cache.model(&spec, Scenario::Chatbot, BeKind::Olap));
+            let model = cache.model(&spec, Scenario::Chatbot, BeKind::Olap, tracer);
+            let mut ctl = AumController::new(model);
             let out = run_experiment_traced(&cfg, &mut ctl, tracer.clone());
             let entries = ctl.safe_mode_entries();
             (out, entries)
         }
         ChaosScheme::StaticBest => {
-            let mut mgr = StaticBest::new(&cache.model(&spec, Scenario::Chatbot, BeKind::Olap));
+            let model = cache.model(&spec, Scenario::Chatbot, BeKind::Olap, tracer);
+            let mut mgr = StaticBest::new(&model);
             (run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()), 0)
         }
         ChaosScheme::AllAu => {
@@ -206,17 +208,14 @@ fn run_scheme(
     }
 }
 
-/// Runs the fault matrix and renders the retention report.
+/// Runs the fault matrix (`ctx.quick` selects the smoke matrix) and
+/// renders the retention report. The parallel-determinism suite passes a
+/// smoke-profile cache so the identical matrix/executor code path stays
+/// testable in debug builds.
 #[must_use]
-pub fn run(quick: bool) -> ChaosRun {
-    run_with(quick, &ModelCache::new())
-}
-
-/// [`run`] against a caller-supplied model cache — the parallel-determinism
-/// suite passes a smoke-scale cache so the identical matrix/executor code
-/// path stays testable in debug builds.
-#[must_use]
-pub fn run_with(quick: bool, cache: &ModelCache) -> ChaosRun {
+pub fn run(ctx: &RunCtx) -> ChaosRun {
+    let quick = ctx.quick;
+    let cache = &ctx.cache;
     let (duration, t0, t1) = if quick {
         (120u64, 30.0, 90.0)
     } else {
@@ -228,18 +227,17 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> ChaosRun {
     // the profiler's (internally parallel, order-merged) trace lands ahead
     // of every cell stream.
     let spec = PlatformSpec::gen_a();
-    cache.warm([(&spec, Scenario::Chatbot, BeKind::Olap)]);
+    cache.warm([(&spec, Scenario::Chatbot, BeKind::Olap)], &ctx.tracer);
 
     // Healthy baselines: one per scheme, same seed and duration.
-    let healthy: Vec<(ChaosScheme, Outcome)> = aum_sim::exec::sweep_traced(
-        &harness_tracer(),
-        ChaosScheme::ALL.to_vec(),
-        |_, s, tracer| run_scheme(s, &FaultPlan::none(), duration, cache, &tracer).0,
-    )
-    .into_iter()
-    .zip(ChaosScheme::ALL)
-    .map(|(o, s)| (s, o))
-    .collect();
+    let healthy: Vec<(ChaosScheme, Outcome)> =
+        aum_sim::exec::sweep_traced(&ctx.tracer, ChaosScheme::ALL.to_vec(), |_, s, tracer| {
+            run_scheme(s, &FaultPlan::none(), duration, cache, &tracer).0
+        })
+        .into_iter()
+        .zip(ChaosScheme::ALL)
+        .map(|(o, s)| (s, o))
+        .collect();
 
     let mut out = String::new();
     let mode = if quick { "quick" } else { "full" };
@@ -279,7 +277,7 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> ChaosRun {
         .flat_map(|i| ChaosScheme::ALL.map(move |s| (i, s)))
         .collect();
     let matrix: Vec<(Outcome, u64)> =
-        aum_sim::exec::sweep_traced(&harness_tracer(), matrix_cells, |_, (i, scheme), tracer| {
+        aum_sim::exec::sweep_traced(&ctx.tracer, matrix_cells, |_, (i, scheme), tracer| {
             run_scheme(scheme, &scenarios[i].plan, duration, cache, &tracer)
         });
     let mut matrix_iter = matrix.into_iter();
@@ -357,8 +355,8 @@ mod tests {
 
     #[test]
     fn quick_report_is_deterministic_and_finite() {
-        let a = run(true);
-        let b = run(true);
+        let a = run(&RunCtx::new(true, Tracer::disabled()));
+        let b = run(&RunCtx::new(true, Tracer::disabled()));
         assert_eq!(a.text, b.text, "same seed must yield an identical report");
         assert!(!a.degenerate, "quick matrix must stay finite:\n{}", a.text);
         assert!(a.text.contains("bandwidth-collapse"));

@@ -12,9 +12,11 @@ use aum_sim::report::{fmt3, TextTable};
 use aum_workloads::au_apps::{au_acceleration, AuApp};
 use aum_workloads::gpu::GpuReference;
 
+use crate::common::RunCtx;
+
 /// Table I: hardware specifications of the evaluated platforms.
 #[must_use]
-pub fn table1() -> String {
+pub fn table1(_ctx: &RunCtx) -> String {
     let mut t = TextTable::new([
         "Platform",
         "Generation",
@@ -54,7 +56,7 @@ pub fn table1() -> String {
 /// Fig 4: AU acceleration of Faiss/Vocoder/DeepFM on GenC under different
 /// dimensions, cores and batch sizes, relative to AU-disabled execution.
 #[must_use]
-pub fn fig4() -> String {
+pub fn fig4(_ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_c();
     // (app, sweep label, shown value, (dimension, cores, batch)) cells in
     // report order; `au_acceleration` is pure, so the sweep executor runs
@@ -96,7 +98,7 @@ pub fn fig4() -> String {
 /// Fig 5: exclusive AU-enabled CPU vs the A100/FlexGen reference on
 /// performance, performance-per-watt and performance-per-cost.
 #[must_use]
-pub fn fig5() -> String {
+pub fn fig5(_ctx: &RunCtx) -> String {
     let gpu = GpuReference::a100_flexgen();
     // Serving capacity as the paper reports it: sustained batch-16 decode
     // iteration rate (§III-B quotes 188 tokens/s for GenA), with package
@@ -186,7 +188,7 @@ pub fn fig5() -> String {
 /// Table II: six LLM architectures — AMX cycle ratio, AMX µop ratio,
 /// backend bound and DRAM bound, per phase, on GenA.
 #[must_use]
-pub fn table2() -> String {
+pub fn table2(_ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let kernels = AuKernels::for_platform(&spec);
     let llama_ref = traffic_per_token(&ModelConfig::llama2_7b());

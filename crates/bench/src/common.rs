@@ -1,13 +1,13 @@
-//! Shared infrastructure of the reproduction harness: scheme construction,
-//! AUV-model caching, and experiment execution.
+//! Shared infrastructure of the reproduction harness: the run context,
+//! scheme construction, AUV-model caching, and experiment execution.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use aum::baselines::{AllAu, AuFi, AuRb, AuUp, RpAu, SmtAu};
+use aum::cluster::ClusterConfig;
 use aum::controller::AumController;
-use aum::experiment::{run_experiment, run_experiment_traced, ExperimentConfig, Outcome};
+use aum::experiment::{run_experiment_traced, ExperimentConfig, Outcome};
 use aum::manager::ResourceManager;
 use aum::profiler::{build_model_traced, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
@@ -16,61 +16,36 @@ use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
-/// The harness-wide tracer consulted by AUM-scheme runs and profiler
-/// sweeps. Disabled by default; `repro --trace <file>` installs a
-/// [`aum_sim::telemetry::JsonlSink`]-backed tracer here. Process-global
-/// (not thread-local) so sweep-executor worker threads observe it too.
-static HARNESS_TRACER: Mutex<Option<Tracer>> = Mutex::new(None);
-
-/// Installs the tracer consulted by subsequent AUM-scheme experiment runs
-/// and profiling sweeps. Baseline schemes stay untraced so a figure-wide
-/// trace stays bounded and focused on the controller under study.
-pub fn install_tracer(tracer: Tracer) {
-    *HARNESS_TRACER.lock().expect("harness tracer lock") = Some(tracer);
+/// Everything one `repro` invocation shares across the studies it runs.
+///
+/// `repro` builds exactly one, with [`RunCtx::new`], and hands it to every
+/// study it dispatches. The fields are public so tests can assemble a ctx
+/// around a capture tracer or a smoke-profile cache.
+pub struct RunCtx {
+    /// `repro --quick`: studies that honour it run their short CI smoke
+    /// configuration.
+    pub quick: bool,
+    /// The harness tracer: disabled unless `repro --trace`/`--flight`
+    /// installed a sink. AUM-scheme runs and profiler sweeps stream into
+    /// it; baseline schemes stay untraced so a figure-wide trace stays
+    /// focused on the controller under study.
+    pub tracer: Tracer,
+    /// The invocation's AUV models: each (platform, scenario, co-runner)
+    /// model is profiled once, by the first study that needs it, and every
+    /// later study reuses it.
+    pub cache: ModelCache,
 }
 
-/// The currently installed harness tracer (disabled unless
-/// [`install_tracer`] was called).
-#[must_use]
-pub fn harness_tracer() -> Tracer {
-    HARNESS_TRACER
-        .lock()
-        .expect("harness tracer lock")
-        .clone()
-        .unwrap_or_else(Tracer::disabled)
-}
-
-/// Harness-wide quick mode, set by `repro --quick`: experiments that
-/// consult it (currently `fig14`) run at smoke-profiler scale with short
-/// cells, matching the CI trace-export smoke configuration.
-static QUICK: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables quick mode for subsequent experiment runs.
-pub fn set_quick(on: bool) {
-    QUICK.store(on, Ordering::SeqCst);
-}
-
-/// Whether quick mode is on.
-#[must_use]
-pub fn quick() -> bool {
-    QUICK.load(Ordering::SeqCst)
-}
-
-/// Process-wide platform-name intern table. Platform specs are a handful of
-/// static presets, so a linear scan under a mutex is cheaper than hashing
-/// the name — and interning makes every [`ModelCache`] key `Copy`, so cache
-/// hits allocate nothing.
-static PLATFORM_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Interns a platform name, returning its stable dense id.
-#[must_use]
-pub fn intern_platform(name: &str) -> usize {
-    let mut names = PLATFORM_NAMES.lock().expect("platform intern lock");
-    if let Some(id) = names.iter().position(|n| n == name) {
-        return id;
+impl RunCtx {
+    /// A ctx with an empty paper-scale model cache.
+    #[must_use]
+    pub fn new(quick: bool, tracer: Tracer) -> Self {
+        RunCtx {
+            quick,
+            tracer,
+            cache: ModelCache::new(),
+        }
     }
-    names.push(name.to_string());
-    names.len() - 1
 }
 
 /// The seven evaluated schemes (paper Table V).
@@ -119,27 +94,31 @@ impl Scheme {
     }
 }
 
-/// Cache key: interned platform id + scenario + co-runner. `Copy`, so
-/// lookups are allocation-free (the old key cloned `spec.name` per call).
-type CacheKey = (usize, Scenario, BeKind);
+/// One cache entry: the (platform name, scenario, co-runner) key and the
+/// build-once latch that holds the model.
+type Slot = (String, Scenario, BeKind, Arc<OnceLock<Arc<AuvModel>>>);
 
 /// Caches profiled AUV models across experiments (one offline profile can
 /// drive thousands of cores, §VII-D).
 ///
-/// Concurrency-safe: lookups take `&self`, the map lock is held only long
+/// Keyed on the platform name: even `repro all` caches only 15 models, so
+/// a linear scan finds a key without allocating, and only a miss copies
+/// the name.
+///
+/// Concurrency-safe: lookups take `&self`, the list lock is held only long
 /// enough to fetch/insert a per-key latch, and the actual profiling sweep
 /// runs under the key's [`OnceLock`] — concurrent requests for the *same*
 /// model block until the single build finishes, while requests for
 /// *different* models proceed independently. Models are returned as
 /// [`Arc<AuvModel>`] clones (pointer bumps), never deep bucket copies.
 pub struct ModelCache {
-    models: Mutex<HashMap<CacheKey, Arc<OnceLock<Arc<AuvModel>>>>>,
+    slots: Mutex<Vec<Slot>>,
     /// Builds the profiling sweep for a key — `paper_default` in studies;
     /// tests substitute `ProfilerConfig::smoke` to keep runtimes sane while
     /// exercising the identical cache/executor code path.
     profile: fn(PlatformSpec, Scenario, BeKind) -> ProfilerConfig,
-    lookups: std::sync::atomic::AtomicU64,
-    builds: std::sync::atomic::AtomicU64,
+    lookups: AtomicU64,
+    builds: AtomicU64,
 }
 
 /// A point-in-time copy of one [`ModelCache`]'s hit/miss accounting.
@@ -192,29 +171,41 @@ impl ModelCache {
     #[must_use]
     pub fn with_profile(profile: fn(PlatformSpec, Scenario, BeKind) -> ProfilerConfig) -> Self {
         ModelCache {
-            models: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Vec::new()),
             profile,
-            lookups: std::sync::atomic::AtomicU64::new(0),
-            builds: std::sync::atomic::AtomicU64::new(0),
+            lookups: AtomicU64::new(0),
+            builds: AtomicU64::new(0),
         }
     }
 
     /// Returns (building if necessary) the AUV model for a configuration.
     ///
-    /// The build itself is traced through the harness tracer and
+    /// A build streams its profiler events into `tracer` and is
     /// parallelized internally by the profiler's sweep; callers that
     /// dispatch traced cells through the executor should [`Self::warm`]
     /// every needed model first so profiler events keep their serial
     /// position in the merged trace.
-    pub fn model(&self, spec: &PlatformSpec, scenario: Scenario, be: BeKind) -> Arc<AuvModel> {
-        use std::sync::atomic::Ordering;
+    pub fn model(
+        &self,
+        spec: &PlatformSpec,
+        scenario: Scenario,
+        be: BeKind,
+        tracer: &Tracer,
+    ) -> Arc<AuvModel> {
         let _prof = aum_sim::prof::scope("model_cache.lookup");
         self.lookups.fetch_add(1, Ordering::Relaxed);
         aum_sim::prof::count("model_cache.lookup", 1);
-        let key = (intern_platform(&spec.name), scenario, be);
         let slot = {
-            let mut models = self.models.lock().expect("model cache lock");
-            Arc::clone(models.entry(key).or_default())
+            let mut slots = self.slots.lock().expect("model cache lock");
+            let found = slots
+                .iter()
+                .find(|(name, sc, b, _)| *name == spec.name && *sc == scenario && *b == be)
+                .map(|(.., slot)| Arc::clone(slot));
+            found.unwrap_or_else(|| {
+                let slot = Arc::new(OnceLock::new());
+                slots.push((spec.name.clone(), scenario, be, Arc::clone(&slot)));
+                slot
+            })
         };
         Arc::clone(slot.get_or_init(|| {
             let _prof = aum_sim::prof::scope("model_cache.build");
@@ -222,18 +213,30 @@ impl ModelCache {
             aum_sim::prof::count("model_cache.build", 1);
             Arc::new(build_model_traced(
                 &(self.profile)(spec.clone(), scenario, be),
-                harness_tracer(),
+                tracer.clone(),
             ))
         }))
     }
 
     /// Hit/miss accounting for this cache instance (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
         CacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
         }
+    }
+
+    /// The AUV model of every server of a cluster, in server order (a
+    /// server without a co-runner is profiled against SPECjbb). Builds run
+    /// serially, in that order, through `tracer`.
+    pub fn cluster_models(&self, cfg: &ClusterConfig, tracer: &Tracer) -> Vec<AuvModel> {
+        cfg.servers
+            .iter()
+            .map(|s| {
+                let be = s.be.unwrap_or(BeKind::SpecJbb);
+                (*self.model(&s.platform, cfg.scenario, be, tracer)).clone()
+            })
+            .collect()
     }
 
     /// Eagerly builds the models for every listed configuration, in order.
@@ -243,31 +246,23 @@ impl ModelCache {
     pub fn warm<'a>(
         &self,
         configs: impl IntoIterator<Item = (&'a PlatformSpec, Scenario, BeKind)>,
+        tracer: &Tracer,
     ) {
         for (spec, scenario, be) in configs {
-            let _ = self.model(spec, scenario, be);
+            let _ = self.model(spec, scenario, be, tracer);
         }
-    }
-
-    /// Total profiling executions performed so far.
-    #[must_use]
-    pub fn total_runs(&self) -> usize {
-        self.models
-            .lock()
-            .expect("model cache lock")
-            .values()
-            .filter_map(|slot| slot.get().map(|m| m.profiling_runs))
-            .sum()
     }
 }
 
-/// Builds the manager for a scheme (profiling first for AUM).
+/// Builds the manager for a scheme (profiling first for AUM, through
+/// `tracer` on a cache miss).
 pub fn make_manager(
     scheme: Scheme,
     spec: &PlatformSpec,
     scenario: Scenario,
     be: Option<BeKind>,
     cache: &ModelCache,
+    tracer: &Tracer,
 ) -> Box<dyn ResourceManager> {
     match scheme {
         Scheme::AllAu => Box::new(AllAu::new(spec)),
@@ -277,47 +272,20 @@ pub fn make_manager(
         Scheme::AuFi => Box::new(AuFi::new(spec)),
         Scheme::AuRb => Box::new(AuRb::new(spec)),
         Scheme::Aum => {
-            let model = cache.model(spec, scenario, be.unwrap_or(BeKind::SpecJbb));
+            let model = cache.model(spec, scenario, be.unwrap_or(BeKind::SpecJbb), tracer);
             Box::new(AumController::new(model))
         }
     }
 }
 
 /// Runs one scheme on one (platform, scenario, co-runner) cell. ALL-AU runs
-/// exclusively (no co-runner) by definition.
-pub fn scheme_outcome(
-    scheme: Scheme,
-    spec: &PlatformSpec,
-    scenario: Scenario,
-    be: BeKind,
-    cache: &ModelCache,
-) -> Outcome {
-    scheme_outcome_with_rate(scheme, spec, scenario, be, None, cache)
-}
-
-/// [`scheme_outcome`] with an explicit request-rate override — used by the
-/// cross-platform study where the offered load scales with serving capacity.
-pub fn scheme_outcome_with_rate(
-    scheme: Scheme,
-    spec: &PlatformSpec,
-    scenario: Scenario,
-    be: BeKind,
-    rate: Option<f64>,
-    cache: &ModelCache,
-) -> Outcome {
-    let tracer = if scheme == Scheme::Aum {
-        harness_tracer()
-    } else {
-        Tracer::disabled()
-    };
-    scheme_outcome_cell(scheme, spec, scenario, be, rate, None, cache, &tracer)
-}
-
-/// The fully-parameterized scheme cell: explicit tracer (so parallel sweep
-/// cells can capture into per-cell sinks) and optional duration override
-/// (so the determinism tests drive the exact study code path at reduced
-/// scale). `rate = None` uses the scenario default; `duration = None` uses
-/// the paper default.
+/// exclusively (no co-runner) by definition, and only the AUM run streams
+/// into `tracer`. `rate = None` uses the scenario default; `duration =
+/// None` uses the paper default.
+///
+/// Serial callers pass the ctx's tracer; parallel sweep cells pass their
+/// per-cell capture, and the determinism tests drive this exact code path
+/// at reduced duration.
 #[allow(clippy::too_many_arguments)]
 pub fn scheme_outcome_cell(
     scheme: Scheme,
@@ -339,7 +307,7 @@ pub fn scheme_outcome_cell(
     if let Some(d) = duration {
         cfg.duration = d;
     }
-    let mut mgr = make_manager(scheme, spec, scenario, be_opt, cache);
+    let mut mgr = make_manager(scheme, spec, scenario, be_opt, cache, tracer);
     let tracer = if scheme == Scheme::Aum {
         tracer.clone()
     } else {
@@ -360,15 +328,6 @@ pub fn platform_scaled_rate(spec: &PlatformSpec, scenario: Scenario) -> f64 {
     scenario.default_rate() * bw_ratio.min(amx_ratio)
 }
 
-/// Runs an exclusive (ALL-AU) experiment with a request-rate override —
-/// used by capacity measurements such as Fig 5.
-pub fn exclusive_capacity(spec: &PlatformSpec, scenario: Scenario, rate: f64) -> Outcome {
-    let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, None);
-    cfg.rate = Some(rate);
-    let mut mgr = AllAu::new(spec);
-    run_experiment(&cfg, &mut mgr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,11 +344,12 @@ mod tests {
         assert!((start.hit_rate() - 1.0).abs() < f64::EPSILON);
 
         let spec = PlatformSpec::gen_a();
+        let tracer = Tracer::disabled();
         for _ in 0..3 {
-            cache.model(&spec, Scenario::Chatbot, BeKind::SpecJbb);
+            cache.model(&spec, Scenario::Chatbot, BeKind::SpecJbb, &tracer);
         }
         for _ in 0..3 {
-            cache.model(&spec, Scenario::Chatbot, BeKind::Olap);
+            cache.model(&spec, Scenario::Chatbot, BeKind::Olap, &tracer);
         }
         let stats = cache.stats();
         assert_eq!(stats.lookups, 6, "every model() call is a lookup");

@@ -2,43 +2,35 @@
 
 use aum::controller::AumController;
 use aum::experiment::{run_experiment, ExperimentConfig, Outcome};
-use aum::profiler::{build_model, ProfilerConfig};
+use aum::profiler::ProfilerConfig;
 use aum_llm::traces::Scenario;
 use aum_platform::freq::FrequencyGovernor;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::AuUsageLevel;
 use aum_sim::report::{fmt3, fmt_pct, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
-use crate::common::{harness_tracer, scheme_outcome, scheme_outcome_cell, ModelCache, Scheme};
+use crate::common::{scheme_outcome_cell, ModelCache, RunCtx, Scheme};
 
 /// Runs a (scenario × co-runner × scheme) grid of scheme cells through the
 /// parallel sweep executor, returning outcomes in grid order (scenario
-/// major, then co-runner, then scheme). The AUV models every AUM cell
-/// needs are built serially first ([`ModelCache::warm`]), so the profiler
-/// trace keeps its deterministic position ahead of the per-cell streams
-/// that [`aum_sim::exec::sweep_traced`] merges in grid order.
+/// major, then co-runner, then scheme) plus every cell's latency
+/// histograms folded into grid-wide merged distributions, keyed by metric
+/// name.
+///
+/// The AUV models every AUM cell needs are built serially first
+/// ([`ModelCache::warm`]), so the profiler trace keeps its deterministic
+/// position ahead of the per-cell streams that
+/// [`aum_sim::exec::sweep_traced_hists`] merges in grid order. The
+/// histogram merge runs in the same canonical cell order, so — like the
+/// trace stream — the merged histograms are byte-identical for any worker
+/// count.
 ///
 /// Fig 14/16/17 run this at paper scale; the parallel-determinism suite
 /// drives the *same* code path at reduced duration, which is why the
 /// duration override lives here.
-pub fn scheme_grid(
-    spec: &PlatformSpec,
-    scenarios: &[Scenario],
-    bes: &[BeKind],
-    schemes: &[Scheme],
-    duration: Option<SimDuration>,
-    cache: &ModelCache,
-) -> Vec<Outcome> {
-    scheme_grid_hists(spec, scenarios, bes, schemes, duration, cache).0
-}
-
-/// [`scheme_grid`] that additionally folds every cell's latency histograms
-/// into grid-wide merged distributions, keyed by metric name. The merge
-/// runs in canonical cell order inside
-/// [`aum_sim::exec::sweep_traced_hists`], so — like the trace stream — the
-/// merged histograms are byte-identical for any worker count.
 pub fn scheme_grid_hists(
     spec: &PlatformSpec,
     scenarios: &[Scenario],
@@ -46,6 +38,7 @@ pub fn scheme_grid_hists(
     schemes: &[Scheme],
     duration: Option<SimDuration>,
     cache: &ModelCache,
+    tracer: &Tracer,
 ) -> (
     Vec<Outcome>,
     std::collections::BTreeMap<String, aum_sim::LogHistogram>,
@@ -55,6 +48,7 @@ pub fn scheme_grid_hists(
             scenarios
                 .iter()
                 .flat_map(|&sc| bes.iter().map(move |&be| (spec, sc, be))),
+            tracer,
         );
     }
     let cells: Vec<(Scenario, BeKind, Scheme)> = scenarios
@@ -64,7 +58,7 @@ pub fn scheme_grid_hists(
                 .flat_map(move |&be| schemes.iter().map(move |&s| (sc, be, s)))
         })
         .collect();
-    aum_sim::exec::sweep_traced_hists(&harness_tracer(), cells, |_, (sc, be, scheme), tracer| {
+    aum_sim::exec::sweep_traced_hists(tracer, cells, |_, (sc, be, scheme), tracer| {
         let o = scheme_outcome_cell(scheme, spec, sc, be, None, duration, cache, &tracer);
         let hists = vec![
             ("ttft_seconds".to_string(), o.slo.ttft_hist.clone()),
@@ -80,13 +74,11 @@ pub fn scheme_grid_hists(
 /// Table III: an example bucket of the AUV model — per-usage-level core
 /// ranges, frequencies, resource tuple, and average/tail performance.
 #[must_use]
-pub fn table3() -> String {
+pub fn table3(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
-    let model = build_model(&ProfilerConfig::paper_default(
-        spec.clone(),
-        Scenario::Chatbot,
-        BeKind::SpecJbb,
-    ));
+    let model = ctx
+        .cache
+        .model(&spec, Scenario::Chatbot, BeKind::SpecJbb, &ctx.tracer);
     let slo = Scenario::Chatbot.slo();
     let (d, c) = model.best_bucket(slo.ttft.as_secs_f64(), slo.tpot.as_secs_f64());
     let bucket = model.bucket(d, c);
@@ -143,21 +135,17 @@ pub fn table3() -> String {
 /// Fig 14: CPU performance-per-watt across scenarios, sharing selections
 /// and the seven schemes, normalized to ALL-AU under the chatbot scenario.
 #[must_use]
-pub fn fig14() -> String {
+pub fn fig14(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
-    // Quick mode (`repro fig14 --quick`): smoke-profile models and 30 s
-    // cells through the exact same grid code path — the CI trace-export
-    // smoke runs this to get a full span trace in seconds.
-    let quick = crate::common::quick();
-    let cache = if quick {
-        ModelCache::with_profile(ProfilerConfig::smoke)
+    // Quick mode (`repro fig14 --quick`): private smoke-profile models and
+    // 30 s cells through the exact same grid code path — the CI
+    // trace-export smoke runs this to get a full span trace in seconds.
+    let smoke;
+    let (cache, duration) = if ctx.quick {
+        smoke = ModelCache::with_profile(ProfilerConfig::smoke);
+        (&smoke, Some(SimDuration::from_secs(30)))
     } else {
-        ModelCache::new()
-    };
-    let duration = if quick {
-        Some(SimDuration::from_secs(30))
-    } else {
-        None
+        (&ctx.cache, None)
     };
     let cb_base = scheme_outcome_cell(
         Scheme::AllAu,
@@ -166,8 +154,8 @@ pub fn fig14() -> String {
         BeKind::SpecJbb,
         None,
         duration,
-        &cache,
-        &harness_tracer(),
+        cache,
+        &ctx.tracer,
     )
     .efficiency;
     let (grid, hists) = scheme_grid_hists(
@@ -176,7 +164,8 @@ pub fn fig14() -> String {
         &BeKind::ALL,
         &Scheme::ALL,
         duration,
-        &cache,
+        cache,
+        &ctx.tracer,
     );
     let mut out =
         String::from("Fig 14: CPU performance-per-watt, normalized to ALL-AU (chatbot)\n");
@@ -229,24 +218,27 @@ pub fn fig14() -> String {
 /// Fig 15: efficiency on the three hardware platforms sharing with SPECjbb,
 /// normalized to ALL-AU on GenA.
 #[must_use]
-pub fn fig15() -> String {
-    let cache = ModelCache::new();
+pub fn fig15(ctx: &RunCtx) -> String {
     let gen_a = PlatformSpec::gen_a();
-    let base = scheme_outcome(
+    let base = scheme_outcome_cell(
         Scheme::AllAu,
         &gen_a,
         Scenario::Chatbot,
         BeKind::SpecJbb,
-        &cache,
+        None,
+        None,
+        &ctx.cache,
+        &ctx.tracer,
     )
     .efficiency;
     // Offered load scales with platform serving capacity: the paper
     // exercises every platform near its own operating point.
     let presets = PlatformSpec::presets();
-    cache.warm(
+    ctx.cache.warm(
         presets
             .iter()
             .flat_map(|spec| Scenario::ALL.map(|sc| (spec, sc, BeKind::SpecJbb))),
+        &ctx.tracer,
     );
     let cells: Vec<(&PlatformSpec, Scenario, Scheme)> = presets
         .iter()
@@ -256,10 +248,8 @@ pub fn fig15() -> String {
             })
         })
         .collect();
-    let grid = aum_sim::exec::sweep_traced(
-        &harness_tracer(),
-        cells,
-        |_, (spec, scenario, scheme), tracer| {
+    let grid =
+        aum_sim::exec::sweep_traced(&ctx.tracer, cells, |_, (spec, scenario, scheme), tracer| {
             let rate = Some(crate::common::platform_scaled_rate(spec, scenario));
             scheme_outcome_cell(
                 scheme,
@@ -268,11 +258,10 @@ pub fn fig15() -> String {
                 BeKind::SpecJbb,
                 rate,
                 None,
-                &cache,
+                &ctx.cache,
                 &tracer,
             )
-        },
-    );
+        });
     let mut out =
         String::from("Fig 15: efficiency on evolving platforms (norm. to ALL-AU on GenA)\n");
     let mut grid_iter = grid.iter();
@@ -297,16 +286,16 @@ pub fn fig15() -> String {
 /// averaged over the three scenarios (SPECjbb co-runner). AU performance is
 /// normalized to ALL-AU; shared performance to RP-AU.
 #[must_use]
-pub fn fig16() -> String {
+pub fn fig16(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
-    let cache = ModelCache::new();
-    let grid = scheme_grid(
+    let (grid, _) = scheme_grid_hists(
         &spec,
         &Scenario::ALL,
         &[BeKind::SpecJbb],
         &Scheme::ALL,
         None,
-        &cache,
+        &ctx.cache,
+        &ctx.tracer,
     );
     let mut au_norm = std::collections::HashMap::new();
     let mut be_norm = std::collections::HashMap::new();
@@ -341,16 +330,16 @@ pub fn fig16() -> String {
 /// Fig 17: SLO guarantee ratios per scheme and scenario (SPECjbb sharing):
 /// prefill TTFT on the left, decode TPOT on the right.
 #[must_use]
-pub fn fig17() -> String {
+pub fn fig17(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
-    let cache = ModelCache::new();
-    let grid = scheme_grid(
+    let (grid, _) = scheme_grid_hists(
         &spec,
         &Scenario::ALL,
         &[BeKind::SpecJbb],
         &Scheme::ALL,
         None,
-        &cache,
+        &ctx.cache,
+        &ctx.tracer,
     );
     let mut out = String::from("Fig 17: SLO guarantee ratios when sharing with SPECjbb\n");
     let mut grid_iter = grid.iter();
@@ -372,19 +361,23 @@ pub fn fig17() -> String {
 /// Fig 18: CDFs of the shared class's LLC-way and bandwidth allocations
 /// under AUM vs the static RP-AU (SPECjbb + chatbot).
 #[must_use]
-pub fn fig18() -> String {
+pub fn fig18(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
-    let cache = ModelCache::new();
-    let model = cache.model(&spec, Scenario::Chatbot, BeKind::SpecJbb);
+    let model = ctx
+        .cache
+        .model(&spec, Scenario::Chatbot, BeKind::SpecJbb, &ctx.tracer);
     let cfg =
         ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
     let aum = run_experiment(&cfg, &mut AumController::new(model));
-    let rp = scheme_outcome(
+    let rp = scheme_outcome_cell(
         Scheme::RpAu,
         &spec,
         Scenario::Chatbot,
         BeKind::SpecJbb,
-        &cache,
+        None,
+        None,
+        &ctx.cache,
+        &ctx.tracer,
     );
     let mut out =
         String::from("Fig 18: shared-class resource allocation CDFs (chatbot + SPECjbb)\n");

@@ -1,7 +1,9 @@
 //! Extension experiments beyond the paper's evaluation: design-choice
 //! ablations (DESIGN.md §5) and the §VIII future-work directions.
 
-use aum::cluster::{run_cluster, ClusterConfig, RoutingPolicy};
+use std::sync::Arc;
+
+use aum::cluster::{run_cluster_with, ClusterConfig, RoutingPolicy};
 use aum::controller::AumController;
 use aum::experiment::{run_experiment, ExperimentConfig};
 use aum::profiler::{build_model, default_allocations, default_divisions, ProfilerConfig};
@@ -15,18 +17,19 @@ use aum_llm::ops::Phase;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::report::{fmt3, fmt_pct, TextTable};
+use aum_sim::telemetry::Tracer;
 use aum_workloads::be::BeKind;
 
 use aum_llm::traces::RateProfile;
 
-use crate::common::{scheme_outcome, ModelCache, Scheme};
+use crate::common::{scheme_outcome_cell, RunCtx, Scheme};
 
 /// Fig 1 companion: the management gap. AU acceleration of key operations
 /// (left side of the paper's opening figure) against the degradation that
 /// AUV-oblivious managers inflict when the accelerated application is
 /// shared (right side).
 #[must_use]
-pub fn fig1() -> String {
+pub fn fig1(ctx: &RunCtx) -> String {
     let gen_c = PlatformSpec::gen_c();
     let speedup = aum_workloads::au_apps::au_acceleration(
         &gen_c,
@@ -36,22 +39,18 @@ pub fn fig1() -> String {
         64,
     );
     let spec = PlatformSpec::gen_a();
-    let cache = ModelCache::new();
-    let base = scheme_outcome(
-        Scheme::AllAu,
-        &spec,
-        Scenario::Chatbot,
-        BeKind::Olap,
-        &cache,
-    );
-    let smt = scheme_outcome(
-        Scheme::SmtAu,
-        &spec,
-        Scenario::Chatbot,
-        BeKind::Olap,
-        &cache,
-    );
-    let aum = scheme_outcome(Scheme::Aum, &spec, Scenario::Chatbot, BeKind::Olap, &cache);
+    let [base, smt, aum] = [Scheme::AllAu, Scheme::SmtAu, Scheme::Aum].map(|scheme| {
+        scheme_outcome_cell(
+            scheme,
+            &spec,
+            Scenario::Chatbot,
+            BeKind::Olap,
+            None,
+            None,
+            &ctx.cache,
+            &ctx.tracer,
+        )
+    });
     let oblivious_loss = 1.0 - smt.decode_tps / base.decode_tps;
     let aum_loss = 1.0 - aum.decode_tps / base.decode_tps;
     let mut out = String::from("Fig 1: the management gap\n");
@@ -76,11 +75,11 @@ pub fn fig1() -> String {
 /// §VII-D limitation, implemented as an extension) against the static
 /// RP-AU feedback.
 #[must_use]
-pub fn adapt() -> String {
+pub fn adapt(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let scenario = Scenario::Chatbot;
     let be = BeKind::SpecJbb;
-    let model = build_model(&ProfilerConfig::paper_default(spec.clone(), scenario, be));
+    let model = ctx.cache.model(&spec, scenario, be, &ctx.tracer);
     let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
     // Offered load steps from 0.3 to 0.51 req/s mid-run (above the
     // calibrated comfortable operating point).
@@ -133,14 +132,25 @@ pub fn adapt() -> String {
 /// profiler grid size and reports the profiling cost against the quality of
 /// the AUM outcome the model supports.
 #[must_use]
-pub fn ablate() -> String {
+pub fn ablate(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let scenario = Scenario::Chatbot;
     let be = BeKind::SpecJbb;
     let full_divs = default_divisions(&spec);
     let full_cfgs = default_allocations(&spec);
-    let cache = ModelCache::new();
-    let exclusive = scheme_outcome(Scheme::AllAu, &spec, scenario, be, &cache);
+    let exclusive = scheme_outcome_cell(
+        Scheme::AllAu,
+        &spec,
+        scenario,
+        be,
+        None,
+        None,
+        &ctx.cache,
+        &ctx.tracer,
+    );
+    // The full grid is the paper-default profile the ctx caches; only the
+    // coarser grids need sweeps of their own.
+    let full_model = ctx.cache.model(&spec, scenario, be, &ctx.tracer);
     let mut t = TextTable::new([
         "grid (div x cfg)",
         "profiling runs",
@@ -148,10 +158,14 @@ pub fn ablate() -> String {
         "TPOT guarantee",
     ]);
     for (divs, cfgs) in [(2usize, 2usize), (3, 3), (6, 5)] {
-        let mut pc = ProfilerConfig::paper_default(spec.clone(), scenario, be);
-        pc.divisions = full_divs.iter().copied().take(divs).collect();
-        pc.allocations = full_cfgs.iter().copied().take(cfgs).collect();
-        let model = build_model(&pc);
+        let model = if divs >= full_divs.len() && cfgs >= full_cfgs.len() {
+            Arc::clone(&full_model)
+        } else {
+            let mut pc = ProfilerConfig::paper_default(spec.clone(), scenario, be);
+            pc.divisions = full_divs.iter().copied().take(divs).collect();
+            pc.allocations = full_cfgs.iter().copied().take(cfgs).collect();
+            Arc::new(build_model(&pc))
+        };
         let runs = model.profiling_runs;
         let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
         let out = run_experiment(&cfg, &mut AumController::new(model));
@@ -164,7 +178,6 @@ pub fn ablate() -> String {
     }
     // Value of runtime adaptation: freeze the best bucket of the full
     // model and compare against the adaptive controller.
-    let full_model = build_model(&ProfilerConfig::paper_default(spec.clone(), scenario, be));
     let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
     let static_out = run_experiment(&cfg, &mut aum::baselines::StaticBest::new(&full_model));
     let aum_out = run_experiment(&cfg, &mut AumController::new(full_model));
@@ -191,8 +204,10 @@ pub fn ablate() -> String {
 /// §VIII extension: AUV-aware cluster load balancing across the three
 /// heterogeneous platforms.
 #[must_use]
-pub fn cluster() -> String {
+pub fn cluster(ctx: &RunCtx) -> String {
     let cfg = ClusterConfig::heterogeneous_demo(Scenario::Chatbot);
+    // One AUV model per server, shared by every routing policy.
+    let models = ctx.cache.cluster_models(&cfg, &ctx.tracer);
     let mut t = TextTable::new([
         "routing policy",
         "cluster efficiency",
@@ -204,7 +219,7 @@ pub fn cluster() -> String {
         RoutingPolicy::BandwidthProportional,
         RoutingPolicy::AuvWeighted,
     ] {
-        let out = run_cluster(&cfg, policy);
+        let out = run_cluster_with(&cfg, policy, &models, &Tracer::disabled());
         t.row([
             out.policy.clone(),
             fmt3(out.efficiency),
@@ -226,7 +241,7 @@ pub fn cluster() -> String {
 /// related work cites): bounding decode stalls behind long prompts in the
 /// time-multiplexed deployment.
 #[must_use]
-pub fn chunked() -> String {
+pub fn chunked(_ctx: &RunCtx) -> String {
     use aum_llm::engine::{EngineConfig, EngineMode, EngineResources, LlmEngine, RegionResources};
     use aum_llm::traces::TraceGenerator;
     use aum_sim::rng::DetRng;
@@ -279,7 +294,7 @@ pub fn chunked() -> String {
 /// save on the 2-socket platforms when region placement is NUMA-aware
 /// versus naive (contiguous core ids over interleaved memory).
 #[must_use]
-pub fn numa() -> String {
+pub fn numa(_ctx: &RunCtx) -> String {
     use aum_platform::numa::NumaConfig;
     use aum_platform::topology::ProcessorDivision;
 
@@ -338,7 +353,7 @@ pub fn numa() -> String {
 /// FP16 on Granite Rapids, INT8 as the quantized-serving ablation), plus
 /// the SME-style shared-AU topology's cost on prefill.
 #[must_use]
-pub fn precision() -> String {
+pub fn precision(_ctx: &RunCtx) -> String {
     let mut out =
         String::from("Precision & topology extensions: batch-16 decode capacity (tokens/s)\n");
     let mut t = TextTable::new(["platform", "BF16", "FP16", "INT8 (quantized)"]);

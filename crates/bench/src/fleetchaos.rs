@@ -26,13 +26,11 @@ use std::fmt::Write as _;
 
 use aum::cluster::{routing_weights, ClusterConfig, RoutingPolicy};
 use aum::fleet::{run_fleet_traced, FleetOutcome, NodeFault, NodeFaultEvent, NodeFaultPlan};
-use aum::profiler::AuvModel;
 use aum_llm::traces::Scenario;
 use aum_sim::telemetry::{MetricsSnapshot, Tracer};
 use aum_sim::time::SimDuration;
-use aum_workloads::be::BeKind;
 
-use crate::common::{harness_tracer, ModelCache};
+use crate::common::RunCtx;
 
 /// Seed written into every fleet config — the flow model is deterministic
 /// by construction, but the seed keeps serialized configs reproducible.
@@ -229,17 +227,13 @@ fn publish_live_fleet(scenario: &str, outcome: &FleetOutcome) {
     live.publish_exposition(text);
 }
 
-/// Runs the node-fault matrix and renders the retention report.
+/// Runs the node-fault matrix (`ctx.quick` selects the smoke matrix) and
+/// renders the retention report. The parallel-determinism suite passes a
+/// smoke-profile cache so the identical matrix/executor code path stays
+/// testable in debug builds.
 #[must_use]
-pub fn run(quick: bool) -> FleetChaosRun {
-    run_with(quick, &ModelCache::new())
-}
-
-/// [`run`] against a caller-supplied model cache — the parallel-determinism
-/// suite passes a smoke-scale cache so the identical matrix/executor code
-/// path stays testable in debug builds.
-#[must_use]
-pub fn run_with(quick: bool, cache: &ModelCache) -> FleetChaosRun {
+pub fn run(ctx: &RunCtx) -> FleetChaosRun {
+    let quick = ctx.quick;
     let (duration, t0, t1) = if quick {
         (120u64, 30.0, 90.0)
     } else {
@@ -262,32 +256,14 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> FleetChaosRun {
     // Profile every platform serially before any parallel dispatch (the
     // capacity weights need the AUV models), so the profiler's trace lands
     // ahead of every cell stream.
-    let bes: Vec<BeKind> = base
-        .servers
-        .iter()
-        .map(|s| s.be.unwrap_or(BeKind::SpecJbb))
-        .collect();
-    cache.warm(
-        base.servers
-            .iter()
-            .zip(&bes)
-            .map(|(s, &be)| (&s.platform, base.scenario, be)),
-    );
-    let models: Vec<AuvModel> = base
-        .servers
-        .iter()
-        .zip(&bes)
-        .map(|(s, &be)| (*cache.model(&s.platform, base.scenario, be)).clone())
-        .collect();
+    let models = ctx.cache.cluster_models(&base, &ctx.tracer);
     // Physical capacity shares: the profiled AUV split, independent of
     // which routing policy a cell runs.
     let capacity = routing_weights(&base, RoutingPolicy::AuvWeighted, &models);
 
     // Healthy baselines: one per router, no faults.
-    let healthy: Vec<(FleetScheme, FleetOutcome)> = aum_sim::exec::sweep_traced(
-        &harness_tracer(),
-        FleetScheme::ALL.to_vec(),
-        |_, s, tracer| {
+    let healthy: Vec<(FleetScheme, FleetOutcome)> =
+        aum_sim::exec::sweep_traced(&ctx.tracer, FleetScheme::ALL.to_vec(), |_, s, tracer| {
             run_scheme(
                 s,
                 &base,
@@ -296,12 +272,11 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> FleetChaosRun {
                 &tracer,
                 "healthy",
             )
-        },
-    )
-    .into_iter()
-    .zip(FleetScheme::ALL)
-    .map(|(o, s)| (s, o))
-    .collect();
+        })
+        .into_iter()
+        .zip(FleetScheme::ALL)
+        .map(|(o, s)| (s, o))
+        .collect();
 
     let mut out = String::new();
     let mode = if quick { "quick" } else { "full" };
@@ -379,7 +354,7 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> FleetChaosRun {
         .flat_map(|i| FleetScheme::ALL.map(move |s| (i, s)))
         .collect();
     let matrix: Vec<FleetOutcome> =
-        aum_sim::exec::sweep_traced(&harness_tracer(), matrix_cells, |_, (i, scheme), tracer| {
+        aum_sim::exec::sweep_traced(&ctx.tracer, matrix_cells, |_, (i, scheme), tracer| {
             run_scheme(
                 scheme,
                 &base,
@@ -459,13 +434,18 @@ pub fn run_with(quick: bool, cache: &ModelCache) -> FleetChaosRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ModelCache;
     use aum::profiler::ProfilerConfig;
 
     #[test]
     fn quick_report_is_deterministic_and_healthy() {
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
-        let a = run_with(true, &cache);
-        let b = run_with(true, &cache);
+        let ctx = RunCtx {
+            quick: true,
+            tracer: Tracer::disabled(),
+            cache: ModelCache::with_profile(ProfilerConfig::smoke),
+        };
+        let a = run(&ctx);
+        let b = run(&ctx);
         assert_eq!(a.text, b.text, "same seed must yield an identical report");
         assert!(
             !a.degenerate,

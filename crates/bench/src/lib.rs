@@ -22,7 +22,8 @@
 //!   regression gate;
 //! - [`tracereport`]: the `trace-summary` renderer, including the SLO
 //!   burn-rate digest and per-request span drill-down;
-//! - [`common`]: scheme construction and model caching.
+//! - [`common`]: the run context every study takes ([`common::RunCtx`]),
+//!   scheme construction and model caching.
 //!
 //! Run `cargo run -p aum-bench --release --bin repro -- all` (or a single
 //! experiment id such as `fig14`).
@@ -44,8 +45,9 @@ pub mod sharing;
 pub mod tracereport;
 pub mod variations;
 
-/// An experiment implementation: renders its table(s) as text.
-pub type Experiment = fn() -> String;
+/// An experiment implementation: renders its table(s) as text. Every study
+/// of one `repro` invocation shares the same [`common::RunCtx`].
+pub type Experiment = fn(&common::RunCtx) -> String;
 
 /// All experiment ids with their implementations, in paper order.
 #[must_use]

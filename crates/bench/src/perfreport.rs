@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::common::set_quick;
+use crate::common::RunCtx;
 
 /// Cells/sec may regress by at most this factor before
 /// [`BenchSummary::regression_against`] reports a failure (>20% drop).
@@ -148,12 +148,12 @@ pub fn current_sha() -> String {
     "local".to_string()
 }
 
-/// Runs `study` (an id from [`crate::experiments`]) under the
+/// Runs `study` (an id from [`crate::experiments`]) on `ctx` under the
 /// self-profiling plane and collects the report.
 ///
 /// Resets the profiling tree first, so the report covers exactly this
 /// study; profiling is switched off again before returning.
-pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
+pub fn collect(ctx: &RunCtx, study: &str) -> Result<PerfReport, String> {
     let run = crate::experiments()
         .into_iter()
         .find(|(id, _)| *id == study)
@@ -165,7 +165,6 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
                 ids.join(", ")
             )
         })?;
-    set_quick(quick);
 
     aum_sim::prof::reset();
     aum_sim::prof::set_enabled(true);
@@ -173,7 +172,7 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
     let t0 = Instant::now();
     let study_output = {
         let _study_scope = aum_sim::prof::scope("study");
-        run()
+        run(ctx)
     };
     let wall = t0.elapsed();
     aum_sim::prof::set_enabled(false);
@@ -187,7 +186,7 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
 
     let mut deterministic = String::new();
     deterministic.push_str(&format!("== perf-report: {study} (deterministic) ==\n"));
-    deterministic.push_str(&format!("quick: {quick}\n"));
+    deterministic.push_str(&format!("quick: {}\n", ctx.quick));
     deterministic.push_str(&format!(
         "exec: sweeps={} cells={}\n",
         exec.sweeps, exec.cells
@@ -235,7 +234,7 @@ pub fn collect(study: &str, quick: bool) -> Result<PerfReport, String> {
     let bench = BenchSummary {
         sha: current_sha(),
         study: study.to_string(),
-        quick,
+        quick: ctx.quick,
         jobs: aum_sim::exec::jobs() as u64,
         cells: exec.cells,
         wall_seconds: wall_secs,
@@ -286,7 +285,8 @@ mod tests {
 
     #[test]
     fn unknown_study_is_a_clean_error() {
-        let err = collect("not-a-study", true).expect_err("must fail");
+        let ctx = RunCtx::new(true, aum_sim::telemetry::Tracer::disabled());
+        let err = collect(&ctx, "not-a-study").expect_err("must fail");
         assert!(err.contains("unknown study"));
         assert!(err.contains("fig14"));
     }

@@ -13,11 +13,11 @@ use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_sim::report::{fmt3, TextTable};
 use aum_workloads::be::{BeKind, BeProfile};
 
-use crate::common::{scheme_outcome, ModelCache, Scheme};
+use crate::common::{scheme_outcome_cell, RunCtx, Scheme};
 
 /// Fig 9: variable SMT impact on AU sharing performance.
 #[must_use]
-pub fn fig9() -> String {
+pub fn fig9(ctx: &RunCtx) -> String {
     let mut out = String::from(
         "Fig 9a: SMT impact vs sharing pressure (OLAP siblings; model-level slowdowns)\n",
     );
@@ -44,13 +44,15 @@ pub fn fig9() -> String {
 
     out.push_str("\nFig 9b: end-to-end impact of shared application types (SMT-AU vs ALL-AU)\n");
     let spec = PlatformSpec::gen_a();
-    let cache = ModelCache::new();
-    let base = scheme_outcome(
+    let base = scheme_outcome_cell(
         Scheme::AllAu,
         &spec,
         Scenario::Chatbot,
         BeKind::SpecJbb,
-        &cache,
+        None,
+        None,
+        &ctx.cache,
+        &ctx.tracer,
     );
     let mut t = TextTable::new([
         "shared app",
@@ -60,7 +62,16 @@ pub fn fig9() -> String {
         "BE rate",
     ]);
     for be in [BeKind::Compute, BeKind::Olap, BeKind::SpecJbb] {
-        let out_ = scheme_outcome(Scheme::SmtAu, &spec, Scenario::Chatbot, be, &cache);
+        let out_ = scheme_outcome_cell(
+            Scheme::SmtAu,
+            &spec,
+            Scenario::Chatbot,
+            be,
+            None,
+            None,
+            &ctx.cache,
+            &ctx.tracer,
+        );
         t.row([
             be.to_string(),
             fmt3(out_.decode_tps / base.decode_tps),
@@ -77,7 +88,7 @@ pub fn fig9() -> String {
 /// partitioned) vs inclusive (all partitioned) effects on LLM serving
 /// performance with SPECjbb.
 #[must_use]
-pub fn fig10() -> String {
+pub fn fig10(_ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let total = spec.total_cores();
     let division = ProcessorDivision::new(total / 2, total / 4, total - total / 2 - total / 4);
@@ -153,16 +164,18 @@ pub fn fig10() -> String {
 /// Fig 12: AU application performance across processor divisions,
 /// normalized to exclusive all-core performance.
 #[must_use]
-pub fn fig12() -> String {
+pub fn fig12(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let total = spec.total_cores();
-    let cache = ModelCache::new();
-    let base = scheme_outcome(
+    let base = scheme_outcome_cell(
         Scheme::AllAu,
         &spec,
         Scenario::Chatbot,
         BeKind::SpecJbb,
-        &cache,
+        None,
+        None,
+        &ctx.cache,
+        &ctx.tracer,
     );
     let mut t = TextTable::new([
         "division (H/L/N)",
@@ -213,7 +226,7 @@ pub fn fig12() -> String {
 /// Fig 13: AU performance vs LLC way allocation for different usages and
 /// platforms (performance factor = 1 / llc penalty).
 #[must_use]
-pub fn fig13() -> String {
+pub fn fig13(_ctx: &RunCtx) -> String {
     let mut out = String::from(
         "Fig 13: AU performance vs LLC ways (normalized to all ways; cost-model factors)\n",
     );

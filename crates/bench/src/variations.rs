@@ -11,11 +11,13 @@ use aum_sim::report::TextTable;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::{BeKind, BeProfile};
 
+use crate::common::RunCtx;
+
 /// Fig 6a: frequency of AU cores vs AU core count, with and without power
 /// stressors on the remaining cores; Fig 6b: average frequency of shared
 /// cores vs sharing pressure for three application types.
 #[must_use]
-pub fn fig6() -> String {
+pub fn fig6(_ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let mut out = String::from("Fig 6a: frequency reduction due to AU utilization (GenA)\n");
     let mut t = TextTable::new([
@@ -134,7 +136,7 @@ pub fn fig6() -> String {
 /// Fig 7: top-down cycle distributions of AU and non-AU applications on
 /// the three platforms.
 #[must_use]
-pub fn fig7() -> String {
+pub fn fig7(_ctx: &RunCtx) -> String {
     let mut out =
         String::from("Fig 7: cycle distributions (retiring / bad-spec / frontend / backend, %)\n");
     for spec in PlatformSpec::presets() {
@@ -162,7 +164,7 @@ pub fn fig7() -> String {
 
 /// Fig 8: decomposed backend demands of the two phases on GenA.
 #[must_use]
-pub fn fig8() -> String {
+pub fn fig8(_ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let mut out = String::from("Fig 8a: core-bound breakdown (fraction of core-bound slots)\n");
     let mut t = TextTable::new(["phase", "serializing", "ports", "other"]);

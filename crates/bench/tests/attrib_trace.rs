@@ -7,6 +7,7 @@
 use aum::baselines::RpAu;
 use aum::experiment::{try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan};
 use aum_bench::attribution::{run_study, trace_diff, DEFAULT_THRESHOLD_PP};
+use aum_bench::common::RunCtx;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::telemetry::{Event, MemorySink, OrderingSink, TraceRecord, Tracer};
@@ -86,7 +87,8 @@ fn bandwidth_fault_shifts_attribution_toward_memory() {
 
 #[test]
 fn attrib_study_reports_conservation_blame_and_prometheus() {
-    let report = run_study("fig14", true).expect("fig14 quick study runs");
+    let ctx = RunCtx::new(true, Tracer::disabled());
+    let report = run_study(&ctx, "fig14").expect("fig14 quick study runs");
     assert!(report.text.contains("conservation: OK"), "{}", report.text);
     assert!(report.text.contains("perf/W blame"), "{}", report.text);
     assert!(report.text.contains("SLO breach"), "{}", report.text);

@@ -1,20 +1,20 @@
 //! Parallel-determinism gate: `--jobs 1` and `--jobs 8` must produce
 //! identical outcome metrics and byte-identical traces.
 //!
-//! One test function on purpose: the executor's worker-count override and
-//! the harness tracer are process globals, so the serial-vs-parallel
-//! comparisons must not interleave with each other. Integration tests run
-//! in their own process, so the rest of the suite is unaffected.
+//! One test function on purpose: the executor's worker-count override is a
+//! process global, so the serial-vs-parallel comparisons must not
+//! interleave with each other. Integration tests run in their own process,
+//! so the rest of the suite is unaffected.
 //!
 //! The grids run at reduced scale (smoke profiler, short experiment
 //! durations) through the *same* code paths the paper-scale studies use —
-//! `build_model_traced`, `evaluation::scheme_grid_hists`, `chaos::run_with`,
-//! `cluster::run_cluster_with`, `fleetchaos::run_with` — so the gate
-//! exercises the real cell dispatch, cache latching and ordered trace
-//! merge, not a test-only replica.
+//! `build_model_traced`, `evaluation::scheme_grid_hists`, `chaos::run`,
+//! `cluster::run_cluster_with`, `fleetchaos::run` — so the gate exercises
+//! the real cell dispatch, cache latching and ordered trace merge, not a
+//! test-only replica.
 
 use aum::profiler::{build_model_traced, ProfilerConfig};
-use aum_bench::common::{install_tracer, ModelCache, Scheme};
+use aum_bench::common::{ModelCache, RunCtx, Scheme};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::exec;
@@ -23,16 +23,23 @@ use aum_sim::telemetry::{MemorySink, OrderingSink, Tracer};
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
-/// Installs a fresh capture tracer as the harness tracer, runs `f`, and
-/// returns (result, serialized trace lines). The tracer is flushed (the
-/// ordering sink sorts by `(time, seq)`) before readback and a disabled
-/// tracer is reinstalled afterwards.
-fn with_captured_trace<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
+/// A quick-mode run context with a fresh smoke-profile model cache.
+fn smoke_ctx(tracer: Tracer) -> RunCtx {
+    RunCtx {
+        quick: true,
+        tracer,
+        cache: ModelCache::with_profile(ProfilerConfig::smoke),
+    }
+}
+
+/// Runs `f` on a [`smoke_ctx`] carrying a fresh capture tracer and returns
+/// (result, serialized trace lines). The tracer is flushed (the ordering
+/// sink sorts by `(time, seq)`) before readback.
+fn with_captured_trace<R>(f: impl FnOnce(&RunCtx) -> R) -> (R, Vec<String>) {
     let (tracer, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
-    install_tracer(tracer.clone());
-    let result = f();
-    tracer.flush();
-    install_tracer(Tracer::disabled());
+    let ctx = smoke_ctx(tracer);
+    let result = f(&ctx);
+    ctx.tracer.flush();
     let lines = sink
         .lock()
         .expect("capture sink lock")
@@ -52,8 +59,7 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     let profile = |jobs: usize| {
         exec::set_jobs(jobs);
         let cfg = ProfilerConfig::smoke(spec.clone(), Scenario::Chatbot, BeKind::SpecJbb);
-        let out =
-            with_captured_trace(|| build_model_traced(&cfg, aum_bench::common::harness_tracer()));
+        let out = with_captured_trace(|ctx| build_model_traced(&cfg, ctx.tracer.clone()));
         exec::set_jobs(0);
         out
     };
@@ -78,15 +84,15 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     // cache and 30 s cells keep debug runtime sane. ---
     let fig14_grid = |jobs: usize| {
         exec::set_jobs(jobs);
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
-        let out = with_captured_trace(|| {
+        let out = with_captured_trace(|ctx| {
             let (grid, hists) = aum_bench::evaluation::scheme_grid_hists(
                 &spec,
                 &[Scenario::Chatbot],
                 &[BeKind::SpecJbb],
                 &Scheme::ALL,
                 Some(SimDuration::from_secs(30)),
-                &cache,
+                &ctx.cache,
+                &ctx.tracer,
             );
             let outcomes = grid
                 .iter()
@@ -135,8 +141,7 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     // and the trace-diff zero gate between the two runs. ---
     let chaos = |jobs: usize| {
         exec::set_jobs(jobs);
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
-        let out = with_captured_trace(|| aum_bench::chaos::run_with(true, &cache));
+        let out = with_captured_trace(aum_bench::chaos::run);
         exec::set_jobs(0);
         out
     };
@@ -157,22 +162,17 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     // chaos but never the cluster path. ---
     let cluster = |jobs: usize| {
         exec::set_jobs(jobs);
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
         let mut cfg = aum::cluster::ClusterConfig::heterogeneous_demo(Scenario::Chatbot);
         cfg.duration = SimDuration::from_secs(20);
-        let models: Vec<aum::profiler::AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| {
-                (*cache.model(&s.platform, cfg.scenario, s.be.unwrap_or(BeKind::SpecJbb))).clone()
-            })
-            .collect();
-        let out = with_captured_trace(|| {
+        let out = with_captured_trace(|ctx| {
+            // Untraced builds: the trace gated below holds only the
+            // per-server cells.
+            let models = ctx.cache.cluster_models(&cfg, &Tracer::disabled());
             let outcome = aum::cluster::run_cluster_with(
                 &cfg,
                 aum::cluster::RoutingPolicy::AuvWeighted,
                 &models,
-                &aum_bench::common::harness_tracer(),
+                &ctx.tracer,
             );
             serde_json::to_string(&outcome).expect("cluster outcome serializes")
         });
@@ -199,8 +199,7 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     // canonical cell-merge order). ---
     let fleet = |jobs: usize| {
         exec::set_jobs(jobs);
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
-        let out = with_captured_trace(|| aum_bench::fleetchaos::run_with(true, &cache));
+        let out = with_captured_trace(aum_bench::fleetchaos::run);
         exec::set_jobs(0);
         out
     };
@@ -254,15 +253,13 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
         let dir =
             std::env::temp_dir().join(format!("aum-flight-det-{}-j{jobs}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
         let (tracer, handle) = Tracer::shared(FlightRecorder::with_inner(
             FlightConfig::new(&dir),
             OrderingSink::new(MemorySink::new()),
         ));
-        install_tracer(tracer.clone());
-        let run = aum_bench::chaos::run_with(true, &cache);
-        tracer.flush();
-        install_tracer(Tracer::disabled());
+        let ctx = smoke_ctx(tracer);
+        let run = aum_bench::chaos::run(&ctx);
+        ctx.tracer.flush();
         exec::set_jobs(0);
         assert!(!run.degenerate, "{}", run.text);
         let recorder = handle.lock().expect("flight lock");
@@ -348,7 +345,8 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     // contract the self-profiler documents in DESIGN.md §15. ---
     let perf = |jobs: usize| {
         exec::set_jobs(jobs);
-        let report = aum_bench::perfreport::collect("fig14", true).expect("fig14 quick profiles");
+        let ctx = RunCtx::new(true, Tracer::disabled());
+        let report = aum_bench::perfreport::collect(&ctx, "fig14").expect("fig14 quick profiles");
         exec::set_jobs(0);
         report
     };

@@ -3,14 +3,24 @@
 //! grids (fig14/fig15/cluster) are exercised once each to keep CI time
 //! bounded — their content is checked through cheaper anchors.
 
+use aum::profiler::ProfilerConfig;
+use aum_bench::common::{ModelCache, RunCtx};
 use aum_bench::experiments;
+use aum_sim::telemetry::Tracer;
 
-fn run(id: &str) -> String {
+/// Runs a registered experiment on `ctx`.
+fn run_on(ctx: &RunCtx, id: &str) -> String {
     let (_, f) = experiments()
         .into_iter()
         .find(|(n, _)| *n == id)
         .unwrap_or_else(|| panic!("experiment {id} not registered"));
-    f()
+    f(ctx)
+}
+
+/// Runs a registered experiment on a fresh paper-scale ctx, as
+/// `repro <id>` does.
+fn run(id: &str) -> String {
+    run_on(&RunCtx::new(false, Tracer::disabled()), id)
 }
 
 #[test]
@@ -92,9 +102,32 @@ fn fig13_is_normalized() {
 #[test]
 fn overhead_validates_the_paper_bounds() {
     // `overhead` itself asserts the <1 ms decision bound internally.
-    let out = run("overhead");
+    let ctx = RunCtx::new(false, Tracer::disabled());
+    let out = run_on(&ctx, "overhead");
     assert!(out.contains("450 pinned executions"));
     assert!(out.contains("decision latency"));
+    assert_eq!(
+        ctx.cache.stats().builds,
+        5,
+        "overhead profiles exactly its five grid models"
+    );
+}
+
+#[test]
+fn studies_on_one_ctx_profile_each_model_once() {
+    // table3 and tco both need the GenA/chatbot/SPECjbb model: on a shared
+    // ctx the second study must reuse the first one's build.
+    let ctx = RunCtx {
+        quick: false,
+        tracer: Tracer::disabled(),
+        cache: ModelCache::with_profile(ProfilerConfig::smoke),
+    };
+    assert!(run_on(&ctx, "table3").contains("Table III"));
+    assert_eq!(ctx.cache.stats().builds, 1, "table3 profiles its model");
+    assert!(run_on(&ctx, "tco").contains("perf/CapEx"));
+    let stats = ctx.cache.stats();
+    assert_eq!(stats.builds, 1, "tco reuses table3's model");
+    assert!(stats.hits() >= 1, "tco's lookup is a cache hit: {stats:?}");
 }
 
 #[test]

@@ -30,7 +30,7 @@ use crate::controller::AumController;
 use crate::experiment::{run_experiment_traced, ExperimentConfig, Outcome};
 use crate::fleet::{FleetParams, NodeFaultPlan};
 use crate::prices::Prices;
-use crate::profiler::{build_model, AuvModel, ProfilerConfig};
+use crate::profiler::AuvModel;
 
 /// How the cluster router splits the offered load across servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -47,7 +47,7 @@ pub enum RoutingPolicy {
     /// AUV-weighted shares, re-weighted every epoch from node health by
     /// the fleet router ([`crate::fleet::run_fleet`]): a failed node's
     /// share redistributes to survivors. In the steady-state split of
-    /// [`run_cluster`] (no faults, no epochs) it is identical to
+    /// [`run_cluster_with`] (no faults, no epochs) it is identical to
     /// [`RoutingPolicy::AuvWeighted`].
     Failover,
 }
@@ -93,7 +93,7 @@ pub struct ClusterConfig {
     /// Efficiency prices.
     pub prices: Prices,
     /// Scripted node faults ([`crate::fleet::run_fleet`] replays them;
-    /// the steady-state [`run_cluster`] split ignores them).
+    /// the steady-state [`run_cluster_with`] split ignores them).
     #[serde(default)]
     pub fault_plan: NodeFaultPlan,
     /// Epoch router tunables for the fleet resilience plane.
@@ -159,15 +159,6 @@ pub struct ClusterOutcome {
     pub violation_rate: f64,
 }
 
-/// Profiles each server (AUM path) and returns its AUV model.
-fn server_model(server: &ServerConfig, scenario: Scenario) -> AuvModel {
-    build_model(&ProfilerConfig::paper_default(
-        server.platform.clone(),
-        scenario,
-        server.be.unwrap_or(BeKind::SpecJbb),
-    ))
-}
-
 /// Routing weights for a policy (normalized to sum 1).
 ///
 /// # Panics
@@ -226,21 +217,10 @@ fn slo_tracked(outcome: &Outcome) -> f64 {
 }
 
 /// Runs the cluster under a routing policy with per-server AUM controllers
-/// (or ALL-AU when a server has no co-runner). Servers run concurrently.
-#[must_use]
-pub fn run_cluster(cfg: &ClusterConfig, policy: RoutingPolicy) -> ClusterOutcome {
-    let models: Vec<AuvModel> = cfg
-        .servers
-        .iter()
-        .map(|s| server_model(s, cfg.scenario))
-        .collect();
-    run_cluster_with(cfg, policy, &models, &Tracer::disabled())
-}
-
-/// [`run_cluster`] with pre-built AUV models (one per server) and a
-/// harness tracer. Per-server simulation traces merge into `tracer` in
-/// canonical server order via the sweep executor, so the merged trace is
-/// byte-identical at any `--jobs` setting.
+/// (or ALL-AU when a server has no co-runner), given one pre-built AUV
+/// model per server. Servers run concurrently; their simulation traces
+/// merge into `tracer` in canonical server order via the sweep executor,
+/// so the merged trace is byte-identical at any `--jobs` setting.
 ///
 /// # Panics
 ///
@@ -332,6 +312,7 @@ fn run_cluster_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::{build_model, ProfilerConfig};
 
     fn small_cluster() -> ClusterConfig {
         let mut cfg = ClusterConfig::heterogeneous_demo(Scenario::Chatbot);
@@ -339,14 +320,24 @@ mod tests {
         cfg
     }
 
+    /// Profiles every server at paper scale, in server order.
+    fn server_models(cfg: &ClusterConfig) -> Vec<AuvModel> {
+        cfg.servers
+            .iter()
+            .map(|s| {
+                build_model(&ProfilerConfig::paper_default(
+                    s.platform.clone(),
+                    cfg.scenario,
+                    s.be.unwrap_or(BeKind::SpecJbb),
+                ))
+            })
+            .collect()
+    }
+
     #[test]
     fn weights_normalize_for_every_policy() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
+        let models = server_models(&cfg);
         for policy in [
             RoutingPolicy::Uniform,
             RoutingPolicy::BandwidthProportional,
@@ -363,11 +354,7 @@ mod tests {
     #[test]
     fn failover_starts_from_the_auv_split() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
+        let models = server_models(&cfg);
         assert_eq!(
             routing_weights(&cfg, RoutingPolicy::Failover, &models),
             routing_weights(&cfg, RoutingPolicy::AuvWeighted, &models),
@@ -377,11 +364,7 @@ mod tests {
     #[test]
     fn bandwidth_policy_prefers_fast_memory() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
+        let models = server_models(&cfg);
         let w = routing_weights(&cfg, RoutingPolicy::BandwidthProportional, &models);
         // GenA (233.8 GB/s) < GenB (588) ≈ GenC (600).
         assert!(w[0] < w[1]);
@@ -391,7 +374,13 @@ mod tests {
     #[test]
     fn cluster_runs_and_aggregates() {
         let cfg = small_cluster();
-        let out = run_cluster(&cfg, RoutingPolicy::AuvWeighted);
+        let models = server_models(&cfg);
+        let out = run_cluster_with(
+            &cfg,
+            RoutingPolicy::AuvWeighted,
+            &models,
+            &Tracer::disabled(),
+        );
         assert_eq!(out.per_server.len(), 3);
         assert_eq!(out.served, vec![0, 1, 2]);
         assert!(out.efficiency > 0.0);
@@ -408,11 +397,7 @@ mod tests {
     #[test]
     fn zero_weight_servers_are_skipped_not_trickled() {
         let cfg = small_cluster();
-        let models: Vec<AuvModel> = cfg
-            .servers
-            .iter()
-            .map(|s| server_model(s, cfg.scenario))
-            .collect();
+        let models = server_models(&cfg);
         let weights = [0.0, 0.6, 0.4];
         let out = run_cluster_weighted(
             &cfg,
@@ -445,8 +430,9 @@ mod tests {
         // The §VIII claim: exploiting per-server AUV in load balancing
         // improves cluster efficiency over AUV-blind routing.
         let cfg = small_cluster();
-        let uniform = run_cluster(&cfg, RoutingPolicy::Uniform);
-        let auv = run_cluster(&cfg, RoutingPolicy::AuvWeighted);
+        let models = server_models(&cfg);
+        let [uniform, auv] = [RoutingPolicy::Uniform, RoutingPolicy::AuvWeighted]
+            .map(|policy| run_cluster_with(&cfg, policy, &models, &Tracer::disabled()));
         assert!(
             auv.efficiency > uniform.efficiency * 0.98,
             "AUV-aware routing must not lose to uniform: {} vs {}",

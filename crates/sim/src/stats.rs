@@ -310,77 +310,6 @@ impl Extend<f64> for Samples {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Per-bucket counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the range end.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,20 +403,6 @@ mod tests {
             assert!(w[0].1 < w[1].1, "probabilities strictly increasing");
         }
         assert!((cdf.last().expect("non-empty").1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [-1.0, 0.0, 0.5, 5.0, 9.999, 10.0, 42.0] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.counts()[9], 1);
     }
 
     #[test]

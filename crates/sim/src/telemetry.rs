@@ -17,8 +17,8 @@
 //! - [`Tracer`] — the cheap cloneable handle threaded through the engine,
 //!   platform, controller and experiment loop so one sink observes the
 //!   whole stack.
-//! - [`MetricsRegistry`] — counters/gauges/histograms, snapshotted on
-//!   demand; experiment outcomes carry one end-of-run snapshot.
+//! - [`MetricsRegistry`] — counters and gauges, snapshotted on demand;
+//!   experiment outcomes carry one end-of-run snapshot.
 //!
 //! Events carry only primitives (ids, lengths, seconds, way counts), so the
 //! JSONL schema is stable and self-describing; `TraceRecord` pairs each
@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::Samples;
 use crate::time::SimTime;
 
 /// Which serving phase an iteration belongs to.
@@ -739,8 +738,7 @@ pub struct MetricsSnapshot {
     pub at: SimTime,
     /// Monotonic counters at that time.
     pub counters: Arc<BTreeMap<String, u64>>,
-    /// Instantaneous gauges, plus histogram quantiles materialized as
-    /// `"<name>/p50"`, `"<name>/p90"`, `"<name>/p99"` entries.
+    /// Instantaneous gauges at that time.
     pub gauges: Arc<BTreeMap<String, f64>>,
 }
 
@@ -752,13 +750,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// Lightweight metrics registry: named counters, gauges and histograms,
-/// snapshotted on demand.
+/// Lightweight metrics registry: named counters and gauges, snapshotted on
+/// demand. Latency distributions live in [`crate::hist::LogHistogram`]s
+/// that their owners fold into gauges.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Samples>,
 }
 
 impl MetricsRegistry {
@@ -790,31 +788,13 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records one observation into a histogram.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Captures the current state. Histograms contribute p50/p90/p99
-    /// gauges and reset, so each snapshot describes the distribution
-    /// observed since the previous one.
-    pub fn snapshot(&mut self, at: SimTime) -> MetricsSnapshot {
-        let mut gauges = self.gauges.clone();
-        for (name, samples) in &self.histograms {
-            if !samples.is_empty() {
-                gauges.insert(format!("{name}/p50"), samples.quantile(0.50));
-                gauges.insert(format!("{name}/p90"), samples.quantile(0.90));
-                gauges.insert(format!("{name}/p99"), samples.quantile(0.99));
-            }
-        }
-        self.histograms.clear();
+    /// Captures the current state.
+    #[must_use]
+    pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
         MetricsSnapshot {
             at,
             counters: Arc::new(self.counters.clone()),
-            gauges: Arc::new(gauges),
+            gauges: Arc::new(self.gauges.clone()),
         }
     }
 }
@@ -1145,20 +1125,14 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("requests_finished", 3);
         reg.gauge_set("power_w", 212.5);
-        reg.observe("tpot_secs", 0.05);
-        reg.observe("tpot_secs", 0.07);
-        reg.observe("tpot_secs", 0.06);
         let snap = reg.snapshot(SimTime::from_secs(1));
         assert_eq!(snap.counters["requests_finished"], 3);
         assert_eq!(snap.gauges["power_w"], 212.5);
-        assert!(snap.gauges["tpot_secs/p50"] >= 0.05);
 
         reg.counter_add("requests_finished", 2);
         let snap2 = reg.snapshot(SimTime::from_secs(2));
         assert_eq!(snap2.at, SimTime::from_secs(2));
         assert_eq!(snap2.counters["requests_finished"], 5);
-        // Histogram reset between intervals: no stale quantiles.
-        assert!(!snap2.gauges.contains_key("tpot_secs/p50"));
         // An earlier snapshot is a capture, not a view of the registry.
         assert_eq!(snap.counters["requests_finished"], 3);
 

@@ -5,10 +5,9 @@ use proptest::prelude::*;
 use aum_sim::attrib::{
     Cause, IntervalLedger, Ledger, Region, RegionSample, WorkFractions, EPSILON,
 };
-use aum_sim::event::EventQueue;
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{quantile_in_place, Histogram, Samples, Summary};
+use aum_sim::stats::{quantile_in_place, Samples, Summary};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -185,57 +184,6 @@ proptest! {
         for &(v, p) in &cdf {
             prop_assert!(s.fraction_at_most(v) >= p - 1e-9);
         }
-    }
-
-    #[test]
-    fn histogram_conserves_observations(
-        values in prop::collection::vec(-100.0f64..200.0, 0..300),
-        buckets in 1usize..50,
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, buckets);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total(), values.len() as u64);
-        let in_range = values.iter().filter(|&&v| (0.0..100.0).contains(&v)).count() as u64;
-        prop_assert_eq!(h.counts().iter().sum::<u64>(), in_range);
-    }
-
-    #[test]
-    fn event_queue_pops_sorted_stable(events in prop::collection::vec((0u64..1_000_000, 0u32..1000), 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &(t, tag)) in events.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), (tag, i));
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, (_, i))) = q.pop() {
-            if let Some((lt, li)) = last {
-                prop_assert!(t >= lt, "time order");
-                if t == lt {
-                    prop_assert!(i > li, "insertion order on ties");
-                }
-            }
-            last = Some((t, i));
-        }
-        prop_assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancelled_events_never_fire(n in 1usize..100, cancel_mask in prop::collection::vec(any::<bool>(), 1..100)) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from_micros(i as u64 % 7), i)).collect();
-        let mut expected = n;
-        for (id, &cancel) in ids.iter().zip(cancel_mask.iter().cycle()) {
-            if cancel {
-                prop_assert!(q.cancel(*id));
-                expected -= 1;
-            }
-        }
-        let mut fired = 0;
-        while q.pop().is_some() {
-            fired += 1;
-        }
-        prop_assert_eq!(fired, expected);
     }
 
     #[test]
