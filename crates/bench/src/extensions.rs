@@ -268,17 +268,10 @@ pub fn chunked(_ctx: &RunCtx) -> String {
         for step in 1..=180 {
             let _ = engine.run_interval(SimTime::from_secs(step), &res);
         }
-        let mut last: std::collections::BTreeMap<_, SimTime> = std::collections::BTreeMap::new();
-        let mut max_gap = 0.0f64;
-        for tok in engine.token_records() {
-            if let Some(prev) = last.insert(tok.id, tok.emitted) {
-                max_gap = max_gap.max(tok.emitted.saturating_since(prev).as_secs_f64());
-            }
-        }
         let report = engine.slo_report();
         t.row([
             chunk.map_or("whole prompt".to_string(), |c| format!("chunk {c}")),
-            fmt3(max_gap),
+            fmt3(engine.max_token_gap()),
             fmt3(engine.wall_tpot_quantile(0.9)),
             fmt3(report.ttft_p90),
         ]);

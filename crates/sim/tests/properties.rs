@@ -7,7 +7,7 @@ use aum_sim::attrib::{
 };
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{quantile_in_place, Samples, Summary};
+use aum_sim::stats::{quantile_in_place, run_length_quantiles, Samples, Summary};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -85,6 +85,11 @@ fn quantiles_of_an_empty_window_are_zero() {
     for q in [0.5, 0.9] {
         assert_eq!(quantile_in_place(&mut [], q).to_bits(), 0.0f64.to_bits());
     }
+    assert_eq!(run_length_quantiles(&mut [], 300, [0.5, 0.9]), [0.0, 0.0]);
+    assert_eq!(
+        run_length_quantiles(&mut [(0.3, 4)], 0, [0.5, 0.9]),
+        [0.0, 0.0]
+    );
 }
 
 /// A full interval's worth of samples, one per region.
@@ -149,6 +154,38 @@ proptest! {
                     "window {} at q {}", window, q
                 );
             }
+        }
+    }
+
+    // Sensing keeps decode tokens as one `(exec, batch)` run per
+    // iteration. Over the newest `window` tokens — the oldest run cut
+    // short when the window ends inside it — the run-length quantiles must
+    // equal `quantile_in_place` over the expanded values, bit for bit:
+    // runs of repeated values with zeros, batches 1–16, and totals below,
+    // at and above the window.
+    #[test]
+    fn run_length_quantiles_match_the_expanded_window_bit_for_bit(
+        runs in prop::collection::vec(
+            (prop_oneof![Just(0.0), Just(0.05), 0.0f64..0.5], 1usize..17),
+            0..80,
+        ),
+        window in prop_oneof![Just(300usize), 1usize..40],
+        window_at_total in any::<bool>(),
+    ) {
+        let total: usize = runs.iter().map(|r| r.1).sum();
+        let window = if window_at_total { total } else { window };
+        let values: Vec<f64> = runs
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+            .collect();
+        let mut expanded = values[values.len().saturating_sub(window)..].to_vec();
+        let got = run_length_quantiles(&mut runs.clone(), window, [0.5, 0.9]);
+        for (q, got) in [0.5, 0.9].into_iter().zip(got) {
+            prop_assert_eq!(
+                got.to_bits(),
+                quantile_in_place(&mut expanded, q).to_bits(),
+                "window {} of {} tokens at q {}", window, total, q
+            );
         }
     }
 
