@@ -78,7 +78,7 @@ pub mod tco;
 
 pub use controller::AumController;
 pub use error::AumError;
-pub use experiment::{run_experiment, try_run_experiment, ExperimentConfig, Outcome};
+pub use experiment::{run_experiment, ExperimentConfig, Outcome};
 pub use fault::{Fault, FaultEvent, FaultPlan};
 pub use fleet::{
     run_fleet, run_fleet_traced, FleetOutcome, FleetParams, NodeFault, NodeFaultEvent,

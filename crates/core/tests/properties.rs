@@ -6,12 +6,16 @@ use proptest::prelude::*;
 
 use aum::baselines::AllAu;
 use aum::controller::AumController;
-use aum::experiment::{run_experiment, ExperimentConfig, Fault, FaultEvent, FaultPlan};
+use aum::error::AumError;
+use aum::experiment::{
+    run_experiment, try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan,
+};
 use aum::manager::{ResourceManager, SystemState};
 use aum::prices::{e_cpu, Prices};
 use aum::profiler::{build_model, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
@@ -149,6 +153,42 @@ proptest! {
         prop_assert!(tight.len() <= loose.len());
         for cell in &tight {
             prop_assert!(loose.contains(cell));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // A decodable config must never panic or hang a run: the interval,
+    // duration and rate either run to an outcome or are rejected up front
+    // with the typed config error.
+    #[test]
+    fn arbitrary_timing_and_rate_run_or_fail_typed(
+        interval_ms in prop_oneof![Just(0u64), 1u64..1000],
+        duration_ms in prop_oneof![Just(0u64), 0u64..1000, 1000u64..3000],
+        rate in prop_oneof![
+            Just(None),
+            Just(Some(0.0)),
+            Just(Some(f64::NAN)),
+            Just(Some(f64::INFINITY)),
+            Just(Some(f64::NEG_INFINITY)),
+            (-10.0f64..0.0).prop_map(Some),
+            (0.01f64..5.0).prop_map(Some),
+        ],
+    ) {
+        let mut cfg = ExperimentConfig::paper_default(PlatformSpec::gen_a(), Scenario::Chatbot, None);
+        cfg.control_interval = SimDuration::from_millis(interval_ms);
+        cfg.duration = SimDuration::from_millis(duration_ms);
+        cfg.rate = rate;
+        let valid = interval_ms > 0
+            && duration_ms >= interval_ms
+            && rate.is_none_or(|r| r.is_finite() && r > 0.0);
+        let mut mgr = AllAu::new(&cfg.platform);
+        match try_run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()) {
+            Ok(_) => prop_assert!(valid, "an invalid config ran"),
+            Err(AumError::Config(e)) => prop_assert!(!valid, "a valid config was rejected: {}", e),
+            Err(e) => prop_assert!(false, "unexpected error: {}", e),
         }
     }
 }
