@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use aum::baselines::AllAu;
-use aum::experiment::{run_experiment_traced, ExperimentConfig};
+use aum::experiment::{try_run_experiment_traced, ExperimentConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::telemetry::{JsonlSink, MemorySink, NullSink, Tracer};
@@ -23,7 +23,9 @@ fn short_config() -> ExperimentConfig {
 
 fn run_once(cfg: &ExperimentConfig, tracer: Tracer) -> f64 {
     let mut mgr = AllAu::new(&cfg.platform);
-    run_experiment_traced(cfg, &mut mgr, tracer).efficiency
+    try_run_experiment_traced(cfg, &mut mgr, tracer)
+        .expect("a paper-default config runs")
+        .efficiency
 }
 
 fn bench(c: &mut Criterion) {

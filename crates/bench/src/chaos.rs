@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use aum::baselines::{AllAu, StaticBest};
 use aum::controller::AumController;
 use aum::experiment::{
-    run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome,
+    try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan, Outcome,
 };
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -188,22 +188,25 @@ fn run_scheme(
     cfg.duration = SimDuration::from_secs(duration_secs);
     cfg.seed = CHAOS_SEED;
     cfg.fault = plan.clone();
+    let valid = "the chaos matrix scripts only valid fault plans";
     match scheme {
         ChaosScheme::Aum => {
             let model = cache.model(&spec, Scenario::Chatbot, BeKind::Olap, tracer);
             let mut ctl = AumController::new(model);
-            let out = run_experiment_traced(&cfg, &mut ctl, tracer.clone());
+            let out = try_run_experiment_traced(&cfg, &mut ctl, tracer.clone()).expect(valid);
             let entries = ctl.safe_mode_entries();
             (out, entries)
         }
         ChaosScheme::StaticBest => {
             let model = cache.model(&spec, Scenario::Chatbot, BeKind::Olap, tracer);
             let mut mgr = StaticBest::new(&model);
-            (run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()), 0)
+            let out = try_run_experiment_traced(&cfg, &mut mgr, Tracer::disabled());
+            (out.expect(valid), 0)
         }
         ChaosScheme::AllAu => {
             let mut mgr = AllAu::new(&spec);
-            (run_experiment_traced(&cfg, &mut mgr, Tracer::disabled()), 0)
+            let out = try_run_experiment_traced(&cfg, &mut mgr, Tracer::disabled());
+            (out.expect(valid), 0)
         }
     }
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use aum::baselines::{AllAu, AuFi, AuRb, AuUp, RpAu, SmtAu};
 use aum::cluster::ClusterConfig;
 use aum::controller::AumController;
-use aum::experiment::{run_experiment_traced, ExperimentConfig, Outcome};
+use aum::experiment::{try_run_experiment_traced, ExperimentConfig, Outcome};
 use aum::manager::ResourceManager;
 use aum::profiler::{build_model_traced, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
@@ -313,7 +313,8 @@ pub fn scheme_outcome_cell(
     } else {
         Tracer::disabled()
     };
-    run_experiment_traced(&cfg, mgr.as_mut(), tracer)
+    try_run_experiment_traced(&cfg, mgr.as_mut(), tracer)
+        .expect("a study cell runs a paper-default config under a covering manager")
 }
 
 /// Offered request rate scaled to a platform's serving capacity relative to

@@ -3,7 +3,7 @@
 //! `repro fleet-chaos [--quick]` replays every node-scoped fault scenario
 //! (crash, crash/restart, straggler, router partition, rolling drain)
 //! against two routers on the heterogeneous demo fleet — FAILOVER (the
-//! health-checked epoch router, [`aum::fleet::run_fleet`] under
+//! health-checked epoch router, [`aum::fleet::run_fleet_traced`] under
 //! `RoutingPolicy::Failover`) and STATIC (the same router with the
 //! AUV-weighted t=0 split frozen for the whole run) — and reports *SLO
 //! retention*: the fraction of each router's own healthy attainment it

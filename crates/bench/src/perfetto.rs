@@ -330,7 +330,7 @@ mod tests {
                 ),
             ]
         }
-        // The shape `run_fleet` emits: epochs on the fleet track, health
+        // The shape `run_fleet_traced` emits: epochs on the fleet track, health
         // episodes and hops on per-node tracks.
         let mut records = Vec::new();
         records.extend(pair(

@@ -5,7 +5,7 @@
 use std::fs;
 
 use aum::controller::AumController;
-use aum::experiment::{run_experiment_traced, ExperimentConfig};
+use aum::experiment::{try_run_experiment_traced, ExperimentConfig};
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -28,9 +28,10 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     let path =
         std::env::temp_dir().join(format!("aum-telemetry-trace-{}.jsonl", std::process::id()));
     let sink = OrderingSink::new(JsonlSink::create(&path).expect("create trace file"));
-    // `run_experiment_traced` flushes the tracer before returning, so the
-    // file is complete even while the sink is still alive.
-    let outcome = run_experiment_traced(&cfg, &mut controller, Tracer::new(sink));
+    // `try_run_experiment_traced` flushes the tracer before returning, so
+    // the file is complete even while the sink is still alive.
+    let outcome = try_run_experiment_traced(&cfg, &mut controller, Tracer::new(sink))
+        .expect("a paper-default config runs");
 
     let text = fs::read_to_string(&path).expect("read trace back");
     let _ = fs::remove_file(&path);
@@ -95,9 +96,12 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     assert_eq!(metrics.at, SimTime::ZERO + cfg.duration);
     assert_eq!(metrics.counters["decode_tokens"], outcome.slo.tokens as u64);
     assert_eq!(metrics.counters["requests_completed"], outcome.completed);
+    // The last interval's package power, read back from its modeled
+    // energy: at a 0.5 s interval the multiply and the divide are exact.
+    let last = outcome.ledger.intervals.last().expect("ledger intervals");
     assert_eq!(
         metrics.gauges["power_w"].to_bits(),
-        outcome.power.last_value().expect("power series").to_bits()
+        (last.energy_j / last.dt_secs).to_bits()
     );
 }
 
@@ -119,7 +123,9 @@ fn null_sink_tracing_stays_within_noise_of_disabled() {
 
     let run = |tracer: &Tracer| {
         let mut mgr = AllAu::new(&cfg.platform);
-        run_experiment_traced(&cfg, &mut mgr, tracer.clone()).efficiency
+        try_run_experiment_traced(&cfg, &mut mgr, tracer.clone())
+            .expect("a paper-default config runs")
+            .efficiency
     };
     let median = |tracer: &Tracer| -> f64 {
         let mut xs: Vec<f64> = (0..5)

@@ -27,8 +27,9 @@ use aum_workloads::be::BeKind;
 
 use crate::baselines::AllAu;
 use crate::controller::AumController;
-use crate::experiment::{run_experiment_traced, ExperimentConfig, Outcome};
+use crate::experiment::{try_run_experiment_traced, ExperimentConfig, Outcome};
 use crate::fleet::{FleetParams, NodeFaultPlan};
+use crate::manager::ResourceManager;
 use crate::prices::Prices;
 use crate::profiler::AuvModel;
 
@@ -45,7 +46,7 @@ pub enum RoutingPolicy {
     /// use also inform routing.
     AuvWeighted,
     /// AUV-weighted shares, re-weighted every epoch from node health by
-    /// the fleet router ([`crate::fleet::run_fleet`]): a failed node's
+    /// the fleet router ([`crate::fleet::run_fleet_traced`]): a failed node's
     /// share redistributes to survivors. In the steady-state split of
     /// [`run_cluster_with`] (no faults, no epochs) it is identical to
     /// [`RoutingPolicy::AuvWeighted`].
@@ -92,7 +93,7 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Efficiency prices.
     pub prices: Prices,
-    /// Scripted node faults ([`crate::fleet::run_fleet`] replays them;
+    /// Scripted node faults ([`crate::fleet::run_fleet_traced`] replays them;
     /// the steady-state [`run_cluster_with`] split ignores them).
     #[serde(default)]
     pub fault_plan: NodeFaultPlan,
@@ -224,7 +225,9 @@ fn slo_tracked(outcome: &Outcome) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `models` does not provide one model per server.
+/// Panics if `models` does not provide one model per server, or if a
+/// server's experiment fails (for instance on a `duration` shorter than
+/// its 500 ms control interval).
 #[must_use]
 pub fn run_cluster_with(
     cfg: &ClusterConfig,
@@ -279,10 +282,12 @@ fn run_cluster_weighted(
                 prices: cfg.prices,
                 model: aum_llm::config::ModelConfig::llama2_7b(),
             };
-            match server.be {
-                Some(_) => run_experiment_traced(&exp, &mut AumController::new(model), cell_tracer),
-                None => run_experiment_traced(&exp, &mut AllAu::new(&server.platform), cell_tracer),
-            }
+            let mut manager: Box<dyn ResourceManager> = match server.be {
+                Some(_) => Box::new(AumController::new(model)),
+                None => Box::new(AllAu::new(&server.platform)),
+            };
+            try_run_experiment_traced(&exp, manager.as_mut(), cell_tracer)
+                .unwrap_or_else(|e| panic!("cluster server {i}: {e}"))
         },
     );
 

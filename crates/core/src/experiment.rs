@@ -2,16 +2,26 @@
 //!
 //! Runs an AU-accelerated LLM serving workload (optionally sharing the
 //! platform with one best-effort application) under a given resource
-//! manager, coupling the substrates each control interval:
+//! manager, one control interval at a time. Each interval runs these
+//! stages in order:
 //!
-//! 1. the manager observes serving/platform telemetry and decides a
-//!    [`crate::manager::Decision`] (division, RDT allocation, SMT sharing,
-//!    engine mode);
-//! 2. the platform model resolves frequencies, bandwidth grants and power
-//!    for the described loads (including SMT sibling power);
-//! 3. the serving engine advances with the granted resources, and the BE
-//!    throughput model integrates its progress;
-//! 4. telemetry feeds back into the next decision.
+//! 1. **faults** — the fault plane ([`crate::fault`]) fires the edges due
+//!    at the boundary and programs the platform-side effects;
+//! 2. **sensing** — the serving and platform telemetry the manager may see
+//!    ([`SystemState`]), corrupted by any active sensor fault;
+//! 3. **decision** — the manager decides a [`crate::manager::Decision`]
+//!    (division, RDT allocation, SMT sharing, engine mode), which offline
+//!    cores and the RDT write path shape into what the hardware runs;
+//! 4. **platform step** — the region loads, for which the platform model
+//!    resolves frequencies, bandwidth grants and power (including SMT
+//!    sibling power);
+//! 5. **engine** — the serving engine advances with the granted resources;
+//! 6. **BE integration** — the best-effort application's progress;
+//! 7. **ledger** — per-region time and energy attribution;
+//! 8. **accounting** — run totals and the Fig 18 allocation samples.
+//!
+//! The interval's power, bandwidth and busy fractions feed back into the
+//! next interval's sensing and loads.
 //!
 //! This is the reproduction's equivalent of the paper's testbed runs behind
 //! Figures 14-18.
@@ -20,6 +30,8 @@
 //! in [`crate::cluster`] (steady-state split across servers) and
 //! [`crate::fleet`] (the epoch-based resilient router above those
 //! servers); both reuse this harness per node.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,14 +44,16 @@ use aum_llm::engine::{
 use aum_llm::slo::SloReport;
 use aum_llm::traces::{RateProfile, Scenario, TraceGenerator};
 use aum_platform::power::ActivityClass;
-use aum_platform::smt::smt_impact;
+use aum_platform::rdt::RdtAllocation;
+use aum_platform::smt::{smt_impact, SmtImpact};
 use aum_platform::spec::PlatformSpec;
-use aum_platform::state::{PlatformSim, RegionLoad, SmtSibling, SMT_POWER_FACTOR};
+use aum_platform::state::{
+    PlatformSim, PlatformSnapshot, RegionLoad, SmtSibling, SMT_POWER_FACTOR,
+};
 use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_platform::units::GbPerSec;
 use aum_sim::attrib::{self, IntervalLedger, Ledger, RegionSample, WorkFractions};
 use aum_sim::rng::DetRng;
-use aum_sim::series::TimeSeries;
 use aum_sim::span::{SpanId, SpanKind};
 use aum_sim::stats::Samples;
 use aum_sim::telemetry::{Event, MetricsRegistry, MetricsSnapshot, ResilienceMode, Tracer};
@@ -47,6 +61,7 @@ use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::{BeKind, BeProfile};
 
 use crate::error::AumError;
+use crate::fault::{FaultEffects, FaultPlane};
 use crate::manager::{ResourceManager, SystemState};
 use crate::prices::{e_cpu, Prices};
 
@@ -135,10 +150,6 @@ pub struct Outcome {
     pub shared_bw_samples: Samples,
     /// Per-interval samples of the None-region core count.
     pub none_core_samples: Samples,
-    /// Low-region frequency telemetry.
-    pub freq_low: TimeSeries,
-    /// Package power telemetry.
-    pub power: TimeSeries,
     /// Metrics-registry snapshot taken once, at the end of the run:
     /// counters (tokens, completions) over the whole run and gauges (power,
     /// utilization, queue depth, sensed latencies) of the last interval.
@@ -158,8 +169,8 @@ impl Outcome {
         self.efficiency / baseline.efficiency.max(1e-12)
     }
 
-    /// Serializes the full outcome (metrics, CDF samples, telemetry
-    /// series) as pretty-printed JSON — the machine-readable artifact for
+    /// Serializes the full outcome (metrics, CDF samples, attribution
+    /// ledger) as pretty-printed JSON — the machine-readable artifact for
     /// external plotting.
     ///
     /// # Errors
@@ -190,36 +201,23 @@ fn effective_ways(au: u32, shared: u32, total: u32, be_present: bool) -> (u32, u
     }
 }
 
-/// Runs one experiment under `manager`.
+/// Runs one experiment under `manager`, untraced.
 ///
 /// # Panics
 ///
 /// Panics on any error [`try_run_experiment_traced`] returns.
 pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager) -> Outcome {
-    run_experiment_traced(cfg, manager, Tracer::disabled())
+    try_run_experiment_traced(cfg, manager, Tracer::disabled())
+        .unwrap_or_else(|e| panic!("experiment failed: {e}"))
 }
 
 /// Runs one experiment under `manager` with a trace handle threaded through
 /// the whole stack: the engine (request lifecycle, iterations), the
 /// platform (frequency/thermal transitions), the manager (decisions with
 /// reasons) and this harness itself (RDT reallocations, fault injection).
-/// With `Tracer::disabled()` this is exactly [`run_experiment`].
-///
-/// # Panics
-///
-/// Panics on any error [`try_run_experiment_traced`] returns.
-pub fn run_experiment_traced(
-    cfg: &ExperimentConfig,
-    manager: &mut dyn ResourceManager,
-    tracer: Tracer,
-) -> Outcome {
-    try_run_experiment_traced(cfg, manager, tracer)
-        .unwrap_or_else(|e| panic!("experiment failed: {e}"))
-}
-
-/// Fallible variant of [`run_experiment_traced`]. The config is
-/// validated before any work, so a malformed one (for instance from
-/// hand-edited JSON) fails cleanly instead of panicking or hanging.
+/// The config is validated before any work, so a malformed one (for
+/// instance from hand-edited JSON) fails cleanly instead of panicking or
+/// hanging.
 ///
 /// # Errors
 ///
@@ -238,7 +236,6 @@ pub fn try_run_experiment_traced(
     validate(cfg)?;
     cfg.fault.validate().map_err(AumError::FaultPlan)?;
     let spec = &cfg.platform;
-    let total_cores = spec.total_cores();
     let rate = cfg.rate.unwrap_or_else(|| cfg.scenario.default_rate());
     let rng = DetRng::from_seed(cfg.seed);
     let trace = TraceGenerator::new(cfg.scenario, rate)
@@ -262,201 +259,368 @@ pub fn try_run_experiment_traced(
     engine.set_tracer(tracer.clone());
     platform.attach_tracer(tracer.clone());
     manager.attach_tracer(tracer.clone());
-    // The span track names this run; every distinguishing knob is folded
-    // in so concurrent cells sharing one sink never collide on span ids
-    // (ids are unique per track only).
-    let span_track = format!(
-        "{}/{}+{} c{} r{} s{} d{} f{}",
-        manager.name(),
-        cfg.scenario.code(),
-        cfg.be.map_or_else(|| "none".to_string(), |b| b.to_string()),
-        total_cores,
-        rate,
-        cfg.seed,
-        cfg.duration.as_secs_f64(),
-        cfg.fault.events.len(),
-    );
-    engine.set_span_track(span_track.clone());
+    let run = Run {
+        cfg,
+        total_cores: spec.total_cores(),
+        be: cfg.be.map(BeProfile::of),
+        dt_secs: cfg.control_interval.as_secs_f64(),
+        track: span_track(cfg, manager.name(), rate),
+        tracer,
+    };
+    engine.set_span_track(run.track.clone());
     // The run's SLO deadlines, once, so the trace is self-contained for
     // burn-rate analysis in `trace-summary`.
     let slo = cfg.scenario.slo();
-    tracer.emit(SimTime::ZERO, || Event::SloTargets {
+    run.tracer.emit(SimTime::ZERO, || Event::SloTargets {
         ttft_secs: slo.ttft.as_secs_f64(),
         tpot_secs: slo.tpot.as_secs_f64(),
     });
-    let be_profile = cfg.be.map(BeProfile::of);
 
-    // Feedback state from the previous interval.
-    let mut last_stats = IntervalStats {
-        prefill_busy: 0.5,
-        decode_busy: 0.8,
-        prefill_bw_demand: GbPerSec(90.0),
-        decode_bw_demand: GbPerSec(spec.mem_bw.value() * 1.2),
-        ..Default::default()
+    let mut faults = FaultPlane::new(&cfg.fault, cfg.duration.as_secs_f64(), &run.tracer);
+    let mut sensors = Sensors {
+        rng: rng.stream("sensor-faults"),
+        frozen: None,
     };
-    let mut last_power = 120.0;
-    let mut last_bw_util = 0.5;
-
-    // Accumulators.
-    let mut energy_j = 0.0;
-    let mut be_units = 0.0;
-    let mut prefill_tokens = 0u64;
-    let mut decode_tokens = 0u64;
-    let mut shared_llc_samples = Samples::new();
-    let mut shared_bw_samples = Samples::new();
-    let mut none_core_samples = Samples::new();
-    let mut freq_low = TimeSeries::new("freq_low_ghz");
-    let mut power_series = TimeSeries::new("power_w");
-
-    let dt = cfg.control_interval;
-    let dt_secs = dt.as_secs_f64();
-    let steps = (cfg.duration.as_nanos() / dt.as_nanos().max(1)) as usize;
-
-    let mut registry = MetricsRegistry::new();
-    let mut last_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
+    let mut rdt = RdtWritePath::default();
+    let mut stalled = 0u32;
+    let mut feedback = Feedback {
+        stats: IntervalStats {
+            prefill_busy: 0.5,
+            decode_busy: 0.8,
+            prefill_bw_demand: GbPerSec(90.0),
+            decode_bw_demand: GbPerSec(spec.mem_bw.value() * 1.2),
+            ..Default::default()
+        },
+        power_w: 120.0,
+        bw_utilization: 0.5,
+    };
+    let mut totals = Totals::default();
     let mut ledger = Ledger::new();
-    let mut stall_intervals: u32 = 0;
-
-    // --- Fault plane. ---
-    // The plan was validated up front; events scheduled past the run
-    // window are warned about rather than silently dropped.
-    let duration_secs = cfg.duration.as_secs_f64();
-    #[derive(Clone, Copy)]
-    enum FaultEdge {
-        Apply,
-        Revert,
-    }
-    let mut fault_schedule: Vec<(f64, usize, FaultEdge)> = Vec::new();
-    for (i, ev) in cfg.fault.events.iter().enumerate() {
-        if ev.at_secs >= duration_secs {
-            tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
-                kind: ev.fault.kind_label().to_string(),
-                at_secs: ev.at_secs,
-                duration_secs,
-            });
-            continue;
-        }
-        fault_schedule.push((ev.at_secs, i, FaultEdge::Apply));
-        if let Some(rec) = ev.recover_at_secs {
-            if rec < duration_secs {
-                fault_schedule.push((rec, i, FaultEdge::Revert));
-            }
-        }
-    }
-    // Stable sort: same-instant edges keep script order.
-    fault_schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(core::cmp::Ordering::Equal));
-    let mut fault_cursor = 0usize;
-    let mut fault_active = vec![false; cfg.fault.events.len()];
-    let mut sensor_rng = rng.stream("sensor-faults");
-    let mut frozen_sensors: Option<SystemState> = None;
-    // What the RDT MSRs actually hold vs. what the manager last requested:
-    // under an RdtWriteFailure the two diverge.
-    let mut applied_alloc: Option<aum_platform::rdt::RdtAllocation> = None;
-    let mut rdt_pending: std::collections::VecDeque<(usize, aum_platform::rdt::RdtAllocation)> =
-        std::collections::VecDeque::new();
+    let dt = cfg.control_interval;
+    let steps = (cfg.duration.as_nanos() / dt.as_nanos().max(1)) as usize;
 
     for step in 0..steps {
         let _prof = aum_sim::prof::scope("ctrl.interval");
         let now = SimTime::ZERO + dt * step as u64;
         let until = now + dt;
-        tracer.emit(now, || Event::SpanOpen {
+        run.open_interval(step, now);
+        let fx = faults.advance(now, &mut platform, &run.tracer, &run.track)?;
+        let observed = sensors.observe(run.sense(&mut engine, now, &feedback), &fx);
+        let place = run.decide(manager, &observed, &fx, &mut rdt, step, now)?;
+        let stepped = run.step_platform(&mut platform, &place, &feedback, now, fx.be_surge);
+        let stats = run.advance_engine(&mut engine, &place, &stepped, until, &mut stalled);
+        totals.be_units += run.be_progress(&place, &stepped.snap);
+        let shed = manager.resilience() == Some(ResilienceMode::SafeMode);
+        let interval = run.ledger_interval(&platform, &place, &stepped, shed, now);
+        ledger.intervals.push(interval);
+        totals.record(&place, &stepped, &stats, &observed, run.dt_secs);
+        run.close_interval(step, until);
+        feedback.update(&stats, &stepped.snap);
+    }
+
+    let secs = cfg.duration.as_secs_f64();
+    let p_h = totals.prefill_tokens as f64 / secs;
+    let p_l = totals.decode_tokens as f64 / secs;
+    let p_n = totals.be_units / secs;
+    let avg_power = totals.energy_j / secs;
+    let gamma = cfg.be.map_or(0.0, Prices::gamma);
+    // Conservation gate: a ledger that does not close is a modeling bug,
+    // not a reporting nuisance — fail the run with the typed violation.
+    ledger.verify(attrib::EPSILON)?;
+    // Balance the span ledger: requests still in flight and fault windows
+    // that never recovered close at the end of the run window, so every
+    // trace yields a well-formed span forest.
+    let end = SimTime::ZERO + dt * steps as u64;
+    engine.close_open_spans(end);
+    faults.close_open_windows(end, &run.tracer, &run.track);
+    run.tracer.flush();
+    let metrics = totals.metrics(end);
+    let outcome = Outcome {
+        scheme: manager.name().to_owned(),
+        slo: engine.slo_report(),
+        prefill_tps: p_h,
+        decode_tps: p_l,
+        be_rate: p_n,
+        avg_power_w: avg_power,
+        efficiency: e_cpu(cfg.prices, p_h, p_l, gamma, p_n, avg_power),
+        completed: engine.completed(),
+        shared_llc_samples: totals.shared_llc_samples,
+        shared_bw_samples: totals.shared_bw_samples,
+        none_core_samples: totals.none_core_samples,
+        metrics,
+        ledger,
+    };
+    publish_live(&outcome);
+    Ok(outcome)
+}
+
+/// Consecutive zero-progress control intervals (with work queued) before
+/// the sim-time watchdog reports a stall. At the default 500 ms interval
+/// this is 8 s of simulated dead air — far beyond any healthy pause.
+const WATCHDOG_STALL_INTERVALS: u32 = 16;
+
+/// The span track that names a run. Every distinguishing knob is folded in
+/// so concurrent cells sharing one sink never collide on span ids (ids are
+/// unique per track only).
+fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> String {
+    format!(
+        "{}/{}+{} c{} r{} s{} d{} f{}",
+        scheme,
+        cfg.scenario.code(),
+        cfg.be.map_or_else(|| "none".to_string(), |b| b.to_string()),
+        cfg.platform.total_cores(),
+        rate,
+        cfg.seed,
+        cfg.duration.as_secs_f64(),
+        cfg.fault.events.len(),
+    )
+}
+
+/// What every stage of one run reads and none changes.
+struct Run<'a> {
+    cfg: &'a ExperimentConfig,
+    total_cores: usize,
+    be: Option<BeProfile>,
+    dt_secs: f64,
+    tracer: Tracer,
+    track: String,
+}
+
+/// What one interval leaves for the next.
+struct Feedback {
+    /// Busy fractions, and the bandwidth demands last seen while busy.
+    stats: IntervalStats,
+    power_w: f64,
+    bw_utilization: f64,
+}
+
+impl Feedback {
+    fn update(&mut self, stats: &IntervalStats, snap: &PlatformSnapshot) {
+        if stats.prefill_bw_demand.value() > 0.0 {
+            self.stats.prefill_bw_demand = stats.prefill_bw_demand;
+        }
+        if stats.decode_bw_demand.value() > 0.0 {
+            self.stats.decode_bw_demand = stats.decode_bw_demand;
+        }
+        self.stats.prefill_busy = stats.prefill_busy;
+        self.stats.decode_busy = stats.decode_busy;
+        self.power_w = snap.power.value();
+        self.bw_utilization = snap.bw_utilization;
+    }
+}
+
+/// Sensor faults corrupt what the manager observes; the ground truth
+/// driving the engine and platform stays intact.
+struct Sensors {
+    rng: DetRng,
+    /// The frame a dropout froze, held while it lasts.
+    frozen: Option<SystemState>,
+}
+
+impl Sensors {
+    fn observe(&mut self, sensed: SystemState, fx: &FaultEffects) -> SystemState {
+        if fx.sensor_dropout {
+            // Stale readback: the manager keeps seeing the last frame from
+            // before the dropout, only the clock advances.
+            let now = sensed.now;
+            let frozen = self.frozen.get_or_insert(sensed);
+            return SystemState {
+                now,
+                ..frozen.clone()
+            };
+        }
+        self.frozen = None;
+        let mut state = sensed;
+        if fx.sensor_sigma > 0.0 {
+            // Multiplicative lognormal noise on the continuous sensors:
+            // stays positive, is unbiased in log space, and scales with
+            // the reading's magnitude like real measurement jitter.
+            let mut jitter = |v: f64| v * self.rng.normal(0.0, fx.sensor_sigma).exp();
+            state.recent_ttft_p50 = jitter(state.recent_ttft_p50);
+            state.recent_ttft_p90 = jitter(state.recent_ttft_p90);
+            state.recent_tpot_p50 = jitter(state.recent_tpot_p50);
+            state.recent_tpot_p90 = jitter(state.recent_tpot_p90);
+            state.power_w = jitter(state.power_w);
+            state.bw_utilization = jitter(state.bw_utilization);
+        }
+        state
+    }
+}
+
+/// What the RDT MSRs hold against what the manager requested. Under an
+/// `RdtWriteFailure` a request is silently dropped (delay 0) or lands
+/// late, and the hardware keeps its previous programming meanwhile.
+#[derive(Default)]
+struct RdtWritePath {
+    applied: Option<RdtAllocation>,
+    /// Delayed writes as `(due step, allocation)`, oldest first.
+    pending: VecDeque<(usize, RdtAllocation)>,
+    /// The allocation the previous interval ran under.
+    last: Option<RdtAllocation>,
+}
+
+impl RdtWritePath {
+    /// The allocation interval `step` runs under; a change is traced.
+    fn write(
+        &mut self,
+        requested: RdtAllocation,
+        fx: &FaultEffects,
+        step: usize,
+        now: SimTime,
+        tracer: &Tracer,
+    ) -> RdtAllocation {
+        match fx.rdt_write_delay {
+            None => {
+                self.pending.clear();
+                self.applied = Some(requested);
+            }
+            Some(0) => {}
+            Some(delay) => {
+                if self.pending.back().map(|&(_, a)| a) != Some(requested) {
+                    self.pending.push_back((step + delay as usize, requested));
+                }
+                while self.pending.front().is_some_and(|&(due, _)| due <= step) {
+                    self.applied = self.pending.pop_front().map(|(_, a)| a);
+                }
+            }
+        }
+        // Until a first write lands, the hardware runs the request.
+        let alloc = self.applied.unwrap_or(requested);
+        if let Some(prev) = self.last.replace(alloc).filter(|&prev| prev != alloc) {
+            tracer.emit(now, || Event::RdtReallocation {
+                llc_ways_from: prev.au.llc_ways,
+                llc_ways_to: alloc.au.llc_ways,
+                l2_ways_from: prev.au.l2_ways,
+                l2_ways_to: alloc.au.l2_ways,
+                mem_bw_from: prev.au.mem_bw_frac,
+                mem_bw_to: alloc.au.mem_bw_frac,
+            });
+        }
+        alloc
+    }
+}
+
+/// The manager's decision as the hardware runs it.
+struct Placement {
+    /// The decided division short of any offline cores.
+    div: ProcessorDivision,
+    /// The allocation the RDT MSRs hold.
+    alloc: RdtAllocation,
+    smt_sharing: bool,
+    engine_mode: EngineMode,
+    /// Effective ways of the AU class's LLC and the shared class's LLC and
+    /// L2 under that allocation.
+    au_llc: u32,
+    shared_llc: u32,
+    shared_l2: u32,
+    /// Bandwidth amplification of prefill and decode at `au_llc` ways.
+    prefill_amp: f64,
+    decode_amp: f64,
+    /// SMT impacts on the High and Low regions while the BE shares their
+    /// hyperthreads.
+    smt: Option<(SmtImpact, SmtImpact)>,
+}
+
+/// The platform's answer to one interval's loads.
+struct Stepped {
+    loads: [RegionLoad; 4],
+    /// Thermal drops of the High, Low and None regions before the step.
+    pre_drop: [f64; 3],
+    snap: PlatformSnapshot,
+    /// The pool's sustainable bandwidth, GB/s.
+    sustainable: f64,
+}
+
+/// Run totals, the Fig 18 samples and the last interval's gauges.
+#[derive(Default)]
+struct Totals {
+    energy_j: f64,
+    be_units: f64,
+    prefill_tokens: u64,
+    decode_tokens: u64,
+    completed: u64,
+    shared_llc_samples: Samples,
+    shared_bw_samples: Samples,
+    none_core_samples: Samples,
+    gauges: [(&'static str, f64); 8],
+}
+
+impl Totals {
+    /// Accounting: adds one interval's energy, tokens, completions and
+    /// allocation samples, and keeps its gauges.
+    fn record(
+        &mut self,
+        place: &Placement,
+        stepped: &Stepped,
+        stats: &IntervalStats,
+        observed: &SystemState,
+        dt_secs: f64,
+    ) {
+        let snap = &stepped.snap;
+        self.energy_j += snap.power.value() * dt_secs;
+        self.prefill_tokens += stats.prefill_tokens;
+        self.decode_tokens += stats.decode_tokens;
+        self.completed += stats.completed;
+        self.shared_llc_samples.record(f64::from(place.shared_llc));
+        self.shared_bw_samples
+            .record(place.alloc.shared.mem_bw_frac * 100.0);
+        self.none_core_samples
+            .record(place.div.cores(AuUsageLevel::None) as f64);
+        // The queue and sensed-latency gauges show what the manager
+        // observed, sensor faults included.
+        self.gauges = [
+            ("power_w", snap.power.value()),
+            ("bw_utilization", snap.bw_utilization),
+            ("queue_len", observed.queue_len as f64),
+            ("decode_batch", observed.decode_batch as f64),
+            ("freq_low_ghz", snap.freqs[IDX_LOW].value()),
+            ("shared_llc_ways", f64::from(place.shared_llc)),
+            ("recent_ttft_p90", observed.recent_ttft_p90),
+            ("recent_tpot_p50", observed.recent_tpot_p50),
+        ];
+    }
+
+    /// The end-of-run registry: counters over the run and the last
+    /// interval's gauges.
+    fn metrics(&self, at: SimTime) -> MetricsSnapshot {
+        let mut registry = MetricsRegistry::new();
+        registry.counter_add("prefill_tokens", self.prefill_tokens);
+        registry.counter_add("decode_tokens", self.decode_tokens);
+        registry.counter_add("requests_completed", self.completed);
+        for (name, value) in self.gauges {
+            registry.gauge_set(name, value);
+        }
+        registry.snapshot(at)
+    }
+}
+
+impl Run<'_> {
+    fn open_interval(&self, step: usize, now: SimTime) {
+        self.tracer.emit(now, || Event::SpanOpen {
             id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
             parent: None,
             kind: SpanKind::ControllerInterval,
-            track: span_track.clone(),
+            track: self.track.clone(),
             label: format!("interval {step}"),
         });
+    }
 
-        // --- 0. Fault plane: fire every edge due at this boundary, in
-        // script order (multi-event exactness: nothing is skipped, nothing
-        // fires twice). ---
-        let now_secs = now.as_secs_f64();
-        let mut faults_changed = false;
-        while fault_cursor < fault_schedule.len() && fault_schedule[fault_cursor].0 <= now_secs {
-            let (_, idx, edge) = fault_schedule[fault_cursor];
-            fault_cursor += 1;
-            faults_changed = true;
-            let ev = &cfg.fault.events[idx];
-            match edge {
-                FaultEdge::Apply => {
-                    fault_active[idx] = true;
-                    tracer.emit(now, || Event::FaultInjected {
-                        kind: ev.fault.kind_label().to_string(),
-                        detail: ev.fault.detail(),
-                    });
-                    tracer.emit(now, || Event::SpanOpen {
-                        id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                        parent: None,
-                        kind: SpanKind::FaultWindow,
-                        track: span_track.clone(),
-                        label: format!("fault {}", ev.fault.kind_label()),
-                    });
-                }
-                FaultEdge::Revert => {
-                    fault_active[idx] = false;
-                    tracer.emit(now, || Event::FaultRecovered {
-                        kind: ev.fault.kind_label().to_string(),
-                    });
-                    tracer.emit(now, || Event::SpanClose {
-                        id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                        kind: SpanKind::FaultWindow,
-                        track: span_track.clone(),
-                    });
-                }
-            }
-        }
-        if faults_changed {
-            // Recompose platform-side effects from what is active now;
-            // overlapping faults combine by worst effect per subsystem.
-            let mut bw_frac = 1.0f64;
-            let mut cooling = 0.0f64;
-            let mut lock: Option<AuUsageLevel> = None;
-            for (ev, active) in cfg.fault.events.iter().zip(&fault_active) {
-                if !*active {
-                    continue;
-                }
-                match ev.fault {
-                    Fault::BandwidthDegrade { frac } => bw_frac = bw_frac.min(frac),
-                    Fault::ThermalRunaway { severity } => cooling = cooling.max(severity),
-                    Fault::FrequencyLicenseLock { level } => {
-                        lock = Some(worse_license(lock, level));
-                    }
-                    _ => {}
-                }
-            }
-            platform.degrade_bandwidth(bw_frac)?;
-            platform.set_cooling_loss(cooling);
-            platform.set_license_lock(lock);
-        }
-        // Harness-side fault state for this interval.
-        let mut offline_cores = 0usize;
-        let mut be_surge = 1.0f64;
-        let mut sensor_sigma = 0.0f64;
-        let mut sensor_dropout = false;
-        let mut rdt_failure: Option<u32> = None;
-        for (ev, active) in cfg.fault.events.iter().zip(&fault_active) {
-            if !*active {
-                continue;
-            }
-            match ev.fault {
-                Fault::CoreOffline { count } => offline_cores += count,
-                Fault::BeSurge { factor } => be_surge *= factor,
-                Fault::SensorNoise { sigma } => sensor_sigma = sensor_sigma.max(sigma),
-                Fault::SensorDropout => sensor_dropout = true,
-                Fault::RdtWriteFailure { delay_intervals } => {
-                    rdt_failure =
-                        Some(rdt_failure.map_or(delay_intervals, |d| d.min(delay_intervals)));
-                }
-                _ => {}
-            }
-        }
+    fn close_interval(&self, step: usize, until: SimTime) {
+        self.tracer.emit(until, || Event::SpanClose {
+            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
+            kind: SpanKind::ControllerInterval,
+            track: self.track.clone(),
+        });
+    }
 
-        // --- 1. Manager observes and decides. ---
+    /// Sensing: serving telemetry from the engine, platform telemetry from
+    /// the previous interval.
+    fn sense(&self, engine: &mut LlmEngine, now: SimTime, feedback: &Feedback) -> SystemState {
         let [(ttft_p50, ttft_p90), (tpot_p50, tpot_p90)] = engine.recent_latency_quantiles();
-        let state = SystemState {
+        SystemState {
             now,
-            scenario: cfg.scenario,
-            be: cfg.be,
+            scenario: self.cfg.scenario,
+            be: self.cfg.be,
             queue_len: engine.queue_len(),
             head_wait: engine.head_wait(),
             decode_batch: engine.decode_batch(),
@@ -465,120 +629,90 @@ pub fn try_run_experiment_traced(
             recent_ttft_p90: ttft_p90,
             recent_tpot_p50: tpot_p50,
             recent_tpot_p90: tpot_p90,
-            power_w: last_power,
-            bw_utilization: last_bw_util,
-        };
-        // --- 1b. Sensor faults corrupt what the manager observes (the
-        // ground truth driving the engine/platform stays intact). ---
-        let state = if sensor_dropout {
-            // Stale readback: the manager keeps seeing the last frame from
-            // before the dropout, only the clock advances.
-            let frozen = frozen_sensors.get_or_insert_with(|| state.clone());
-            let mut stale = frozen.clone();
-            stale.now = now;
-            stale
-        } else {
-            frozen_sensors = None;
-            let mut state = state;
-            if sensor_sigma > 0.0 {
-                // Multiplicative lognormal noise on the continuous sensors:
-                // stays positive, is unbiased in log space, and scales with
-                // the reading's magnitude like real measurement jitter.
-                let mut jitter = |v: f64| v * sensor_rng.normal(0.0, sensor_sigma).exp();
-                state.recent_ttft_p50 = jitter(state.recent_ttft_p50);
-                state.recent_ttft_p90 = jitter(state.recent_ttft_p90);
-                state.recent_tpot_p50 = jitter(state.recent_tpot_p50);
-                state.recent_tpot_p90 = jitter(state.recent_tpot_p90);
-                state.power_w = jitter(state.power_w);
-                state.bw_utilization = jitter(state.bw_utilization);
-            }
-            state
-        };
+            power_w: feedback.power_w,
+            bw_utilization: feedback.bw_utilization,
+        }
+    }
+
+    /// Decision and RDT write path: the manager decides on what it
+    /// observed, a division that misses cores is an error, and offline
+    /// cores and the RDT write path shape what the hardware runs.
+    fn decide(
+        &self,
+        manager: &mut dyn ResourceManager,
+        observed: &SystemState,
+        fx: &FaultEffects,
+        rdt: &mut RdtWritePath,
+        step: usize,
+        now: SimTime,
+    ) -> Result<Placement, AumError> {
         let decision = {
             let _prof = aum_sim::prof::scope("ctrl.decide");
-            manager.decide(&state)
+            manager.decide(observed)
         };
         let div = decision.division;
-        if div.total_cores() != total_cores {
+        if div.total_cores() != self.total_cores {
             return Err(AumError::Division(format!(
-                "{}: division {div} does not cover the {total_cores}-core platform",
-                manager.name()
+                "{}: division {div} does not cover the {}-core platform",
+                manager.name(),
+                self.total_cores
             )));
         }
-        // CoreOffline shadows the division the platform actually runs: the
-        // manager's view stays full-width (it cannot see the dead cores),
-        // the hardware comes up short.
-        let div = apply_core_offline(div, offline_cores);
-        // --- 1c. RDT write path: under an RdtWriteFailure the requested
-        // allocation is silently dropped (delay 0) or lands late; the
-        // hardware keeps its previous programming meanwhile. ---
-        let requested = decision.allocation;
-        let alloc = match rdt_failure {
-            None => {
-                rdt_pending.clear();
-                applied_alloc = Some(requested);
-                requested
-            }
-            Some(0) => applied_alloc.unwrap_or(requested),
-            Some(delay) => {
-                let due = step + delay as usize;
-                if rdt_pending.back().map(|&(_, a)| a) != Some(requested) {
-                    rdt_pending.push_back((due, requested));
-                }
-                while rdt_pending.front().is_some_and(|&(d, _)| d <= step) {
-                    let (_, a) = rdt_pending.pop_front().expect("front exists");
-                    applied_alloc = Some(a);
-                }
-                applied_alloc.unwrap_or(requested)
-            }
-        };
-        if let Some(prev) = last_alloc {
-            if prev != alloc {
-                tracer.emit(now, || Event::RdtReallocation {
-                    llc_ways_from: prev.au.llc_ways,
-                    llc_ways_to: alloc.au.llc_ways,
-                    l2_ways_from: prev.au.l2_ways,
-                    l2_ways_to: alloc.au.l2_ways,
-                    mem_bw_from: prev.au.mem_bw_frac,
-                    mem_bw_to: alloc.au.mem_bw_frac,
-                });
-            }
-        }
-        last_alloc = Some(alloc);
-        let be_present = be_profile.is_some();
-        let (au_llc, shared_llc) = effective_ways(
-            alloc.au.llc_ways,
-            alloc.shared.llc_ways,
-            spec.llc_ways,
-            be_present,
-        );
-        let (_au_l2, shared_l2) = effective_ways(
-            alloc.au.l2_ways,
-            alloc.shared.l2_ways,
-            spec.l2_ways,
-            be_present,
-        );
+        let alloc = rdt.write(decision.allocation, fx, step, now, &self.tracer);
+        let spec = &self.cfg.platform;
+        let (au, shared, be_present) = (alloc.au, alloc.shared, self.be.is_some());
+        let (au_llc, shared_llc) =
+            effective_ways(au.llc_ways, shared.llc_ways, spec.llc_ways, be_present);
+        let (_, shared_l2) = effective_ways(au.l2_ways, shared.l2_ways, spec.l2_ways, be_present);
+        let amp =
+            |level| crate::calib::au_cache_profile(level).bandwidth_amplification(spec, au_llc);
+        let impact = |p: &BeProfile, level| smt_impact(p.smt, level, 1.0);
+        Ok(Placement {
+            // CoreOffline shadows the division the platform actually runs:
+            // the manager's view stays full-width (it cannot see the dead
+            // cores), the hardware comes up short.
+            div: apply_core_offline(div, fx.offline_cores),
+            alloc,
+            smt_sharing: decision.smt_sharing,
+            engine_mode: decision.engine_mode,
+            au_llc,
+            shared_llc,
+            shared_l2,
+            prefill_amp: amp(AuUsageLevel::High),
+            decode_amp: amp(AuUsageLevel::Low),
+            smt: self
+                .be
+                .as_ref()
+                .filter(|_| decision.smt_sharing)
+                .map(|p| (impact(p, AuUsageLevel::High), impact(p, AuUsageLevel::Low))),
+        })
+    }
 
-        // --- 2. Describe platform loads. ---
-        let prefill_amp = crate::calib::au_cache_profile(AuUsageLevel::High)
-            .bandwidth_amplification(spec, au_llc);
-        let decode_amp =
-            crate::calib::au_cache_profile(AuUsageLevel::Low).bandwidth_amplification(spec, au_llc);
-        let sibling = |duty: f64| -> Option<SmtSibling> {
-            match (&be_profile, decision.smt_sharing) {
-                (Some(p), true) => Some(SmtSibling {
-                    class: p.activity,
-                    duty,
-                }),
-                _ => None,
-            }
+    /// Loads and platform step: the four region loads, the thermal drops
+    /// the step resolves against, and the step.
+    fn step_platform(
+        &self,
+        platform: &mut PlatformSim,
+        place: &Placement,
+        feedback: &Feedback,
+        now: SimTime,
+        be_surge: f64,
+    ) -> Stepped {
+        let (spec, div, alloc) = (&self.cfg.platform, &place.div, &place.alloc);
+        let sibling = |duty: f64| match (&self.be, place.smt_sharing) {
+            (Some(p), true) => Some(SmtSibling {
+                class: p.activity,
+                duty,
+            }),
+            _ => None,
         };
         // Demands are duty-weighted: a phase that is busy 20% of the time
         // draws 20% of its running bandwidth on average — in the
         // time-multiplexed mode this is exactly what makes prefill and
         // decode share the pool correctly (they never run simultaneously).
-        let prefill_duty = last_stats.prefill_busy.clamp(0.05, 1.0);
-        let decode_duty = last_stats.decode_busy.clamp(0.05, 1.0);
+        let last = &feedback.stats;
+        let prefill_duty = last.prefill_busy.clamp(0.05, 1.0);
+        let decode_duty = last.decode_busy.clamp(0.05, 1.0);
         let mut loads = [
             RegionLoad {
                 level: AuUsageLevel::High,
@@ -586,7 +720,7 @@ pub fn try_run_experiment_traced(
                 class: ActivityClass::Amx,
                 duty: prefill_duty,
                 bw_demand: GbPerSec(
-                    last_stats.prefill_bw_demand.value() * prefill_amp * prefill_duty,
+                    last.prefill_bw_demand.value() * place.prefill_amp * prefill_duty,
                 ),
                 bw_cap: alloc.au.mem_bw_frac,
                 smt_sibling: sibling(0.9),
@@ -596,7 +730,7 @@ pub fn try_run_experiment_traced(
                 cores: div.cores(AuUsageLevel::Low),
                 class: ActivityClass::Avx,
                 duty: decode_duty,
-                bw_demand: GbPerSec(last_stats.decode_bw_demand.value() * decode_amp * decode_duty),
+                bw_demand: GbPerSec(last.decode_bw_demand.value() * place.decode_amp * decode_duty),
                 bw_cap: alloc.au.mem_bw_frac,
                 smt_sibling: sibling(0.9),
             },
@@ -604,87 +738,85 @@ pub fn try_run_experiment_traced(
             // Bandwidth placeholder for an SMT-sibling BE (no physical cores).
             RegionLoad::idle(AuUsageLevel::None, 0),
         ];
-        if let Some(be) = &be_profile {
-            let fluct = be.demand_multiplier(now_secs, be_surge);
-            if div.cores(AuUsageLevel::None) > 0 {
-                let cores = div.cores(AuUsageLevel::None);
+        if let Some(be) = &self.be {
+            let fluct = be.demand_multiplier(now.as_secs_f64(), be_surge);
+            let cores = div.cores(AuUsageLevel::None);
+            if cores > 0 {
                 loads[IDX_NONE] = RegionLoad {
                     level: AuUsageLevel::None,
                     cores,
                     class: be.activity,
                     duty: 1.0,
-                    bw_demand: GbPerSec(be.bw_demand(spec, cores, shared_llc).value() * fluct),
+                    bw_demand: GbPerSec(
+                        be.bw_demand(spec, cores, place.shared_llc).value() * fluct,
+                    ),
                     bw_cap: alloc.shared.mem_bw_frac,
                     smt_sibling: None,
                 };
             }
-            if decision.smt_sharing {
+            if place.smt_sharing {
                 // Sibling threads run at SMT efficiency: their achievable
                 // bandwidth demand shrinks with their own slowdown.
-                let smt_cores = div.au_cores();
-                loads[IDX_SIBLING].bw_demand =
-                    GbPerSec(be.bw_demand(spec, smt_cores, shared_llc).value() * fluct * 0.6);
+                let demand = be.bw_demand(spec, div.au_cores(), place.shared_llc).value();
+                loads[IDX_SIBLING].bw_demand = GbPerSec(demand * fluct * 0.6);
                 loads[IDX_SIBLING].bw_cap = alloc.shared.mem_bw_frac;
             }
         }
         // Thermal drops must be read *before* the step: `PlatformSim::step`
         // resolves this interval's frequencies against the pre-advance
         // thermal state, and the attribution ledger charges the same drop.
-        let pre_drop = [
-            platform.thermal().drop_for(AuUsageLevel::High).value(),
-            platform.thermal().drop_for(AuUsageLevel::Low).value(),
-            platform.thermal().drop_for(AuUsageLevel::None).value(),
-        ];
+        let pre_drop = [AuUsageLevel::High, AuUsageLevel::Low, AuUsageLevel::None]
+            .map(|level| platform.thermal().drop_for(level).value());
         let snap = {
             let _prof = aum_sim::prof::scope("platform.step");
-            platform.step(dt, &loads)
+            platform.step(self.cfg.control_interval, &loads)
         };
+        let sustainable = platform.pool().sustainable().value();
+        Stepped {
+            loads,
+            pre_drop,
+            snap,
+            sustainable,
+        }
+    }
 
-        // --- 3. Advance the serving engine with granted resources. ---
-        let smt = be_profile
-            .as_ref()
-            .filter(|_| decision.smt_sharing)
-            .map(|p| {
-                (
-                    smt_impact(p.smt, AuUsageLevel::High, 1.0),
-                    smt_impact(p.smt, AuUsageLevel::Low, 1.0),
-                )
-            });
-        let (high_smt_c, high_smt_m) = smt.map_or((1.0, 1.0), |(h, _)| {
-            (h.au_compute_slowdown, h.au_memory_slowdown)
-        });
-        let (low_smt_c, low_smt_m) = smt.map_or((1.0, 1.0), |(_, l)| {
-            (l.au_compute_slowdown, l.au_memory_slowdown)
-        });
-        let engine_cores = |own: usize| match decision.engine_mode {
-            EngineMode::TimeMultiplexed => div.au_cores(),
-            EngineMode::Partitioned => own,
+    /// Engine: advances serving to `until` with the granted resources, then
+    /// beats the live heartbeat and the sim-time stall watchdog.
+    fn advance_engine(
+        &self,
+        engine: &mut LlmEngine,
+        place: &Placement,
+        stepped: &Stepped,
+        until: SimTime,
+        stalled: &mut u32,
+    ) -> IntervalStats {
+        let (snap, div) = (&stepped.snap, &place.div);
+        let no_smt = SmtImpact {
+            au_compute_slowdown: 1.0,
+            au_memory_slowdown: 1.0,
+            be_slowdown: 1.0,
         };
+        let (high_smt, low_smt) = place.smt.unwrap_or((no_smt, no_smt));
         // While a phase actually runs it gets its time-averaged grant
         // compressed into its busy window, capped by the pool.
-        let sustainable = platform.pool().sustainable().value();
-        let grant_bw = |idx: usize, duty: f64, min_gbs: f64| -> GbPerSec {
-            let g = snap.bw_grants[idx].granted.value() / duty.max(0.05);
-            GbPerSec(g.clamp(min_gbs, sustainable))
+        let region = |idx: usize, level, smt: SmtImpact| RegionResources {
+            cores: match place.engine_mode {
+                EngineMode::TimeMultiplexed => div.au_cores(),
+                EngineMode::Partitioned => div.cores(level),
+            },
+            freq_ghz: snap.freqs[idx].value(),
+            bandwidth: GbPerSec(
+                (snap.bw_grants[idx].granted.value() / stepped.loads[idx].duty.max(0.05))
+                    .clamp(2.0, stepped.sustainable),
+            ),
+            memory_penalty: crate::calib::au_llc_penalty(&self.cfg.platform, level, place.au_llc)
+                * smt.au_memory_slowdown,
+            compute_penalty: smt.au_compute_slowdown,
         };
-        let prefill_llc_pen = crate::calib::au_llc_penalty(spec, AuUsageLevel::High, au_llc);
-        let decode_llc_pen = crate::calib::au_llc_penalty(spec, AuUsageLevel::Low, au_llc);
         let res = EngineResources {
-            prefill: RegionResources {
-                cores: engine_cores(div.cores(AuUsageLevel::High)),
-                freq_ghz: snap.freqs[IDX_HIGH].value(),
-                bandwidth: grant_bw(IDX_HIGH, prefill_duty, 2.0),
-                memory_penalty: prefill_llc_pen * high_smt_m,
-                compute_penalty: high_smt_c,
-            },
-            decode: RegionResources {
-                cores: engine_cores(div.cores(AuUsageLevel::Low)),
-                freq_ghz: snap.freqs[IDX_LOW].value(),
-                bandwidth: grant_bw(IDX_LOW, decode_duty, 2.0),
-                memory_penalty: decode_llc_pen * low_smt_m,
-                compute_penalty: low_smt_c,
-            },
-            mode: decision.engine_mode,
+            prefill: region(IDX_HIGH, AuUsageLevel::High, high_smt),
+            decode: region(IDX_LOW, AuUsageLevel::Low, low_smt),
+            mode: place.engine_mode,
         };
         let stats = engine.run_interval(until, &res);
         // Wall-clock heartbeat for the run-health watchdog: a long single
@@ -694,65 +826,64 @@ pub fn try_run_experiment_traced(
         // WATCHDOG_STALL_INTERVALS consecutive intervals is a stall —
         // reported as a typed event (and a flight-recorder trigger) once
         // per episode, re-arming when progress resumes.
-        if engine.queue_len() > 0 && stats.prefill_tokens == 0 && stats.decode_tokens == 0 {
-            stall_intervals += 1;
-            if stall_intervals == WATCHDOG_STALL_INTERVALS {
-                let queue_len = engine.queue_len();
-                let detail = format!(
-                    "no serving progress for {:.1}s with {queue_len} request(s) queued",
-                    f64::from(WATCHDOG_STALL_INTERVALS) * dt_secs
-                );
-                tracer.emit(until, || Event::WatchdogStall {
-                    intervals: WATCHDOG_STALL_INTERVALS,
-                    queue_len,
-                    detail,
-                });
-            }
-        } else {
-            stall_intervals = 0;
+        if engine.queue_len() == 0 || stats.prefill_tokens > 0 || stats.decode_tokens > 0 {
+            *stalled = 0;
+            return stats;
         }
-
-        // --- 4. Integrate BE progress. ---
-        if let Some(be) = &be_profile {
-            let mut units = 0.0;
-            if div.cores(AuUsageLevel::None) > 0 {
-                let slowdown = snap.bw_grants[IDX_NONE].slowdown.max(1.0);
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::None),
-                    snap.freqs[IDX_NONE].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    1.0,
-                ) * dt_secs;
-            }
-            if decision.smt_sharing {
-                let slowdown = snap.bw_grants[IDX_SIBLING].slowdown.max(1.0);
-                let (high_i, low_i) = smt.expect("smt impacts exist when smt_sharing");
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::High),
-                    snap.freqs[IDX_HIGH].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    high_i.be_slowdown,
-                ) * dt_secs;
-                units += be.throughput(
-                    spec,
-                    div.cores(AuUsageLevel::Low),
-                    snap.freqs[IDX_LOW].value(),
-                    shared_llc,
-                    shared_l2,
-                    slowdown,
-                    low_i.be_slowdown,
-                ) * dt_secs;
-            }
-            be_units += units;
+        *stalled += 1;
+        if *stalled == WATCHDOG_STALL_INTERVALS {
+            let queue_len = engine.queue_len();
+            let detail = format!(
+                "no serving progress for {:.1}s with {queue_len} request(s) queued",
+                f64::from(WATCHDOG_STALL_INTERVALS) * self.dt_secs
+            );
+            self.tracer.emit(until, || Event::WatchdogStall {
+                intervals: WATCHDOG_STALL_INTERVALS,
+                queue_len,
+                detail,
+            });
         }
+        stats
+    }
 
-        // --- Attribution ledger. ---
+    /// BE integration: best-effort units completed this interval on
+    /// None-region cores and on the hyperthread siblings of AU cores.
+    fn be_progress(&self, place: &Placement, snap: &PlatformSnapshot) -> f64 {
+        let Some(be) = &self.be else {
+            return 0.0;
+        };
+        let (spec, div) = (&self.cfg.platform, &place.div);
+        let (llc, l2) = (place.shared_llc, place.shared_l2);
+        let units = |level, idx: usize, grant: usize, be_slowdown| {
+            let slowdown = snap.bw_grants[grant].slowdown.max(1.0);
+            let freq = snap.freqs[idx].value();
+            be.throughput(spec, div.cores(level), freq, llc, l2, slowdown, be_slowdown)
+                * self.dt_secs
+        };
+        let mut total = 0.0;
+        if div.cores(AuUsageLevel::None) > 0 {
+            total += units(AuUsageLevel::None, IDX_NONE, IDX_NONE, 1.0);
+        }
+        if let Some((high, low)) = place.smt {
+            total += units(AuUsageLevel::High, IDX_HIGH, IDX_SIBLING, high.be_slowdown);
+            total += units(AuUsageLevel::Low, IDX_LOW, IDX_SIBLING, low.be_slowdown);
+        }
+        total
+    }
+
+    /// Ledger: the interval's per-region time and energy attribution,
+    /// traced as `AttributionSample`s.
+    fn ledger_interval(
+        &self,
+        platform: &PlatformSim,
+        place: &Placement,
+        stepped: &Stepped,
+        shed: bool,
+        now: SimTime,
+    ) -> IntervalLedger {
+        let spec = &self.cfg.platform;
+        let (loads, snap, div) = (&stepped.loads, &stepped.snap, &place.div);
+        let dt_secs = self.dt_secs;
         // Decompose this interval's package power into per-region static
         // and dynamic watts, mirroring `PlatformSim`'s power closure term
         // by term: the ledger rows must re-derive `snap.power` so the
@@ -786,24 +917,25 @@ pub fn try_run_experiment_traced(
         // Cores no load claims (e.g. offlined by a fault) idle on the
         // shared account; the uncore splits into its static floor plus the
         // bandwidth-proportional remainder.
-        static_w[2] += idle_w * total_cores.saturating_sub(claimed) as f64;
+        static_w[2] += idle_w * self.total_cores.saturating_sub(claimed) as f64;
         static_w[3] += pm.uncore_power(0.0).value();
         dynamic_w[3] += pm.uncore_power(snap.bw_utilization).value() - pm.uncore_power(0.0).value();
 
         let turbo = platform.governor().turbo().value();
-        let to_fractions = |w: aum_au::topdown::WorkSplit| WorkFractions {
-            compute: w.compute,
-            l1: w.l1,
-            l2: w.l2,
-            llc: w.llc,
-            dram: w.dram,
-            contention: w.contention,
+        let work = |kind: SignatureKind, idx: usize, amp: f64| {
+            let w = signature(kind, spec).work_split(snap.bw_grants[idx].slowdown.max(1.0), amp);
+            WorkFractions {
+                compute: w.compute,
+                l1: w.l1,
+                l2: w.l2,
+                llc: w.llc,
+                dram: w.dram,
+                contention: w.contention,
+            }
         };
         let au_work = |kind: SignatureKind, idx: usize, amp: f64| -> WorkFractions {
-            let split =
-                signature(kind, spec).work_split(snap.bw_grants[idx].slowdown.max(1.0), amp);
-            let mut w = to_fractions(split);
-            if !be_present {
+            let mut w = work(kind, idx, amp);
+            if self.be.is_none() {
                 // No co-runner: pool pressure is self-inflicted (prefill
                 // and decode competing), not contention.
                 w.dram += w.contention;
@@ -811,8 +943,8 @@ pub fn try_run_experiment_traced(
             }
             w
         };
-        let (shared_busy, shared_work) = match &be_profile {
-            Some(be) if div.cores(AuUsageLevel::None) > 0 || decision.smt_sharing => {
+        let (shared_busy, shared_work) = match &self.be {
+            Some(be) if div.cores(AuUsageLevel::None) > 0 || place.smt_sharing => {
                 let (duty, idx) = if div.cores(AuUsageLevel::None) > 0 {
                     (1.0, IDX_NONE)
                 } else {
@@ -822,32 +954,29 @@ pub fn try_run_experiment_traced(
                     ActivityClass::MemoryBound => SignatureKind::Mcf,
                     _ => SignatureKind::Ads,
                 };
-                let split =
-                    signature(kind, spec).work_split(snap.bw_grants[idx].slowdown.max(1.0), 1.0);
-                (duty, to_fractions(split))
+                (duty, work(kind, idx, 1.0))
             }
             _ => (0.0, WorkFractions::all_compute()),
         };
-        let shed = manager.resilience() == Some(ResilienceMode::SafeMode);
         let region_samples = [
             RegionSample {
                 region: attrib::Region::AuHigh,
-                busy_frac: prefill_duty,
+                busy_frac: loads[IDX_HIGH].duty,
                 freq_ghz: snap.freqs[IDX_HIGH].value(),
                 unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[0],
-                work: au_work(SignatureKind::Prefill, IDX_HIGH, prefill_amp),
+                thermal_drop_ghz: stepped.pre_drop[0],
+                work: au_work(SignatureKind::Prefill, IDX_HIGH, place.prefill_amp),
                 static_j: static_w[0] * dt_secs,
                 dynamic_j: dynamic_w[0] * dt_secs,
                 shed: false,
             },
             RegionSample {
                 region: attrib::Region::AuLow,
-                busy_frac: decode_duty,
+                busy_frac: loads[IDX_LOW].duty,
                 freq_ghz: snap.freqs[IDX_LOW].value(),
                 unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[1],
-                work: au_work(SignatureKind::Decode, IDX_LOW, decode_amp),
+                thermal_drop_ghz: stepped.pre_drop[1],
+                work: au_work(SignatureKind::Decode, IDX_LOW, place.decode_amp),
                 static_j: static_w[1] * dt_secs,
                 dynamic_j: dynamic_w[1] * dt_secs,
                 shed: false,
@@ -857,7 +986,7 @@ pub fn try_run_experiment_traced(
                 busy_frac: shared_busy,
                 freq_ghz: snap.freqs[IDX_NONE].value(),
                 unlicensed_ghz: turbo,
-                thermal_drop_ghz: pre_drop[2],
+                thermal_drop_ghz: stepped.pre_drop[2],
                 work: shared_work,
                 static_j: static_w[2] * dt_secs,
                 dynamic_j: dynamic_w[2] * dt_secs,
@@ -877,10 +1006,10 @@ pub fn try_run_experiment_traced(
         ];
         let interval =
             IntervalLedger::build(now, dt_secs, snap.power.value() * dt_secs, &region_samples);
-        if tracer.is_enabled() {
+        if self.tracer.is_enabled() {
             for row in &interval.regions {
                 let (region, time, energy) = (row.region, row.time, row.energy);
-                tracer.emit(now, || Event::AttributionSample {
+                self.tracer.emit(now, || Event::AttributionSample {
                     region,
                     dt_secs,
                     time,
@@ -888,99 +1017,9 @@ pub fn try_run_experiment_traced(
                 });
             }
         }
-        ledger.intervals.push(interval);
-
-        // --- Accounting. ---
-        energy_j += snap.power.value() * dt_secs;
-        prefill_tokens += stats.prefill_tokens;
-        decode_tokens += stats.decode_tokens;
-        shared_llc_samples.record(f64::from(shared_llc));
-        shared_bw_samples.record(alloc.shared.mem_bw_frac * 100.0);
-        none_core_samples.record(div.cores(AuUsageLevel::None) as f64);
-        freq_low.push(now, snap.freqs[IDX_LOW].value());
-        power_series.push(now, snap.power.value());
-
-        // Metrics registry: counters accumulate and gauges hold the latest
-        // interval; it is snapshotted once, at the end of the run.
-        registry.counter_add("prefill_tokens", stats.prefill_tokens);
-        registry.counter_add("decode_tokens", stats.decode_tokens);
-        registry.counter_add("requests_completed", stats.completed);
-        registry.gauge_set("power_w", snap.power.value());
-        registry.gauge_set("bw_utilization", snap.bw_utilization);
-        registry.gauge_set("queue_len", state.queue_len as f64);
-        registry.gauge_set("decode_batch", state.decode_batch as f64);
-        registry.gauge_set("freq_low_ghz", snap.freqs[IDX_LOW].value());
-        registry.gauge_set("shared_llc_ways", f64::from(shared_llc));
-        registry.gauge_set("recent_ttft_p90", state.recent_ttft_p90);
-        registry.gauge_set("recent_tpot_p50", state.recent_tpot_p50);
-        tracer.emit(until, || Event::SpanClose {
-            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
-            kind: SpanKind::ControllerInterval,
-            track: span_track.clone(),
-        });
-
-        // Feedback for the next interval: demands observed while busy.
-        if stats.prefill_bw_demand.value() > 0.0 {
-            last_stats.prefill_bw_demand = stats.prefill_bw_demand;
-        }
-        if stats.decode_bw_demand.value() > 0.0 {
-            last_stats.decode_bw_demand = stats.decode_bw_demand;
-        }
-        last_stats.prefill_busy = stats.prefill_busy;
-        last_stats.decode_busy = stats.decode_busy;
-        last_power = snap.power.value();
-        last_bw_util = snap.bw_utilization;
+        interval
     }
-
-    let secs = cfg.duration.as_secs_f64();
-    let p_h = prefill_tokens as f64 / secs;
-    let p_l = decode_tokens as f64 / secs;
-    let p_n = be_units / secs;
-    let avg_power = energy_j / secs;
-    let gamma = cfg.be.map_or(0.0, Prices::gamma);
-    // Conservation gate: a ledger that does not close is a modeling bug,
-    // not a reporting nuisance — fail the run with the typed violation.
-    ledger.verify(attrib::EPSILON)?;
-    // Balance the span ledger: requests still in flight and fault windows
-    // that never recovered close at the end of the run window, so every
-    // trace yields a well-formed span forest.
-    let end = SimTime::ZERO + dt * steps as u64;
-    engine.close_open_spans(end);
-    for (idx, active) in fault_active.iter().enumerate() {
-        if *active {
-            tracer.emit(end, || Event::SpanClose {
-                id: SpanId::derive(SpanKind::FaultWindow, idx as u64).0,
-                kind: SpanKind::FaultWindow,
-                track: span_track.clone(),
-            });
-        }
-    }
-    tracer.flush();
-    let outcome = Outcome {
-        scheme: manager.name().to_owned(),
-        slo: engine.slo_report(),
-        prefill_tps: p_h,
-        decode_tps: p_l,
-        be_rate: p_n,
-        avg_power_w: avg_power,
-        efficiency: e_cpu(cfg.prices, p_h, p_l, gamma, p_n, avg_power),
-        completed: engine.completed(),
-        shared_llc_samples,
-        shared_bw_samples,
-        none_core_samples,
-        freq_low,
-        power: power_series,
-        metrics: registry.snapshot(end),
-        ledger,
-    };
-    publish_live(&outcome);
-    Ok(outcome)
 }
-
-/// Consecutive zero-progress control intervals (with work queued) before
-/// the sim-time watchdog reports a stall. At the default 500 ms interval
-/// this is 8 s of simulated dead air — far beyond any healthy pause.
-const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
 /// Publishes this run's final Prometheus exposition — the end-of-run
 /// registry snapshot plus the SLO latency histograms — to the live `/metrics`
@@ -1006,22 +1045,6 @@ fn publish_live(outcome: &Outcome) {
         &outcome.slo.tpot_req_hist,
     ));
     live.publish_exposition(text);
-}
-
-/// Picks the worse of two license locks: a High lock caps frequency lower
-/// than a Low lock, so overlapping lock faults pin to the slowest class.
-fn worse_license(current: Option<AuUsageLevel>, new: AuUsageLevel) -> AuUsageLevel {
-    fn rank(l: AuUsageLevel) -> u8 {
-        match l {
-            AuUsageLevel::None => 0,
-            AuUsageLevel::Low => 1,
-            AuUsageLevel::High => 2,
-        }
-    }
-    match current {
-        Some(c) if rank(c) >= rank(new) => c,
-        _ => new,
-    }
 }
 
 /// Removes `count` cores from a division: spare (None) cores go first,
@@ -1071,8 +1094,7 @@ fn validate(cfg: &ExperimentConfig) -> Result<(), AumError> {
 mod tests {
     use super::*;
     use crate::manager::Decision;
-    use aum_llm::engine::EngineMode;
-    use aum_platform::rdt::{RdtAllocation, ResourceVector};
+    use aum_platform::rdt::ResourceVector;
 
     /// A static manager for harness tests.
     struct Static {
@@ -1233,7 +1255,7 @@ mod tests {
         let out = run_experiment(&cfg, &mut exclusive_manager(96));
         let json = out.to_json_pretty().expect("encode");
         assert!(json.contains("\"efficiency\""));
-        assert!(json.contains("\"freq_low\""));
+        assert!(json.contains("\"ledger\""));
         let back: Outcome = serde_json::from_str(&json).expect("decode");
         assert_eq!(back.scheme, out.scheme);
         assert_eq!(back.completed, out.completed);
@@ -1243,8 +1265,8 @@ mod tests {
     fn telemetry_series_are_recorded() {
         let cfg = short_cfg(Some(BeKind::SpecJbb));
         let out = run_experiment(&cfg, &mut shared_manager(96));
-        assert_eq!(out.freq_low.len(), 120); // 60 s / 500 ms
+        assert_eq!(out.ledger.intervals.len(), 120); // 60 s / 500 ms
         assert_eq!(out.shared_llc_samples.len(), 120);
-        assert!(out.power.value_summary().mean() > 100.0);
+        assert!(out.avg_power_w > 100.0);
     }
 }

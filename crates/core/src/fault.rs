@@ -4,18 +4,21 @@
 //! when the platform misbehaves. This module scripts that misbehaviour: a
 //! [`FaultPlan`] is an ordered list of timed [`FaultEvent`]s, each naming a
 //! [`Fault`] with an activation time and an optional recovery time. The
-//! experiment harness (`crate::experiment`) replays the plan exactly at
-//! control-interval boundaries, emitting `FaultInjected` / `FaultRecovered`
-//! telemetry, and warns (`FaultOutsideWindow`) about events scheduled past
-//! the run window instead of silently dropping them.
+//! experiment harness (`crate::experiment`) replays the plan through a
+//! `FaultPlane` exactly at control-interval boundaries, emitting
+//! `FaultInjected` / `FaultRecovered` telemetry, and warns
+//! (`FaultOutsideWindow`) about events scheduled past the run window
+//! instead of silently dropping them.
 //!
 //! The taxonomy covers every failure mode the platform model already
 //! simulates — memory RAS events, cooling loss, stuck license firmware,
 //! dead cores, failed RDT MSR writes, best-effort load spikes, and lying
-//! or frozen sensors. Faults against the same subsystem compose by taking
-//! the *worst* active effect (minimum bandwidth fraction, maximum cooling
-//! loss, lowest license class), so overlapping chaos scripts stay
-//! physically meaningful.
+//! or frozen sensors. This module alone composes overlapping faults into
+//! one `FaultEffects`. Faults against the same subsystem take the *worst*
+//! active effect (minimum bandwidth fraction, maximum cooling loss, lowest
+//! license class, largest sensor noise, shortest RDT write delay, dropout
+//! if any event has it), so overlapping chaos scripts stay physically
+//! meaningful; offline core counts add and best-effort surges multiply.
 //!
 //! This plane stops at the node boundary: every fault here degrades *one*
 //! server from the inside. Node-scoped failures — whole-node crashes,
@@ -32,7 +35,13 @@
 
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
+use aum_platform::state::PlatformSim;
 use aum_platform::topology::AuUsageLevel;
+use aum_sim::span::{SpanId, SpanKind};
+use aum_sim::telemetry::{Event, Tracer};
+use aum_sim::time::SimTime;
+
+use crate::error::AumError;
 
 /// One platform failure mode the fault plane can inject.
 ///
@@ -360,6 +369,173 @@ impl Deserialize for FaultPlan {
     }
 }
 
+/// What the active faults do together, composed as the module doc says.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FaultEffects {
+    pub(crate) bandwidth_frac: f64,
+    pub(crate) cooling_loss: f64,
+    pub(crate) license_lock: Option<AuUsageLevel>,
+    pub(crate) offline_cores: usize,
+    pub(crate) be_surge: f64,
+    pub(crate) sensor_sigma: f64,
+    pub(crate) sensor_dropout: bool,
+    /// `None` while RDT writes land at once.
+    pub(crate) rdt_write_delay: Option<u32>,
+}
+
+impl FaultEffects {
+    /// A healthy platform.
+    pub(crate) const NONE: FaultEffects = FaultEffects {
+        bandwidth_frac: 1.0,
+        cooling_loss: 0.0,
+        license_lock: None,
+        offline_cores: 0,
+        be_surge: 1.0,
+        sensor_sigma: 0.0,
+        sensor_dropout: false,
+        rdt_write_delay: None,
+    };
+
+    /// Composes `faults` in the order given, which fixes the float product
+    /// of the surge factors.
+    pub(crate) fn compose<'f>(faults: impl IntoIterator<Item = &'f Fault>) -> Self {
+        let mut fx = Self::NONE;
+        for fault in faults {
+            match *fault {
+                Fault::BandwidthDegrade { frac } => fx.bandwidth_frac = fx.bandwidth_frac.min(frac),
+                Fault::ThermalRunaway { severity } => {
+                    fx.cooling_loss = fx.cooling_loss.max(severity);
+                }
+                // Levels order None < Low < High, and a higher license
+                // class caps frequency lower.
+                Fault::FrequencyLicenseLock { level } => {
+                    fx.license_lock = fx.license_lock.max(Some(level));
+                }
+                Fault::CoreOffline { count } => fx.offline_cores += count,
+                Fault::BeSurge { factor } => fx.be_surge *= factor,
+                Fault::SensorNoise { sigma } => fx.sensor_sigma = fx.sensor_sigma.max(sigma),
+                Fault::SensorDropout => fx.sensor_dropout = true,
+                Fault::RdtWriteFailure { delay_intervals: d } => {
+                    fx.rdt_write_delay = Some(fx.rdt_write_delay.map_or(d, |cur| cur.min(d)));
+                }
+            }
+        }
+        fx
+    }
+}
+
+/// One run's fault plane: the plan's edges in firing order, the active
+/// events, and their composed effects, which change only on an edge.
+pub(crate) struct FaultPlane<'a> {
+    events: &'a [FaultEvent],
+    /// `(time, event index, applies)`, stably sorted by time so
+    /// same-instant edges keep script order.
+    edges: Vec<(f64, usize, bool)>,
+    next_edge: usize,
+    active: Vec<bool>,
+    effects: FaultEffects,
+}
+
+impl<'a> FaultPlane<'a> {
+    /// Schedules a validated `plan` inside a run of `duration_secs`. An
+    /// event starting past the window is reported as `FaultOutsideWindow`;
+    /// a recovery past it leaves its fault active to the end.
+    pub(crate) fn new(plan: &'a FaultPlan, duration_secs: f64, tracer: &Tracer) -> Self {
+        let mut edges = Vec::new();
+        for (i, ev) in plan.events.iter().enumerate() {
+            if ev.at_secs >= duration_secs {
+                tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
+                    kind: ev.fault.kind_label().to_string(),
+                    at_secs: ev.at_secs,
+                    duration_secs,
+                });
+                continue;
+            }
+            edges.push((ev.at_secs, i, true));
+            if let Some(rec) = ev.recover_at_secs.filter(|&rec| rec < duration_secs) {
+                edges.push((rec, i, false));
+            }
+        }
+        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        FaultPlane {
+            events: &plan.events,
+            edges,
+            next_edge: 0,
+            active: vec![false; plan.events.len()],
+            effects: FaultEffects::NONE,
+        }
+    }
+
+    /// Fires every edge due at the interval boundary `now` in script order
+    /// (nothing is skipped, nothing fires twice), tracing each with its
+    /// fault-window span on `track`. When the active set changed, it
+    /// recomposes the effects and programs the platform-side ones into
+    /// `platform`. Returns the effects in force for the interval.
+    pub(crate) fn advance(
+        &mut self,
+        now: SimTime,
+        platform: &mut PlatformSim,
+        tracer: &Tracer,
+        track: &str,
+    ) -> Result<FaultEffects, AumError> {
+        let first = self.next_edge;
+        while let Some(&(at, idx, applies)) = self.edges.get(self.next_edge) {
+            if at > now.as_secs_f64() {
+                break;
+            }
+            self.next_edge += 1;
+            self.active[idx] = applies;
+            let (kind, id) = (self.events[idx].fault.kind_label(), window_span(idx));
+            if applies {
+                tracer.emit(now, || Event::FaultInjected {
+                    kind: kind.to_string(),
+                    detail: self.events[idx].fault.detail(),
+                });
+                tracer.emit(now, || Event::SpanOpen {
+                    id,
+                    parent: None,
+                    kind: SpanKind::FaultWindow,
+                    track: track.to_string(),
+                    label: format!("fault {kind}"),
+                });
+            } else {
+                tracer.emit(now, || Event::FaultRecovered {
+                    kind: kind.to_string(),
+                });
+                close_window(now, id, tracer, track);
+            }
+        }
+        if self.next_edge > first {
+            let active = self.events.iter().zip(&self.active).filter(|(_, on)| **on);
+            self.effects = FaultEffects::compose(active.map(|(ev, _)| &ev.fault));
+            platform.degrade_bandwidth(self.effects.bandwidth_frac)?;
+            platform.set_cooling_loss(self.effects.cooling_loss);
+            platform.set_license_lock(self.effects.license_lock);
+        }
+        Ok(self.effects)
+    }
+
+    /// Closes the window span of every fault still active at the run's
+    /// `end`, so the trace holds a well-formed span forest.
+    pub(crate) fn close_open_windows(&self, end: SimTime, tracer: &Tracer, track: &str) {
+        for (idx, _) in self.active.iter().enumerate().filter(|(_, on)| **on) {
+            close_window(end, window_span(idx), tracer, track);
+        }
+    }
+}
+
+fn window_span(idx: usize) -> u64 {
+    SpanId::derive(SpanKind::FaultWindow, idx as u64).0
+}
+
+fn close_window(at: SimTime, id: u64, tracer: &Tracer, track: &str) {
+    tracer.emit(at, || Event::SpanClose {
+        id,
+        kind: SpanKind::FaultWindow,
+        track: track.to_string(),
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,5 +598,65 @@ mod tests {
             assert!(!f.kind_label().is_empty());
             assert!(!f.detail().is_empty());
         }
+    }
+
+    #[test]
+    fn overlapping_faults_compose_by_the_documented_rules() {
+        use AuUsageLevel::{High, Low};
+        let lock = |level| Fault::FrequencyLicenseLock { level };
+        let every_kind_twice = [
+            Fault::BandwidthDegrade { frac: 0.6 },
+            Fault::BandwidthDegrade { frac: 0.3 },
+            Fault::ThermalRunaway { severity: 0.8 },
+            Fault::ThermalRunaway { severity: 1.2 },
+            lock(High),
+            lock(Low),
+            Fault::CoreOffline { count: 4 },
+            Fault::CoreOffline { count: 8 },
+            Fault::BeSurge { factor: 2.0 },
+            Fault::BeSurge { factor: 1.5 },
+            Fault::SensorNoise { sigma: 0.4 },
+            Fault::SensorNoise { sigma: 0.1 },
+            Fault::SensorDropout,
+            Fault::RdtWriteFailure { delay_intervals: 2 },
+            Fault::RdtWriteFailure { delay_intervals: 4 },
+        ];
+        let worst = FaultEffects {
+            bandwidth_frac: 0.3,
+            cooling_loss: 1.2,
+            license_lock: Some(High),
+            offline_cores: 12,
+            be_surge: 3.0,
+            sensor_sigma: 0.4,
+            sensor_dropout: true,
+            rdt_write_delay: Some(2),
+        };
+        assert_eq!(FaultEffects::compose(&every_kind_twice), worst);
+        assert_eq!(FaultEffects::compose(every_kind_twice.iter().rev()), worst);
+        assert_eq!(FaultEffects::compose(&[]), FaultEffects::NONE);
+    }
+
+    #[test]
+    fn reverting_one_of_two_overlapping_faults_keeps_the_other() {
+        let window = |from, to, fault| FaultEvent::windowed(from, to, fault);
+        let plan = FaultPlan::new(vec![
+            window(10.0, 30.0, Fault::BandwidthDegrade { frac: 0.5 }),
+            window(10.0, 30.0, Fault::BeSurge { factor: 2.0 }),
+            window(20.0, 40.0, Fault::BandwidthDegrade { frac: 0.8 }),
+            window(20.0, 40.0, Fault::BeSurge { factor: 1.5 }),
+        ]);
+        let tracer = Tracer::disabled();
+        let mut platform = PlatformSim::new(aum_platform::spec::PlatformSpec::gen_a());
+        let mut plane = FaultPlane::new(&plan, 60.0, &tracer);
+        let mut at = |secs| {
+            let fx = plane
+                .advance(SimTime::from_secs_f64(secs), &mut platform, &tracer, "t")
+                .expect("validated plan");
+            (fx.bandwidth_frac, fx.be_surge)
+        };
+        assert_eq!(at(0.0), (1.0, 1.0));
+        assert_eq!(at(25.0), (0.5, 3.0));
+        assert_eq!(at(30.0), (0.8, 1.5), "the later window outlives the first");
+        assert_eq!(at(40.0), (1.0, 1.0));
     }
 }

@@ -7,7 +7,7 @@
 //! granularity: a [`NodeFaultPlan`] scripts node-scoped failures
 //! (crash/restart, sustained straggler slowdown, network partition from
 //! the router, rolling-restart drain) with deterministic timing, and
-//! [`run_fleet`] replays them through an epoch-based router loop:
+//! [`run_fleet_traced`] replays them through an epoch-based router loop:
 //!
 //! - **Health state machine** — per epoch, every node is Healthy →
 //!   Suspect → Down (heartbeat misses), or Draining/Recovering (scripted
@@ -578,7 +578,8 @@ struct RetryBatch {
     count: u64,
 }
 
-/// Runs the fleet flow model for `cfg` under `policy`.
+/// Runs the fleet flow model for `cfg` under `policy`, tracing on
+/// `track`.
 ///
 /// `capacity_weights` is each node's share of the fleet's physical
 /// serving capacity (the AUV-profiled weights from
@@ -589,40 +590,18 @@ struct RetryBatch {
 /// Telemetry ([`Event::NodeFault`], [`Event::NodeHealthTransition`],
 /// [`Event::RequestRedispatch`], [`Event::LoadShed`],
 /// [`Event::FaultOutsideWindow`]) is emitted into `tracer` at epoch
-/// boundaries; pass [`Tracer::disabled`] to skip it.
+/// boundaries; pass [`Tracer::disabled`] to skip it. These flat events
+/// land on no track, but the span stream ([`SpanKind::FleetEpoch`] on
+/// `track`, [`SpanKind::NodeHealthEpisode`] and
+/// [`SpanKind::RedispatchHop`] on `<track>/node<i>`) keys span ids per
+/// track — callers merging several traced fleet runs into one sink (e.g.
+/// the fleet-chaos matrix) must pass a distinct track per run or the
+/// streams collide as duplicate opens.
 ///
 /// # Panics
 ///
 /// Panics if the cluster is empty, if `capacity_weights` disagrees with
 /// the server count, or if the fault plan is invalid for this fleet.
-#[must_use]
-pub fn run_fleet(
-    cfg: &ClusterConfig,
-    policy: RoutingPolicy,
-    capacity_weights: &[f64],
-    tracer: &Tracer,
-) -> FleetOutcome {
-    run_fleet_traced(
-        cfg,
-        policy,
-        capacity_weights,
-        tracer,
-        &format!("fleet/{policy}"),
-    )
-}
-
-/// [`run_fleet`] with an explicit span track name.
-///
-/// The flat events land on no track, but the span stream
-/// ([`SpanKind::FleetEpoch`] on `track`, [`SpanKind::NodeHealthEpisode`]
-/// and [`SpanKind::RedispatchHop`] on `<track>/node<i>`) keys span ids
-/// per track — callers merging several traced fleet runs into one sink
-/// (e.g. the fleet-chaos matrix) must pass a distinct track per run or
-/// the streams collide as duplicate opens.
-///
-/// # Panics
-///
-/// Same as [`run_fleet`].
 #[must_use]
 pub fn run_fleet_traced(
     cfg: &ClusterConfig,
@@ -1203,6 +1182,12 @@ mod tests {
         vec![1.0 / n as f64; n]
     }
 
+    /// An untraced run over three evenly weighted nodes.
+    fn untraced(cfg: &ClusterConfig, policy: RoutingPolicy) -> FleetOutcome {
+        let track = format!("fleet/{policy}");
+        run_fleet_traced(cfg, policy, &even_weights(3), &Tracer::disabled(), &track)
+    }
+
     fn crash_plan() -> NodeFaultPlan {
         NodeFaultPlan::single(NodeFaultEvent::permanent(0, 20.0, NodeFault::Crash))
     }
@@ -1213,7 +1198,7 @@ mod tests {
         weights: &[f64],
     ) -> (FleetOutcome, Vec<TraceRecord>) {
         let (tracer, sink) = Tracer::shared(MemorySink::new());
-        let out = run_fleet(cfg, policy, weights, &tracer);
+        let out = run_fleet_traced(cfg, policy, weights, &tracer, &format!("fleet/{policy}"));
         let records = sink.lock().expect("sink lock").records().to_vec();
         (out, records)
     }
@@ -1245,7 +1230,7 @@ mod tests {
             RoutingPolicy::AuvWeighted,
             RoutingPolicy::Failover,
         ] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = untraced(&cfg, policy);
             assert!(out.conservation_ok(), "{policy}: {out:?}");
             assert_eq!(out.dropped, 0, "{policy}");
             assert_eq!(out.shed, 0, "{policy}");
@@ -1278,7 +1263,7 @@ mod tests {
         for plan in plans {
             for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
                 let cfg = fleet_cfg(plan.clone());
-                let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+                let out = untraced(&cfg, policy);
                 assert!(
                     out.conservation_ok(),
                     "{policy}: dispatched {} != completed {} + redispatched {} + shed {} + dropped {}",
@@ -1295,18 +1280,8 @@ mod tests {
     #[test]
     fn failover_beats_static_routing_under_a_crash() {
         let cfg = fleet_cfg(crash_plan());
-        let failover = run_fleet(
-            &cfg,
-            RoutingPolicy::Failover,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
-        let stat = run_fleet(
-            &cfg,
-            RoutingPolicy::AuvWeighted,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let failover = untraced(&cfg, RoutingPolicy::Failover);
+        let stat = untraced(&cfg, RoutingPolicy::AuvWeighted);
         assert!(
             failover.attainment >= 0.8,
             "failover must retain >= 80%: {}",
@@ -1376,22 +1351,12 @@ mod tests {
             50.0,
             NodeFault::Drain,
         )));
-        let failover = run_fleet(
-            &cfg,
-            RoutingPolicy::Failover,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let failover = untraced(&cfg, RoutingPolicy::Failover);
         assert_eq!(
             failover.redispatched, 0,
             "the router is told about drains before traffic strands"
         );
-        let stat = run_fleet(
-            &cfg,
-            RoutingPolicy::AuvWeighted,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let stat = untraced(&cfg, RoutingPolicy::AuvWeighted);
         assert!(
             stat.redispatched > 0,
             "a static router keeps routing into the draining node"
@@ -1444,18 +1409,8 @@ mod tests {
             )),
             "sustained slowdown must surface through the violation signal"
         );
-        let failover = run_fleet(
-            &cfg,
-            RoutingPolicy::Failover,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
-        let stat = run_fleet(
-            &cfg,
-            RoutingPolicy::AuvWeighted,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let failover = untraced(&cfg, RoutingPolicy::Failover);
+        let stat = untraced(&cfg, RoutingPolicy::AuvWeighted);
         assert!(
             failover.attainment > stat.attainment,
             "down-weighting the straggler must pay: {} vs {}",
@@ -1508,12 +1463,7 @@ mod tests {
         ]);
         assert!(dup.validate_for(3).is_ok());
         let cfg = fleet_cfg(dup);
-        let out = run_fleet(
-            &cfg,
-            RoutingPolicy::Failover,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let out = untraced(&cfg, RoutingPolicy::Failover);
         assert!(out.conservation_ok());
     }
 
@@ -1525,17 +1475,12 @@ mod tests {
         cfg.total_rate = 30.0 * 1.6;
         cfg.fleet.capacity_margin = 1.3 / 1.6;
         for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = untraced(&cfg, policy);
             assert!(out.shed > 0, "{policy} must shed under overload");
             assert!(out.conservation_ok(), "{policy}: {out:?}");
             assert!(out.node_conservation_ok(), "{policy}: {out:?}");
         }
-        let stat = run_fleet(
-            &cfg,
-            RoutingPolicy::AuvWeighted,
-            &even_weights(3),
-            &Tracer::disabled(),
-        );
+        let stat = untraced(&cfg, RoutingPolicy::AuvWeighted);
         assert!(stat.dropped > 0, "static routing must also drop");
         // The identity is falsifiable: any single-counter perturbation
         // breaks it.
@@ -1551,7 +1496,7 @@ mod tests {
     fn node_rollup_partitions_fleet_totals() {
         let cfg = fleet_cfg(crash_plan());
         for policy in [RoutingPolicy::AuvWeighted, RoutingPolicy::Failover] {
-            let out = run_fleet(&cfg, policy, &even_weights(3), &Tracer::disabled());
+            let out = untraced(&cfg, policy);
             assert_eq!(out.node_metrics.len(), 3, "{policy}");
             assert!(out.node_conservation_ok(), "{policy}: {out:?}");
             assert!(

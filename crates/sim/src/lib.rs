@@ -14,10 +14,9 @@
 //!   `/metrics` endpoint ([`live::MetricsServer`]) and a wall-clock stall
 //!   watchdog ([`live::Watchdog`]);
 //! - [`rng`]: labelled deterministic random streams derived from one seed;
-//! - [`stats`]: streaming summaries, exact quantiles, CDFs;
+//! - [`stats`]: retained samples, exact quantiles, CDFs;
 //! - [`hist`]: mergeable log-linear (HDR-style) latency histograms with
 //!   fixed bucket boundaries and deterministic merge ([`hist::LogHistogram`]);
-//! - [`series`]: zero-order-hold time series for telemetry;
 //! - [`telemetry`]: typed event tracing ([`telemetry::Event`],
 //!   [`telemetry::TraceSink`], [`telemetry::Tracer`]) and a metrics
 //!   registry snapshotted on demand;
@@ -70,7 +69,6 @@ pub mod prof;
 pub mod prom;
 pub mod report;
 pub mod rng;
-pub mod series;
 pub mod span;
 pub mod stats;
 pub mod telemetry;
@@ -85,7 +83,7 @@ pub use hist::LogHistogram;
 pub use live::{LiveState, MetricsServer, Watchdog};
 pub use rng::DetRng;
 pub use span::{collect_spans, SpanError, SpanForest, SpanId, SpanKind, SpanNode};
-pub use stats::{Samples, Summary};
+pub use stats::Samples;
 pub use telemetry::{
     Event, JsonlSink, MemorySink, MetricsRegistry, MetricsSnapshot, NullSink, OrderingSink,
     TraceParseError, TraceRecord, TraceSink, Tracer,

@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec;
 use crate::flight::FlightStats;
+use crate::prom::escape_label_value;
 
 /// Exit code of a [`Watchdog`]-terminated process.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
@@ -145,7 +146,7 @@ impl LiveState {
             out.push_str("# TYPE aum_phase_info gauge\n");
             out.push_str(&format!(
                 "aum_phase_info{{phase=\"{}\"}} 1\n",
-                escape_label(&phase.0)
+                escape_label_value(&phase.0)
             ));
         }
         gauge(
@@ -261,7 +262,7 @@ impl LiveState {
             for n in &snap.nodes {
                 out.push_str(&format!(
                     "aum_selftime_seconds{{scope=\"{}\"}} {}\n",
-                    escape_label(&n.path),
+                    escape_label_value(&n.path),
                     n.total_nanos as f64 / 1e9,
                 ));
             }
@@ -272,7 +273,7 @@ impl LiveState {
             for n in &snap.nodes {
                 out.push_str(&format!(
                     "aum_selftime_calls{{scope=\"{}\"}} {}\n",
-                    escape_label(&n.path),
+                    escape_label_value(&n.path),
                     n.calls,
                 ));
             }
@@ -321,14 +322,6 @@ impl LiveState {
             );
         }
     }
-}
-
-/// Escapes a Prometheus label value (backslash, quote, newline).
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// Installs a fresh [`LiveState`] as the process-global snapshot the

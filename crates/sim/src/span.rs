@@ -49,7 +49,7 @@ pub enum SpanKind {
     /// One injected fault's active window.
     FaultWindow,
     /// One routing epoch of the fleet loop ([`crate::telemetry::Event`]
-    /// stream from `run_fleet`), on the fleet track.
+    /// stream from `run_fleet_traced`), on the fleet track.
     FleetEpoch,
     /// One contiguous unhealthy window of a node (Suspect/Down/Draining/
     /// Recovering), on that node's per-node track.

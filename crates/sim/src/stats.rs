@@ -1,135 +1,13 @@
-//! Streaming and batch statistics used across the reproduction.
+//! Batch statistics used across the reproduction.
 //!
 //! The paper reports 50% ("average" in its bucket tables), 90% tail, and
-//! full CDFs of performance and resource allocations. [`Summary`] provides
-//! streaming moments; [`Samples`] retains observations for exact quantiles
-//! and CDF extraction. [`quantile_in_place`] is the one exact-quantile rule,
-//! also usable on a caller-owned scratch slice; [`run_length_quantiles`]
-//! applies the same rule to a run-length encoded window without expanding
-//! it.
+//! full CDFs of performance and resource allocations. [`Samples`] retains
+//! observations for exact quantiles and CDF extraction.
+//! [`quantile_in_place`] is the one exact-quantile rule, also usable on a
+//! caller-owned scratch slice; [`run_length_quantiles`] applies the same
+//! rule to a run-length encoded window without expanding it.
 
 use serde::{Deserialize, Serialize};
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use aum_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation. Non-finite values are ignored (and counted
-    /// nowhere) so a single degenerate model step cannot poison a report.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 when fewer than two observations.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or +inf when empty.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation, or -inf when empty.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Retained sample set with exact quantiles and CDF extraction.
 ///
@@ -243,16 +121,6 @@ impl Samples {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Converts to a streaming [`Summary`].
-    #[must_use]
-    pub fn summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for &v in &self.values {
-            s.record(v);
-        }
-        s
-    }
 }
 
 fn cmp_finite(a: &f64, b: &f64) -> std::cmp::Ordering {
@@ -365,62 +233,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_moments() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_ignores_non_finite() {
-        let mut s = Summary::new();
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        s.record(3.0);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), 3.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let mut all = Summary::new();
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for i in 0..100 {
-            let v = (i as f64).sin() * 10.0;
-            all.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        let before = a.mean();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = Summary::new();
-        empty.merge(&a);
-        assert_eq!(empty.mean(), before);
-    }
-
-    #[test]
     fn quantiles_interpolate() {
         let s: Samples = (0..=10).map(f64::from).collect();
         assert_eq!(s.quantile(0.0), 0.0);
@@ -461,8 +273,6 @@ mod tests {
         s.extend([3.0, 1.0, 2.0]);
         assert_eq!(s.values(), &[3.0, 1.0, 2.0]);
         assert_eq!(s.len(), 3);
-        let summary = s.summary();
-        assert_eq!(summary.count(), 3);
-        assert!((summary.mean() - 2.0).abs() < 1e-12);
+        assert!((s.mean() - 2.0).abs() < 1e-12);
     }
 }

@@ -371,7 +371,7 @@ pub enum Event {
         epoch: u64,
     },
     /// One fleet node's metrics registry, snapshotted at an epoch boundary
-    /// (emitted by `aum::fleet::run_fleet` on health transitions so the
+    /// (emitted by `aum::fleet::run_fleet_traced` on health transitions so the
     /// flight recorder can pin the offending node's state into `node-down`
     /// incident dumps — see [`crate::flight`]).
     NodeMetricsSnapshot {

@@ -7,7 +7,7 @@ use aum_sim::attrib::{
 };
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{quantile_in_place, run_length_quantiles, Samples, Summary};
+use aum_sim::stats::{quantile_in_place, run_length_quantiles, Samples};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -187,24 +187,6 @@ proptest! {
                 "window {} of {} tokens at q {}", window, total, q
             );
         }
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential(values in prop::collection::vec(-1e6f64..1e6, 2..100), split in 1usize..99) {
-        let split = split.min(values.len() - 1);
-        let mut all = Summary::new();
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for (i, &v) in values.iter().enumerate() {
-            all.record(v);
-            if i < split { left.record(v) } else { right.record(v) }
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), all.count());
-        prop_assert!((left.mean() - all.mean()).abs() <= 1e-6 * (1.0 + all.mean().abs()));
-        prop_assert!((left.variance() - all.variance()).abs() <= 1e-4 * (1.0 + all.variance().abs()));
-        prop_assert_eq!(left.min().to_bits(), all.min().to_bits());
-        prop_assert_eq!(left.max().to_bits(), all.max().to_bits());
     }
 
     #[test]

@@ -7,13 +7,14 @@
 use aum::baselines::{AllAu, StaticBest};
 use aum::controller::AumController;
 use aum::experiment::{
-    run_experiment, run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan,
+    run_experiment, try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan,
+    Outcome,
 };
 use aum::profiler::{build_model, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::AuUsageLevel;
-use aum_sim::telemetry::{Event, MemorySink, Tracer};
+use aum_sim::telemetry::{Event, MemorySink, RegionClass, TraceRecord, Tracer};
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -22,6 +23,55 @@ fn cfg_with(be: Option<BeKind>, secs: u64, fault: FaultPlan) -> ExperimentConfig
     cfg.duration = SimDuration::from_secs(secs);
     cfg.fault = fault;
     cfg
+}
+
+/// Runs `cfg` under ALL-AU and returns the outcome with its full trace.
+fn traced_all_au(cfg: &ExperimentConfig) -> (Outcome, Vec<TraceRecord>) {
+    let (tracer, sink) = Tracer::shared(MemorySink::new());
+    let out = try_run_experiment_traced(cfg, &mut AllAu::new(&cfg.platform), tracer)
+        .expect("a valid fault plan runs");
+    let records = sink.lock().expect("sink lock").records().to_vec();
+    (out, records)
+}
+
+/// The Low region's frequency in each control interval as
+/// `(interval start in s, GHz)`, rebuilt from the trace: the platform
+/// emits `FreqTransition` at an interval's start when the frequency moves
+/// by more than 1 MHz, so the value holds between events. Before the
+/// first event it is that event's `from_ghz`.
+fn low_freq_per_interval(out: &Outcome, records: &[TraceRecord]) -> Vec<(f64, f64)> {
+    let transitions: Vec<_> = records
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::FreqTransition {
+                region: RegionClass::Low,
+                from_ghz,
+                to_ghz,
+            } => Some((r.at, from_ghz, to_ghz)),
+            _ => None,
+        })
+        .collect();
+    let mut freq = transitions
+        .first()
+        .map_or(out.metrics.gauges["freq_low_ghz"], |t| t.1);
+    let mut pending = transitions.iter().peekable();
+    let per_interval: Vec<_> = out
+        .ledger
+        .intervals
+        .iter()
+        .map(|iv| {
+            while let Some(&(_, _, to_ghz)) = pending.next_if(|t| t.0 <= iv.at) {
+                freq = to_ghz;
+            }
+            (iv.at.as_secs_f64(), freq)
+        })
+        .collect();
+    let last = per_interval.last().expect("one ledger row per interval").1;
+    assert!(
+        (last - out.metrics.gauges["freq_low_ghz"]).abs() <= 1e-3,
+        "the rebuilt frequency ends at the final gauge"
+    );
+    per_interval
 }
 
 /// Memory RAS event at t=120 s: pool collapses to 60% of spec.
@@ -101,13 +151,12 @@ fn thermal_runaway_throttles_then_recovers() {
         &cfg_with(None, 240, FaultPlan::none()),
         &mut AllAu::new(&spec),
     );
-    let faulted = run_experiment(&cfg_with(None, 240, plan), &mut AllAu::new(&spec));
+    let (faulted, records) = traced_all_au(&cfg_with(None, 240, plan));
     // The throttle is visible in the decode-region frequency telemetry
     // during the fault window (reservoirs heat within a few seconds)...
-    let min_in_window = faulted
-        .freq_low
-        .iter()
-        .filter(|(t, _)| (70.0..150.0).contains(&t.as_secs_f64()))
+    let min_in_window = low_freq_per_interval(&faulted, &records)
+        .into_iter()
+        .filter(|(t, _)| (70.0..150.0).contains(t))
         .map(|(_, f)| f)
         .fold(f64::INFINITY, f64::min);
     assert!(
@@ -115,7 +164,7 @@ fn thermal_runaway_throttles_then_recovers() {
         "cooling loss must throttle the Low region below its license: {min_in_window}"
     );
     // ...and releases after cooling is restored (hysteresis + decay lag).
-    let end_freq = faulted.freq_low.last_value().expect("series nonempty");
+    let end_freq = faulted.metrics.gauges["freq_low_ghz"];
     assert!(
         end_freq > 3.0,
         "throttle must release after recovery: {end_freq}"
@@ -146,13 +195,12 @@ fn license_lock_pins_decode_at_the_amx_curve() {
         &cfg_with(None, 180, FaultPlan::none()),
         &mut AllAu::new(&spec),
     );
-    let faulted = run_experiment(&cfg_with(None, 180, plan), &mut AllAu::new(&spec));
+    let (faulted, records) = traced_all_au(&cfg_with(None, 180, plan));
     // Every post-fault interval runs the Low region at the AMX license
     // point instead of its 3.1 GHz AVX license.
-    let post_fault: Vec<f64> = faulted
-        .freq_low
-        .iter()
-        .filter(|(t, _)| t.as_secs_f64() >= 30.0)
+    let post_fault: Vec<f64> = low_freq_per_interval(&faulted, &records)
+        .into_iter()
+        .filter(|(t, _)| *t >= 30.0)
         .map(|(_, f)| f)
         .collect();
     assert!(!post_fault.is_empty());
@@ -160,7 +208,7 @@ fn license_lock_pins_decode_at_the_amx_curve() {
         post_fault.iter().all(|f| *f < 2.6),
         "decode must be pinned below the AMX license once locked"
     );
-    let healthy_freq = healthy.freq_low.last_value().expect("series nonempty");
+    let healthy_freq = healthy.metrics.gauges["freq_low_ghz"];
     assert!(healthy_freq > 3.0, "healthy decode holds the AVX license");
     // Decode is bandwidth-bound on gen_a, so serving degrades gracefully
     // rather than collapsing with the frequency.
@@ -224,11 +272,12 @@ fn persistent_collapse_drives_aum_into_safe_mode() {
     ));
     let (tracer, sink) = Tracer::shared(MemorySink::new());
     let mut ctl = AumController::new(model);
-    let out = run_experiment_traced(
+    let out = try_run_experiment_traced(
         &cfg_with(Some(BeKind::SpecJbb), 180, plan),
         &mut ctl,
         tracer,
-    );
+    )
+    .expect("a valid fault plan runs");
     assert!(
         ctl.safe_mode_entries() >= 1,
         "persistent breach pressure must reach safe mode"
@@ -263,11 +312,12 @@ fn multi_fault_chaos_script_emits_ordered_telemetry() {
         FaultEvent::permanent(400.0, Fault::CoreOffline { count: 4 }),
     ]);
     let (tracer, sink) = Tracer::shared(MemorySink::new());
-    let out = run_experiment_traced(
+    let out = try_run_experiment_traced(
         &cfg_with(Some(BeKind::SpecJbb), 180, plan),
         &mut AllAu::new(&spec),
         tracer,
-    );
+    )
+    .expect("a valid fault plan runs");
     let records = sink.lock().expect("sink lock").records().to_vec();
     let injected: Vec<_> = records
         .iter()
