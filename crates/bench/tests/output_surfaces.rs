@@ -154,6 +154,18 @@ fn every_output_surface_matches_its_golden() {
         }
     }
 
+    // The full node-fault matrix: straggler, partition, rolling-drain and
+    // the multi-fault script run only here.
+    let stdout = repro(
+        &dir,
+        &["fleet-chaos", "--jobs", "2", "--trace", "fleet_chaos.jsonl"],
+    );
+    texts.push(("fleet_chaos.txt", stdout));
+    digests.push((
+        "fleet_chaos.jsonl".into(),
+        fnv1a(&read("fleet_chaos.jsonl")),
+    ));
+
     let stdout = repro(&dir, &["perf-report", "fig14", "--quick", "--jobs", "2"]);
     let start = stdout
         .find("== perf-report: fig14 (deterministic) ==")
