@@ -1,14 +1,13 @@
-//! Scripted fault-injection plane.
+//! Scripted fault-injection plane, and the fault-script core both fault
+//! planes share.
 //!
 //! The paper's promise (§VI–VII) is a controller that keeps SLOs intact
 //! when the platform misbehaves. This module scripts that misbehaviour: a
 //! [`FaultPlan`] is an ordered list of timed [`FaultEvent`]s, each naming a
 //! [`Fault`] with an activation time and an optional recovery time. The
 //! experiment harness (`crate::experiment`) replays the plan through a
-//! `FaultPlane` exactly at control-interval boundaries, emitting
-//! `FaultInjected` / `FaultRecovered` telemetry, and warns
-//! (`FaultOutsideWindow`) about events scheduled past the run window
-//! instead of silently dropping them.
+//! `FaultPlane` at control-interval boundaries, emitting `FaultInjected` /
+//! `FaultRecovered` telemetry.
 //!
 //! The taxonomy covers every failure mode the platform model already
 //! simulates — memory RAS events, cooling loss, stuck license firmware,
@@ -20,18 +19,20 @@
 //! if any event has it), so overlapping chaos scripts stay physically
 //! meaningful; offline core counts add and best-effort surges multiply.
 //!
-//! This plane stops at the node boundary: every fault here degrades *one*
-//! server from the inside. Node-scoped failures — whole-node crashes,
-//! stragglers, router partitions, rolling-restart drains — live in the
-//! fleet resilience plane ([`crate::fleet::NodeFaultPlan`]), which reuses
-//! this module's scripting conventions (deterministic activation times,
-//! optional recovery, `null`-tolerant serde) at cluster granularity.
-//!
-//! Serde back-compat: older configs carried
-//! `"fault": {"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}` or
-//! `"fault": null`. [`FaultPlan`]'s hand-written `Deserialize` accepts both
-//! legacy shapes alongside the new `{"events": [...]}` form, so existing
-//! experiment JSON keeps loading.
+//! Node-scoped failures (crashes, stragglers, partitions, drains) live in
+//! the fleet plane, whose [`crate::fleet::NodeFaultPlan`] is this module's
+//! [`FaultScript`] too. So one set of rules holds for both planes: a
+//! script sorts its events by activation time, validates their timing and
+//! parameters, renders empty as `null`, and decodes `null`, a bare event
+//! list or `{"events": [...]}`. Its `FaultPlane` fires an edge
+//! (activation or recovery) at the first run boundary at or after its
+//! time, in time order with script order on ties; an event no boundary
+//! reaches is reported once as `FaultOutsideWindow`, and a recovery no
+//! boundary reaches leaves its fault active to the end. [`FaultPlan`] also
+//! still decodes the legacy single-fault shape
+//! `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`.
+
+use std::cmp::Ordering;
 
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
@@ -141,53 +142,6 @@ impl Fault {
             Fault::SensorDropout => "sensor readback frozen".into(),
         }
     }
-
-    /// Checks the fault's parameters are physically meaningful.
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            Fault::BandwidthDegrade { frac } => {
-                if frac > 0.0 && frac <= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "BandwidthDegrade frac must be in (0, 1], got {frac}"
-                    ))
-                }
-            }
-            Fault::ThermalRunaway { severity } => {
-                if severity.is_finite() && severity >= 0.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "ThermalRunaway severity must be finite and >= 0, got {severity}"
-                    ))
-                }
-            }
-            Fault::BeSurge { factor } => {
-                if factor.is_finite() && factor > 0.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "BeSurge factor must be finite and positive, got {factor}"
-                    ))
-                }
-            }
-            Fault::SensorNoise { sigma } => {
-                if sigma.is_finite() && sigma >= 0.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "SensorNoise sigma must be finite and >= 0, got {sigma}"
-                    ))
-                }
-            }
-            Fault::CoreOffline { count: 0 } => Err("CoreOffline count must be > 0".into()),
-            Fault::FrequencyLicenseLock { .. }
-            | Fault::CoreOffline { .. }
-            | Fault::RdtWriteFailure { .. }
-            | Fault::SensorDropout => Ok(()),
-        }
-    }
 }
 
 /// One scheduled fault: what, when, and (optionally) until when.
@@ -226,36 +180,110 @@ impl FaultEvent {
     }
 }
 
-/// An ordered script of timed fault events — the chaos run's screenplay.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    /// The scripted events, sorted by activation time.
-    pub events: Vec<FaultEvent>,
+impl ScriptEvent for FaultEvent {
+    fn window(&self) -> (f64, Option<f64>) {
+        (self.at_secs, self.recover_at_secs)
+    }
+
+    fn kind_label(&self) -> &'static str {
+        self.fault.kind_label()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let problem = match self.fault {
+            Fault::BandwidthDegrade { frac } if !(frac > 0.0 && frac <= 1.0) => {
+                format!("BandwidthDegrade frac must be in (0, 1], got {frac}")
+            }
+            Fault::ThermalRunaway { severity } if !(severity.is_finite() && severity >= 0.0) => {
+                format!("ThermalRunaway severity must be finite and >= 0, got {severity}")
+            }
+            Fault::BeSurge { factor } if !(factor.is_finite() && factor > 0.0) => {
+                format!("BeSurge factor must be finite and positive, got {factor}")
+            }
+            Fault::SensorNoise { sigma } if !(sigma.is_finite() && sigma >= 0.0) => {
+                format!("SensorNoise sigma must be finite and >= 0, got {sigma}")
+            }
+            Fault::CoreOffline { count: 0 } => "CoreOffline count must be > 0".into(),
+            _ => return Ok(()),
+        };
+        Err(problem)
+    }
+
+    fn legacy(content: &Content) -> Result<Self, DeError> {
+        let at_secs = match content {
+            // `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`: the
+            // timing lived inside the variant body back then, so it is
+            // lifted out here; the Fault derive ignores the extra key.
+            Content::Map(entries) if entries.len() == 1 => match &entries[0].1 {
+                Content::Map(body) => content_get(body, "at_secs")
+                    .map(f64::from_content)
+                    .transpose()?,
+                _ => None,
+            },
+            // A unit variant as a bare string.
+            Content::Str(_) => None,
+            other => return Err(DeError::expected("fault plan", "FaultPlan", other)),
+        };
+        let fault = Fault::from_content(content)?;
+        Ok(FaultEvent::permanent(at_secs.unwrap_or(0.0), fault))
+    }
 }
 
-impl FaultPlan {
+/// One timed event of a [`FaultScript`]: a [`FaultEvent`] on one server's
+/// platform, a [`crate::fleet::NodeFaultEvent`] on the fleet's nodes.
+pub trait ScriptEvent: Serialize + Deserialize {
+    /// Activation time and optional recovery time, seconds from run start.
+    fn window(&self) -> (f64, Option<f64>);
+
+    /// Stable label of the fault kind, for telemetry.
+    fn kind_label(&self) -> &'static str;
+
+    /// Checks the fault's parameters are meaningful.
+    fn check(&self) -> Result<(), String>;
+
+    /// Decodes a plan shape older than the event list; by default there
+    /// is none.
+    fn legacy(content: &Content) -> Result<Self, DeError> {
+        Err(DeError::expected("fault plan", "FaultScript", content))
+    }
+}
+
+/// An ordered script of timed fault events — a chaos run's screenplay.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultScript<E> {
+    /// The scripted events, sorted by activation time.
+    pub events: Vec<E>,
+}
+
+/// One server's platform-fault script.
+pub type FaultPlan = FaultScript<FaultEvent>;
+
+impl<E> Default for FaultScript<E> {
+    fn default() -> Self {
+        FaultScript { events: Vec::new() }
+    }
+}
+
+impl<E: ScriptEvent> FaultScript<E> {
     /// A healthy run: no faults.
     #[must_use]
     pub fn none() -> Self {
-        FaultPlan::default()
+        Self::default()
     }
 
     /// A plan of the given events, sorted by activation time (stable for
     /// ties, so same-instant events apply in authoring order).
     #[must_use]
-    pub fn new(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by(|a, b| {
-            a.at_secs
-                .partial_cmp(&b.at_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        FaultPlan { events }
+    pub fn new(mut events: Vec<E>) -> Self {
+        let at = |ev: &E| ev.window().0;
+        events.sort_by(|a, b| at(a).partial_cmp(&at(b)).unwrap_or(Ordering::Equal));
+        FaultScript { events }
     }
 
     /// A single-event plan.
     #[must_use]
-    pub fn single(event: FaultEvent) -> Self {
-        FaultPlan {
+    pub fn single(event: E) -> Self {
+        FaultScript {
             events: vec![event],
         }
     }
@@ -266,39 +294,37 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Checks every event for physically meaningful parameters and sane
-    /// timing.
+    /// Checks every event for meaningful parameters and sane timing.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed event.
     pub fn validate(&self) -> Result<(), String> {
         for (i, ev) in self.events.iter().enumerate() {
-            if !(ev.at_secs.is_finite() && ev.at_secs >= 0.0) {
+            let (at, recover) = ev.window();
+            if !(at.is_finite() && at >= 0.0) {
                 return Err(format!(
-                    "event {i}: at_secs must be finite and >= 0, got {}",
-                    ev.at_secs
+                    "event {i}: at_secs must be finite and >= 0, got {at}"
                 ));
             }
-            if let Some(rec) = ev.recover_at_secs {
-                if !(rec.is_finite() && rec > ev.at_secs) {
+            if let Some(rec) = recover {
+                if !(rec.is_finite() && rec > at) {
                     return Err(format!(
-                        "event {i}: recover_at_secs must be finite and > at_secs ({}), got {rec}",
-                        ev.at_secs
+                        "event {i}: recover_at_secs must be finite and > at_secs ({at}), got {rec}"
                     ));
                 }
             }
-            ev.fault.validate().map_err(|e| format!("event {i}: {e}"))?;
+            ev.check().map_err(|e| format!("event {i}: {e}"))?;
         }
         Ok(())
     }
 }
 
-impl Serialize for FaultPlan {
+impl<E: ScriptEvent> Serialize for FaultScript<E> {
     fn to_content(&self) -> Content {
         if self.events.is_empty() {
-            // Keep the healthy default rendering as `"fault": null`, the
-            // shape pre-FaultPlan configs used.
+            // The healthy default renders as `null`, the shape configs
+            // written before fault scripts degrade to.
             return Content::Null;
         }
         Content::Map(vec![(
@@ -308,63 +334,24 @@ impl Serialize for FaultPlan {
     }
 }
 
-/// Variant names of [`Fault`] recognized in the legacy single-fault shape.
-const FAULT_VARIANTS: [&str; 8] = [
-    "BandwidthDegrade",
-    "ThermalRunaway",
-    "FrequencyLicenseLock",
-    "CoreOffline",
-    "RdtWriteFailure",
-    "BeSurge",
-    "SensorNoise",
-    "SensorDropout",
-];
-
-impl Deserialize for FaultPlan {
+impl<E: ScriptEvent> Deserialize for FaultScript<E> {
     fn from_content(content: &Content) -> Result<Self, DeError> {
-        let events: Vec<FaultEvent> = match content {
-            // Old configs: `"fault": null`.
-            Content::Null => Vec::new(),
-            // New shape: `{"events": [...]}`.
-            Content::Map(entries) if content_get(entries, "events").is_some() => {
-                let seq = content_get(entries, "events").expect("checked");
-                match seq {
-                    Content::Seq(items) => items
-                        .iter()
-                        .map(FaultEvent::from_content)
-                        .collect::<Result<_, _>>()?,
-                    other => return Err(DeError::expected("sequence", "FaultPlan.events", other)),
-                }
-            }
-            // Bare list of events.
-            Content::Seq(items) => items
-                .iter()
-                .map(FaultEvent::from_content)
-                .collect::<Result<_, _>>()?,
-            // Legacy single-fault shape, externally tagged:
-            // `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`.
-            // The timing field lived inside the variant body back then, so
-            // it is lifted out here; the Fault derive ignores the extra key.
-            Content::Map(entries)
-                if entries.len() == 1 && FAULT_VARIANTS.contains(&entries[0].0.as_str()) =>
-            {
-                let fault = Fault::from_content(content)?;
-                let at_secs = match &entries[0].1 {
-                    Content::Map(body) => match content_get(body, "at_secs") {
-                        Some(v) => f64::from_content(v)?,
-                        None => 0.0,
-                    },
-                    _ => 0.0,
-                };
-                vec![FaultEvent::permanent(at_secs, fault)]
-            }
-            // Legacy unit-variant string (future-proofing the same shape).
-            Content::Str(_) => vec![FaultEvent::permanent(0.0, Fault::from_content(content)?)],
-            other => return Err(DeError::expected("fault plan", "FaultPlan", other)),
+        let listed = match content {
+            Content::Map(entries) => content_get(entries, "events"),
+            _ => None,
         };
-        let plan = FaultPlan::new(events);
+        let events: Vec<E> = match (content, listed) {
+            (Content::Null, _) => Vec::new(),
+            (_, Some(Content::Seq(items))) | (Content::Seq(items), None) => items
+                .iter()
+                .map(E::from_content)
+                .collect::<Result<_, _>>()?,
+            (_, Some(other)) => return Err(DeError::expected("sequence", "events", other)),
+            (other, None) => vec![E::legacy(other)?],
+        };
+        let plan = FaultScript::new(events);
         plan.validate()
-            .map_err(|e| DeError::custom(format!("invalid FaultPlan: {e}")))?;
+            .map_err(|e| DeError::custom(format!("invalid fault plan: {e}")))?;
         Ok(plan)
     }
 }
@@ -424,72 +411,100 @@ impl FaultEffects {
     }
 }
 
-/// One run's fault plane: the plan's edges in firing order, the active
-/// events, and their composed effects, which change only on an edge.
-pub(crate) struct FaultPlane<'a> {
-    events: &'a [FaultEvent],
+/// One run's replay of a validated fault script, by the rules in the
+/// module doc: the script's edges in firing order and which events are
+/// active.
+pub(crate) struct FaultPlane<'a, E> {
+    events: &'a [E],
     /// `(time, event index, applies)`, stably sorted by time so
     /// same-instant edges keep script order.
     edges: Vec<(f64, usize, bool)>,
     next_edge: usize,
     active: Vec<bool>,
-    effects: FaultEffects,
 }
 
-impl<'a> FaultPlane<'a> {
-    /// Schedules a validated `plan` inside a run of `duration_secs`. An
-    /// event starting past the window is reported as `FaultOutsideWindow`;
-    /// a recovery past it leaves its fault active to the end.
-    pub(crate) fn new(plan: &'a FaultPlan, duration_secs: f64, tracer: &Tracer) -> Self {
+impl<'a, E: ScriptEvent> FaultPlane<'a, E> {
+    /// Schedules `plan` on a run of `duration_secs` whose last boundary
+    /// is at `last_boundary_secs`, reporting every event that starts
+    /// after it.
+    pub(crate) fn new(
+        plan: &'a FaultScript<E>,
+        last_boundary_secs: f64,
+        duration_secs: f64,
+        tracer: &Tracer,
+    ) -> Self {
         let mut edges = Vec::new();
         for (i, ev) in plan.events.iter().enumerate() {
-            if ev.at_secs >= duration_secs {
+            let (at, recover) = ev.window();
+            if at > last_boundary_secs {
                 tracer.emit(SimTime::ZERO, || Event::FaultOutsideWindow {
-                    kind: ev.fault.kind_label().to_string(),
-                    at_secs: ev.at_secs,
+                    kind: ev.kind_label().to_string(),
+                    at_secs: at,
                     duration_secs,
                 });
                 continue;
             }
-            edges.push((ev.at_secs, i, true));
-            if let Some(rec) = ev.recover_at_secs.filter(|&rec| rec < duration_secs) {
-                edges.push((rec, i, false));
-            }
+            edges.push((at, i, true));
+            edges.extend(recover.map(|rec| (rec, i, false)));
         }
-        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
         FaultPlane {
             events: &plan.events,
             edges,
             next_edge: 0,
             active: vec![false; plan.events.len()],
-            effects: FaultEffects::NONE,
         }
     }
 
-    /// Fires every edge due at the interval boundary `now` in script order
-    /// (nothing is skipped, nothing fires twice), tracing each with its
-    /// fault-window span on `track`. When the active set changed, it
-    /// recomposes the effects and programs the platform-side ones into
-    /// `platform`. Returns the effects in force for the interval.
+    /// Fires every edge due at the boundary `now_secs` (nothing is
+    /// skipped, nothing fires twice), handing each to `fire(event index,
+    /// event, applies)`. Returns whether any fired.
     pub(crate) fn advance(
+        &mut self,
+        now_secs: f64,
+        mut fire: impl FnMut(usize, &'a E, bool),
+    ) -> bool {
+        let first = self.next_edge;
+        while let Some(&(at, idx, applies)) = self.edges.get(self.next_edge) {
+            if at > now_secs {
+                break;
+            }
+            self.next_edge += 1;
+            self.active[idx] = applies;
+            fire(idx, &self.events[idx], applies);
+        }
+        self.next_edge > first
+    }
+
+    /// The active events, with their script indices, in script order.
+    pub(crate) fn active(&self) -> impl Iterator<Item = (usize, &'a E)> + '_ {
+        let events = self.events;
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, on)| **on)
+            .map(move |(idx, _)| (idx, &events[idx]))
+    }
+}
+
+impl FaultPlane<'_, FaultEvent> {
+    /// Fires the edges due at the interval boundary `now`, tracing each
+    /// with its fault-window span on `track`. When one fired, it programs
+    /// the platform-side effects of the active faults into `platform`.
+    /// Returns the effects in force for the interval.
+    pub(crate) fn apply(
         &mut self,
         now: SimTime,
         platform: &mut PlatformSim,
         tracer: &Tracer,
         track: &str,
     ) -> Result<FaultEffects, AumError> {
-        let first = self.next_edge;
-        while let Some(&(at, idx, applies)) = self.edges.get(self.next_edge) {
-            if at > now.as_secs_f64() {
-                break;
-            }
-            self.next_edge += 1;
-            self.active[idx] = applies;
-            let (kind, id) = (self.events[idx].fault.kind_label(), window_span(idx));
+        let fired = self.advance(now.as_secs_f64(), |idx, ev, applies| {
+            let (kind, id) = (ev.fault.kind_label(), window_span(idx));
             if applies {
                 tracer.emit(now, || Event::FaultInjected {
                     kind: kind.to_string(),
-                    detail: self.events[idx].fault.detail(),
+                    detail: ev.fault.detail(),
                 });
                 tracer.emit(now, || Event::SpanOpen {
                     id,
@@ -504,21 +519,20 @@ impl<'a> FaultPlane<'a> {
                 });
                 close_window(now, id, tracer, track);
             }
+        });
+        let fx = FaultEffects::compose(self.active().map(|(_, ev)| &ev.fault));
+        if fired {
+            platform.degrade_bandwidth(fx.bandwidth_frac)?;
+            platform.set_cooling_loss(fx.cooling_loss);
+            platform.set_license_lock(fx.license_lock);
         }
-        if self.next_edge > first {
-            let active = self.events.iter().zip(&self.active).filter(|(_, on)| **on);
-            self.effects = FaultEffects::compose(active.map(|(ev, _)| &ev.fault));
-            platform.degrade_bandwidth(self.effects.bandwidth_frac)?;
-            platform.set_cooling_loss(self.effects.cooling_loss);
-            platform.set_license_lock(self.effects.license_lock);
-        }
-        Ok(self.effects)
+        Ok(fx)
     }
 
     /// Closes the window span of every fault still active at the run's
     /// `end`, so the trace holds a well-formed span forest.
     pub(crate) fn close_open_windows(&self, end: SimTime, tracer: &Tracer, track: &str) {
-        for (idx, _) in self.active.iter().enumerate().filter(|(_, on)| **on) {
+        for (idx, _) in self.active() {
             close_window(end, window_span(idx), tracer, track);
         }
     }
@@ -647,10 +661,10 @@ mod tests {
         ]);
         let tracer = Tracer::disabled();
         let mut platform = PlatformSim::new(aum_platform::spec::PlatformSpec::gen_a());
-        let mut plane = FaultPlane::new(&plan, 60.0, &tracer);
+        let mut plane = FaultPlane::new(&plan, 60.0, 60.0, &tracer);
         let mut at = |secs| {
             let fx = plane
-                .advance(SimTime::from_secs_f64(secs), &mut platform, &tracer, "t")
+                .apply(SimTime::from_secs_f64(secs), &mut platform, &tracer, "t")
                 .expect("validated plan");
             (fx.bandwidth_frac, fx.be_surge)
         };

@@ -6,8 +6,10 @@
 //! react. This module models the cluster as a *dynamic* system at router
 //! granularity: a [`NodeFaultPlan`] scripts node-scoped failures
 //! (crash/restart, sustained straggler slowdown, network partition from
-//! the router, rolling-restart drain) with deterministic timing, and
-//! [`run_fleet_traced`] replays them through an epoch-based router loop:
+//! the router, rolling-restart drain) with deterministic timing — it is
+//! [`crate::fault`]'s script type, replayed by the same rules — and
+//! [`run_fleet_traced`] replays them through an epoch-based router loop
+//! of named stages:
 //!
 //! - **Health state machine** — per epoch, every node is Healthy →
 //!   Suspect → Down (heartbeat misses), or Draining/Recovering (scripted
@@ -55,7 +57,7 @@
 //! sequence-within-epoch) — no global counters — so the stream is
 //! byte-identical at any `--jobs` level.
 
-use serde::{content_get, Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 use aum_sim::hist::LogHistogram;
 use aum_sim::span::{SpanId, SpanKind};
@@ -64,6 +66,7 @@ use aum_sim::time::SimTime;
 use aum_workloads::gpu::CpuAnchor;
 
 use crate::cluster::{ClusterConfig, RoutingPolicy};
+use crate::fault::{FaultPlane, FaultScript, ScriptEvent};
 
 /// One node-scoped failure mode the fleet fault plane can inject.
 ///
@@ -113,19 +116,6 @@ impl NodeFault {
             NodeFault::Drain => "rolling-restart drain".into(),
         }
     }
-
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            NodeFault::Straggler { factor } => {
-                if factor.is_finite() && factor > 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!("Straggler factor must be > 1, got {factor}"))
-                }
-            }
-            NodeFault::Crash | NodeFault::Partition | NodeFault::Drain => Ok(()),
-        }
-    }
 }
 
 /// One scheduled node fault: which node, what, when, and until when.
@@ -168,76 +158,33 @@ impl NodeFaultEvent {
     }
 }
 
-/// An ordered script of timed node faults — the fleet chaos screenplay.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NodeFaultPlan {
-    /// The scripted events, sorted by activation time.
-    pub events: Vec<NodeFaultEvent>,
+impl ScriptEvent for NodeFaultEvent {
+    fn window(&self) -> (f64, Option<f64>) {
+        (self.at_secs, self.recover_at_secs)
+    }
+
+    fn kind_label(&self) -> &'static str {
+        self.fault.kind_label()
+    }
+
+    fn check(&self) -> Result<(), String> {
+        match self.fault {
+            NodeFault::Straggler { factor } if !(factor.is_finite() && factor > 1.0) => {
+                Err(format!("Straggler factor must be > 1, got {factor}"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
+/// An ordered script of timed node faults — the fleet chaos screenplay.
+/// It is [`crate::fault`]'s script type, so it sorts, validates, encodes
+/// and replays by the same rules as a [`crate::fault::FaultPlan`].
+pub type NodeFaultPlan = FaultScript<NodeFaultEvent>;
+
 impl NodeFaultPlan {
-    /// A healthy fleet: no node faults.
-    #[must_use]
-    pub fn none() -> Self {
-        NodeFaultPlan::default()
-    }
-
-    /// A plan of the given events, sorted by activation time (stable for
-    /// ties, so same-instant events apply in authoring order).
-    #[must_use]
-    pub fn new(mut events: Vec<NodeFaultEvent>) -> Self {
-        events.sort_by(|a, b| {
-            a.at_secs
-                .partial_cmp(&b.at_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        NodeFaultPlan { events }
-    }
-
-    /// A single-event plan.
-    #[must_use]
-    pub fn single(event: NodeFaultEvent) -> Self {
-        NodeFaultPlan {
-            events: vec![event],
-        }
-    }
-
-    /// Whether the plan schedules anything.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Checks every event for meaningful parameters and sane timing.
-    /// Node indices are checked against the fleet size at run time via
-    /// [`NodeFaultPlan::validate_for`] (the plan alone does not know it).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed event.
-    pub fn validate(&self) -> Result<(), String> {
-        for (i, ev) in self.events.iter().enumerate() {
-            if !(ev.at_secs.is_finite() && ev.at_secs >= 0.0) {
-                return Err(format!(
-                    "event {i}: at_secs must be finite and >= 0, got {}",
-                    ev.at_secs
-                ));
-            }
-            if let Some(rec) = ev.recover_at_secs {
-                if !(rec.is_finite() && rec > ev.at_secs) {
-                    return Err(format!(
-                        "event {i}: recover_at_secs must be finite and > at_secs ({}), got {rec}",
-                        ev.at_secs
-                    ));
-                }
-            }
-            ev.fault.validate().map_err(|e| format!("event {i}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// [`NodeFaultPlan::validate`] plus node-index bounds for a fleet of
-    /// `nodes` servers.
+    /// [`FaultScript::validate`] plus node-index bounds for a fleet of
+    /// `nodes` servers (the plan alone does not know the fleet's size).
     ///
     /// # Errors
     ///
@@ -253,48 +200,6 @@ impl NodeFaultPlan {
             }
         }
         Ok(())
-    }
-}
-
-impl Serialize for NodeFaultPlan {
-    fn to_content(&self) -> Content {
-        if self.events.is_empty() {
-            // Healthy default renders as `null`, the shape legacy
-            // ClusterConfig JSON (no fleet fields at all) degrades to.
-            return Content::Null;
-        }
-        Content::Map(vec![(
-            "events".to_string(),
-            Content::Seq(self.events.iter().map(Serialize::to_content).collect()),
-        )])
-    }
-}
-
-impl Deserialize for NodeFaultPlan {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let events: Vec<NodeFaultEvent> = match content {
-            Content::Null => Vec::new(),
-            Content::Map(entries) if content_get(entries, "events").is_some() => {
-                match content_get(entries, "events").expect("checked") {
-                    Content::Seq(items) => items
-                        .iter()
-                        .map(NodeFaultEvent::from_content)
-                        .collect::<Result<_, _>>()?,
-                    other => {
-                        return Err(DeError::expected("sequence", "NodeFaultPlan.events", other))
-                    }
-                }
-            }
-            Content::Seq(items) => items
-                .iter()
-                .map(NodeFaultEvent::from_content)
-                .collect::<Result<_, _>>()?,
-            other => return Err(DeError::expected("node fault plan", "NodeFaultPlan", other)),
-        };
-        let plan = NodeFaultPlan::new(events);
-        plan.validate()
-            .map_err(|e| DeError::custom(format!("invalid NodeFaultPlan: {e}")))?;
-        Ok(plan)
     }
 }
 
@@ -422,7 +327,7 @@ impl NodeMetricsRollup {
 
 /// Outcome of one fleet run: exact integer request-flow accounting plus
 /// derived SLO attainment and cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetOutcome {
     /// Routing policy used.
     pub policy: String,
@@ -492,29 +397,34 @@ impl FleetOutcome {
     }
 }
 
-/// Per-node physical + router-visible state inside the epoch loop.
-struct NodeState {
+/// What a node's active faults do together: a flag is set while any
+/// fault of its kind is active, and the slowdown is the largest active
+/// straggler factor.
+#[derive(Clone, Copy)]
+struct NodeFaults {
     crashed: bool,
     partitioned: bool,
     draining: bool,
     straggle: f64,
-    health: NodeHealth,
-    missed: u32,
-    /// Violation rate the router observed from this node last epoch.
-    last_violation: f64,
 }
 
-impl NodeState {
-    fn new() -> Self {
-        NodeState {
+impl NodeFaults {
+    fn compose<'f>(faults: impl IntoIterator<Item = &'f NodeFault>) -> Self {
+        let mut fx = NodeFaults {
             crashed: false,
             partitioned: false,
             draining: false,
             straggle: 1.0,
-            health: NodeHealth::Healthy,
-            missed: 0,
-            last_violation: 0.0,
+        };
+        for fault in faults {
+            match *fault {
+                NodeFault::Crash => fx.crashed = true,
+                NodeFault::Partition => fx.partitioned = true,
+                NodeFault::Drain => fx.draining = true,
+                NodeFault::Straggler { factor } => fx.straggle = fx.straggle.max(factor),
+            }
         }
+        fx
     }
 
     /// Heartbeats reach the router (drain is cooperative — it keeps
@@ -525,8 +435,139 @@ impl NodeState {
 
     /// Physically able to serve newly assigned requests this epoch.
     fn serves(&self) -> bool {
-        !self.crashed && !self.partitioned && !self.draining
+        self.responsive() && !self.draining
     }
+}
+
+/// One node in the epoch loop: its faults, the router's view of it, and
+/// its own metrics, which tally apart from the fleet totals.
+struct Node {
+    faults: NodeFaults,
+    health: NodeHealth,
+    missed: u32,
+    /// Violation rate the router observed from this node last epoch.
+    last_violation: f64,
+    /// Physical capacity, requests per epoch.
+    cap: f64,
+    /// The policy's t=0 routing share.
+    base_weight: f64,
+    /// `node<i>/<platform name>`, from config strings.
+    label: String,
+    /// The node's span track, `<track>/node<i>`.
+    track: String,
+    reg: MetricsRegistry,
+    /// Per-epoch latency proxy.
+    hist: LogHistogram,
+    /// Payload of the open health-episode span, which packs (node, epoch).
+    episode: Option<u64>,
+    /// Redispatch hops opened this epoch; hop span ids derive from
+    /// (this sequence, epoch), so they are a pure function of the run.
+    hops: u64,
+}
+
+impl Node {
+    /// Counts this epoch's heartbeat and returns the health the router
+    /// moves the node to, with the reason, if it changes.
+    fn beat(&mut self, params: &FleetParams) -> Option<(NodeHealth, String)> {
+        let responsive = self.faults.responsive();
+        self.missed = if responsive {
+            0
+        } else {
+            self.missed.saturating_add(1)
+        };
+        let (next, reason) = if self.faults.draining {
+            (NodeHealth::Draining, "rolling-restart drain".to_string())
+        } else if !responsive {
+            if self.missed >= params.down_after_misses {
+                (
+                    NodeHealth::Down,
+                    format!("{} missed heartbeats", self.missed),
+                )
+            } else if self.missed >= params.suspect_after_misses {
+                (
+                    NodeHealth::Suspect,
+                    format!("{} missed heartbeat(s)", self.missed),
+                )
+            } else {
+                return None;
+            }
+        } else {
+            match self.health {
+                NodeHealth::Down | NodeHealth::Draining => {
+                    (NodeHealth::Recovering, "heartbeat restored".to_string())
+                }
+                NodeHealth::Recovering => (NodeHealth::Healthy, "clean epoch".to_string()),
+                NodeHealth::Suspect if self.last_violation <= params.violation_suspect => {
+                    (NodeHealth::Healthy, "signal cleared".to_string())
+                }
+                NodeHealth::Healthy if self.last_violation > params.violation_suspect => (
+                    NodeHealth::Suspect,
+                    format!("violation rate {:.2}", self.last_violation),
+                ),
+                _ => return None,
+            }
+        };
+        (next != self.health).then_some((next, reason))
+    }
+
+    /// Serves `fresh` new and `retried` re-dispatched requests. Retries
+    /// complete but are late by construction (they blew TTFT stranded on
+    /// a dead node); fresh work beyond the node's epoch capacity completes
+    /// late too. Returns the served and on-time counts.
+    fn serve(&mut self, fresh: u64, retried: u64, epoch_secs: f64) -> (u64, u64) {
+        let cap = (self.cap / self.faults.straggle).floor() as u64;
+        let served = fresh + retried;
+        let on_time = fresh.min(cap.saturating_sub(retried));
+        self.last_violation = if served == 0 {
+            0.0
+        } else {
+            (served - on_time) as f64 / served as f64
+        };
+        if served > 0 {
+            self.reg.counter_add("completed", served);
+            if on_time > 0 {
+                self.reg.counter_add("on_time", on_time);
+            }
+            if served > on_time {
+                self.reg.counter_add("violation_tracked", served - on_time);
+            }
+            self.reg.gauge_set("violation_rate", self.last_violation);
+            if cap > 0 {
+                // Latency proxy: the fraction of the epoch the node's
+                // capacity was busy on this load.
+                self.hist.record(epoch_secs * served as f64 / cap as f64);
+            }
+        }
+        (served, on_time)
+    }
+
+    /// Closes the health episode still open at run `end` (balanced span
+    /// streams export cleanly) and rolls the registry up.
+    fn roll_up(mut self, end: SimTime, tracer: &Tracer) -> NodeMetricsRollup {
+        if let Some(payload) = self.episode.take() {
+            close_episode(tracer, end, payload, &self.track);
+        }
+        if self.hist.count() > 0 {
+            for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
+                let gauge = format!("epoch_latency_proxy_secs/{name}");
+                self.reg.gauge_set(&gauge, self.hist.quantile(q));
+            }
+        }
+        NodeMetricsRollup {
+            snapshot: self.reg.snapshot(end),
+            label: self.label,
+            latency_proxy: self.hist,
+        }
+    }
+}
+
+fn close_episode(tracer: &Tracer, at: SimTime, payload: u64, track: &str) {
+    let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
+    tracer.emit(at, || Event::SpanClose {
+        id,
+        kind: SpanKind::NodeHealthEpisode,
+        track: track.to_string(),
+    });
 }
 
 /// Routing share multiplier per health state under the failover policy.
@@ -578,6 +619,421 @@ struct RetryBatch {
     count: u64,
 }
 
+/// One fleet run: what every stage reads, each node, the retry queue and
+/// the fleet-wide flow. `out` tallies the flow apart from the per-node
+/// registries, and [`FleetOutcome::node_conservation_ok`] checks the two
+/// against each other.
+struct Fleet<'a> {
+    cfg: &'a ClusterConfig,
+    policy: RoutingPolicy,
+    params: FleetParams,
+    tracer: &'a Tracer,
+    track: &'a str,
+    faults: FaultPlane<'a, NodeFaultEvent>,
+    nodes: Vec<Node>,
+    retry_queue: Vec<RetryBatch>,
+    /// Fractional arrivals carried to the next epoch, fleet-wide and per
+    /// class.
+    arrival_acc: f64,
+    class_acc: [f64; CLASSES.len()],
+    out: FleetOutcome,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(
+        cfg: &'a ClusterConfig,
+        policy: RoutingPolicy,
+        capacity_weights: &[f64],
+        tracer: &'a Tracer,
+        track: &'a str,
+    ) -> Self {
+        let n = cfg.servers.len();
+        assert!(n > 0, "fleet needs servers");
+        assert_eq!(capacity_weights.len(), n, "one capacity weight per server");
+        cfg.fault_plan
+            .validate_for(n)
+            .expect("invalid NodeFaultPlan");
+        let params = cfg.fleet.normalized();
+        let duration_secs = cfg.duration.as_secs_f64();
+        let epochs = (duration_secs / params.epoch_secs).ceil().max(1.0) as u64;
+        let last_boundary = (epochs - 1) as f64 * params.epoch_secs;
+        let cap_sum: f64 = capacity_weights.iter().sum();
+        let nodes = cfg
+            .node_labels()
+            .into_iter()
+            .zip(capacity_weights)
+            .zip(&cfg.servers)
+            .enumerate()
+            .map(|(i, ((label, w), server))| {
+                let share = w / cap_sum;
+                Node {
+                    faults: NodeFaults::compose([]),
+                    health: NodeHealth::Healthy,
+                    missed: 0,
+                    last_violation: 0.0,
+                    cap: params.capacity_margin * cfg.total_rate * params.epoch_secs * share,
+                    // The static split the non-failover policies hold for
+                    // the whole run.
+                    base_weight: match policy {
+                        RoutingPolicy::Uniform => 1.0,
+                        RoutingPolicy::BandwidthProportional => server.platform.mem_bw.value(),
+                        RoutingPolicy::AuvWeighted | RoutingPolicy::Failover => share,
+                    },
+                    label,
+                    track: format!("{track}/node{i}"),
+                    reg: MetricsRegistry::new(),
+                    hist: LogHistogram::default(),
+                    episode: None,
+                    hops: 0,
+                }
+            })
+            .collect();
+        Fleet {
+            cfg,
+            policy,
+            params,
+            tracer,
+            track,
+            faults: FaultPlane::new(&cfg.fault_plan, last_boundary, duration_secs, tracer),
+            nodes,
+            retry_queue: Vec::new(),
+            arrival_acc: 0.0,
+            class_acc: [0.0; CLASSES.len()],
+            out: FleetOutcome {
+                policy: policy.to_string(),
+                epochs,
+                shed_by_class: vec![0; CLASSES.len()],
+                ..FleetOutcome::default()
+            },
+        }
+    }
+
+    fn at_of(&self, e: u64) -> SimTime {
+        SimTime::from_secs_f64(e as f64 * self.params.epoch_secs)
+    }
+
+    /// Opens epoch `e`'s span on the fleet track and returns its boundary.
+    /// The close lands on the next boundary; OrderingSink time-sorts at
+    /// flush, so emitting it now is safe.
+    fn open_epoch(&self, e: u64) -> SimTime {
+        let at = self.at_of(e);
+        let id = SpanId::derive(SpanKind::FleetEpoch, e).0;
+        self.tracer.emit(at, || Event::SpanOpen {
+            id,
+            parent: None,
+            kind: SpanKind::FleetEpoch,
+            track: self.track.to_string(),
+            label: format!("epoch {e}"),
+        });
+        self.tracer.emit(self.at_of(e + 1), || Event::SpanClose {
+            id,
+            kind: SpanKind::FleetEpoch,
+            track: self.track.to_string(),
+        });
+        at
+    }
+
+    /// Fires the script's edges due at boundary `e` and, when one fired,
+    /// recomposes every node's faults from the active ones.
+    fn fault_edges(&mut self, e: u64, at: SimTime) {
+        let tracer = self.tracer;
+        let now_secs = e as f64 * self.params.epoch_secs;
+        let fired = self.faults.advance(now_secs, |_, ev, active| {
+            tracer.emit(at, || Event::NodeFault {
+                node: ev.node,
+                kind: ev.fault.kind_label().to_string(),
+                detail: ev.fault.detail(),
+                active,
+            });
+        });
+        if fired {
+            for (i, node) in self.nodes.iter_mut().enumerate() {
+                let active = self.faults.active().filter(|(_, ev)| ev.node == i);
+                node.faults = NodeFaults::compose(active.map(|(_, ev)| &ev.fault));
+            }
+        }
+    }
+
+    /// Heartbeats and the health state machine. A transition is traced,
+    /// closes the node's running health episode, opens the next unless
+    /// the node turned Healthy, and carries the node's metrics snapshot.
+    fn health(&mut self, e: u64, at: SimTime) {
+        let tracer = self.tracer;
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let Some((next, reason)) = node.beat(&self.params) else {
+                continue;
+            };
+            let from = std::mem::replace(&mut node.health, next);
+            self.out.health_transitions += 1;
+            tracer.emit(at, || Event::NodeHealthTransition {
+                node: i,
+                from,
+                to: next,
+                reason,
+            });
+            if let Some(payload) = node.episode.take() {
+                close_episode(tracer, at, payload, &node.track);
+            }
+            if next != NodeHealth::Healthy {
+                let payload = ((i as u64) << 40) | e;
+                node.episode = Some(payload);
+                let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
+                tracer.emit(at, || Event::SpanOpen {
+                    id,
+                    parent: None,
+                    kind: SpanKind::NodeHealthEpisode,
+                    track: node.track.clone(),
+                    label: format!("{next:?}"),
+                });
+            }
+            // Snapshot unconditionally (registry state must not depend on
+            // whether the tracer is enabled) so node-down incident dumps
+            // carry the offending node's metrics.
+            let snapshot = node.reg.snapshot(at);
+            tracer.emit(at, || Event::NodeMetricsSnapshot {
+                node: i,
+                label: node.label.clone(),
+                snapshot,
+            });
+        }
+    }
+
+    /// This epoch's routing shares: failover re-weights from health,
+    /// every other policy keeps the t=0 split.
+    fn routing_weights(&self) -> Vec<f64> {
+        let failover = self.policy == RoutingPolicy::Failover;
+        self.nodes
+            .iter()
+            .map(|node| {
+                if failover {
+                    node.base_weight * health_factor(node.health)
+                } else {
+                    node.base_weight
+                }
+            })
+            .collect()
+    }
+
+    /// Assembles the dispatch pool from fresh arrivals (exact integer
+    /// accumulation of the offered rate, split into priority classes) and
+    /// the retry batches whose backoff expired. Admission control then
+    /// sheds fresh work down to the live capacity the router believes it
+    /// has, lowest class first; retries are already admitted work and are
+    /// never shed. Returns the admitted fresh count and the ready batches.
+    fn admit(&mut self, e: u64, at: SimTime, weights: &[f64]) -> (u64, Vec<RetryBatch>) {
+        self.arrival_acc += self.cfg.total_rate * self.params.epoch_secs;
+        let arrivals = self.arrival_acc.floor() as u64;
+        self.arrival_acc -= arrivals as f64;
+        let mut fresh = [0u64; CLASSES.len()];
+        for (c, (_, share)) in CLASSES.iter().enumerate() {
+            self.class_acc[c] += arrivals as f64 * (*share as f64 / 100.0);
+            fresh[c] = self.class_acc[c].floor() as u64;
+            self.class_acc[c] -= fresh[c] as f64;
+        }
+        let fresh_total: u64 = fresh.iter().sum();
+        let (ready, waiting): (Vec<RetryBatch>, _) = std::mem::take(&mut self.retry_queue)
+            .into_iter()
+            .partition(|b| b.ready_epoch <= e);
+        self.retry_queue = waiting;
+        let ready_total: u64 = ready.iter().map(|b| b.count).sum();
+        self.out.offered += fresh_total;
+        self.out.dispatched += fresh_total + ready_total;
+
+        let live_cap: f64 = self
+            .nodes
+            .iter()
+            .zip(weights)
+            .map(|(node, w)| {
+                if *w > 0.0 {
+                    node.cap / node.faults.straggle
+                } else {
+                    0.0
+                }
+            })
+            .sum();
+        let budget = (self.params.shed_headroom * live_cap).floor() as u64;
+        // Excess beyond all fresh arrivals stays in the pool: retries
+        // ride through admission unconditionally.
+        let mut excess = (fresh_total + ready_total).saturating_sub(budget);
+        let mut shed = 0u64;
+        for (c, count) in fresh.iter_mut().enumerate() {
+            let cut = (*count).min(excess);
+            if cut > 0 {
+                *count -= cut;
+                excess -= cut;
+                shed += cut;
+                self.out.shed_by_class[c] += cut;
+                self.tracer.emit(at, || Event::LoadShed {
+                    class: CLASSES[c].0.to_string(),
+                    count: cut,
+                    epoch: e,
+                });
+            }
+        }
+        self.out.shed += shed;
+        // Attribute the shed work to the nodes whose (un)availability
+        // forced it, by this epoch's routing shares — split_requests
+        // conserves exactly, keeping the per-node rollup a partition of
+        // the fleet totals. With nothing routable the router itself shed,
+        // which the rollup books on node 0 (like router-level strands).
+        if shed > 0 {
+            if weights.iter().sum::<f64>() > 0.0 {
+                let parts = split_requests(shed, weights);
+                for (node, part) in self.nodes.iter_mut().zip(parts) {
+                    if part > 0 {
+                        node.reg.counter_add("shed", part);
+                    }
+                }
+            } else {
+                self.nodes[0].reg.counter_add("shed", shed);
+            }
+        }
+        (fresh.iter().sum(), ready)
+    }
+
+    /// Splits the admitted `fresh` requests and every `ready` retry batch
+    /// across nodes by this epoch's weights. A node that serves completes
+    /// its share; on any other node the share strands.
+    fn dispatch(&mut self, e: u64, at: SimTime, weights: &[f64], fresh: u64, ready: &[RetryBatch]) {
+        for node in &mut self.nodes {
+            node.hops = 0;
+        }
+        if weights.iter().sum::<f64>() <= 0.0 {
+            // Nothing routable: the whole pool strands at the router,
+            // booked on node 0 (like the router-level shed).
+            let total = fresh + ready.iter().map(|b| b.count).sum::<u64>();
+            if total > 0 {
+                self.nodes[0].reg.counter_add("assigned", total);
+            }
+            self.strand(0, 1, fresh, e, at);
+            for b in ready {
+                self.strand(0, b.attempt, b.count, e, at);
+            }
+            return;
+        }
+        let fresh = split_requests(fresh, weights);
+        let retries: Vec<Vec<u64>> = ready
+            .iter()
+            .map(|b| split_requests(b.count, weights))
+            .collect();
+        for i in 0..self.nodes.len() {
+            let retried: u64 = retries.iter().map(|v| v[i]).sum();
+            let node = &mut self.nodes[i];
+            if fresh[i] + retried > 0 {
+                node.reg.counter_add("assigned", fresh[i] + retried);
+            }
+            if node.faults.serves() {
+                let (served, on_time) = node.serve(fresh[i], retried, self.params.epoch_secs);
+                self.out.completed += served;
+                self.out.on_time += on_time;
+                continue;
+            }
+            self.strand(i, 1, fresh[i], e, at);
+            for (b, assigned) in ready.iter().zip(&retries) {
+                self.strand(i, b.attempt, assigned[i], e, at);
+            }
+            self.nodes[i].last_violation = 0.0;
+        }
+    }
+
+    /// Strands `count` requests of retry `attempt` on node `i`: they
+    /// re-enter the pool after a capped exponential backoff, or drop once
+    /// the retry budget is spent.
+    fn strand(&mut self, i: usize, attempt: u32, count: u64, e: u64, at: SimTime) {
+        if count == 0 {
+            return;
+        }
+        if attempt > self.params.max_retries {
+            self.out.dropped += count;
+            self.nodes[i].reg.counter_add("dropped", count);
+            return;
+        }
+        let backoff = self
+            .params
+            .backoff_base_epochs
+            .saturating_mul(1u32 << (attempt - 1).min(16))
+            .min(self.params.backoff_cap_epochs)
+            .max(1);
+        let ready_epoch = e + 1 + u64::from(backoff);
+        let close = self.at_of(ready_epoch.min(self.out.epochs));
+        self.out.redispatched += count;
+        self.retry_queue.push(RetryBatch {
+            ready_epoch,
+            attempt: attempt + 1,
+            count,
+        });
+        let node = &mut self.nodes[i];
+        node.reg.counter_add("redispatched", count);
+        self.tracer.emit(at, || Event::RequestRedispatch {
+            node: i,
+            count,
+            attempt: attempt + 1,
+            backoff_epochs: backoff,
+        });
+        // One RedispatchHop span per stranded batch on the failing node's
+        // track, covering the backoff window. The label is the merged
+        // batch id (`r<ready>a<attempt>`) the batch carries when it
+        // re-enters dispatch — the link tying consecutive hops of one
+        // retry chain together.
+        let id = SpanId::derive(SpanKind::RedispatchHop, (node.hops << 40) | e).0;
+        node.hops += 1;
+        self.tracer.emit(at, || Event::SpanOpen {
+            id,
+            parent: None,
+            kind: SpanKind::RedispatchHop,
+            track: node.track.clone(),
+            label: format!("batch r{ready_epoch}a{} x{count}", attempt + 1),
+        });
+        self.tracer.emit(close, || Event::SpanClose {
+            id,
+            kind: SpanKind::RedispatchHop,
+            track: node.track.clone(),
+        });
+    }
+
+    /// Merges retry batches sharing (ready epoch, attempt), so the queue
+    /// stays bounded regardless of run length.
+    fn coalesce_retries(&mut self) {
+        self.retry_queue.sort_by_key(|b| (b.ready_epoch, b.attempt));
+        self.retry_queue.dedup_by(|b, a| {
+            if a.ready_epoch == b.ready_epoch && a.attempt == b.attempt {
+                a.count += b.count;
+                true
+            } else {
+                false
+            }
+        });
+    }
+
+    /// Rolls every node up, and derives attainment and cost.
+    fn finish(mut self) -> FleetOutcome {
+        let end = self.at_of(self.out.epochs);
+        let n = self.nodes.len() as f64;
+        let tracer = self.tracer;
+        let out = &mut self.out;
+        out.node_metrics = self
+            .nodes
+            .into_iter()
+            .map(|node| node.roll_up(end, tracer))
+            .collect();
+        out.pending = self.retry_queue.iter().map(|b| b.count).sum();
+        out.attainment = if out.offered == 0 {
+            1.0
+        } else {
+            out.on_time as f64 / out.offered as f64
+        };
+        // Cost: amortized CapEx plus energy over the whole provisioned
+        // fleet for the whole run (a crashed node still costs money).
+        let anchor = CpuAnchor::gen_a_paper();
+        let node_usd_per_sec =
+            anchor.cost_usd / AMORTIZATION_SECS + anchor.power_w / 1000.0 * USD_PER_KWH / 3600.0;
+        let fleet_cost = node_usd_per_sec * n * self.cfg.duration.as_secs_f64();
+        let tokens = out.completed as f64 * self.cfg.scenario.mean_output() as f64;
+        out.usd_per_mtok = fleet_cost / (tokens.max(1.0) / 1e6);
+        self.out
+    }
+}
+
 /// Runs the fleet flow model for `cfg` under `policy`, tracing on
 /// `track`.
 ///
@@ -610,553 +1066,17 @@ pub fn run_fleet_traced(
     tracer: &Tracer,
     track: &str,
 ) -> FleetOutcome {
-    let n = cfg.servers.len();
-    assert!(n > 0, "fleet needs servers");
-    assert_eq!(capacity_weights.len(), n, "one capacity weight per server");
-    cfg.fault_plan
-        .validate_for(n)
-        .expect("invalid NodeFaultPlan");
-    let params = cfg.fleet.normalized();
-    let duration_secs = cfg.duration.as_secs_f64();
-    let epochs = (duration_secs / params.epoch_secs).ceil().max(1.0) as u64;
-    let at_of = |e: u64| SimTime::from_secs_f64(e as f64 * params.epoch_secs);
-    let epoch_at_or_after =
-        |secs: f64| -> u64 { (secs / params.epoch_secs).ceil().max(0.0) as u64 };
-
-    let cap_sum: f64 = capacity_weights.iter().sum();
-    let cap_share: Vec<f64> = capacity_weights.iter().map(|w| w / cap_sum).collect();
-    // Physical per-node capacity, requests per epoch.
-    let node_cap: Vec<f64> = cap_share
-        .iter()
-        .map(|share| params.capacity_margin * cfg.total_rate * params.epoch_secs * share)
-        .collect();
-    // The static split the non-failover policies hold for the whole run.
-    let base_weights: Vec<f64> = match policy {
-        RoutingPolicy::Uniform => vec![1.0; n],
-        RoutingPolicy::BandwidthProportional => cfg
-            .servers
-            .iter()
-            .map(|s| s.platform.mem_bw.value())
-            .collect(),
-        RoutingPolicy::AuvWeighted | RoutingPolicy::Failover => cap_share.clone(),
-    };
-
-    // Fault schedule: (epoch, seq, event index, apply?) sorted so edges at
-    // one boundary replay in plan order, apply edges before revert edges
-    // scheduled for the same instant by a later event.
-    let mut schedule: Vec<(u64, usize, usize, bool)> = Vec::new();
-    for (i, ev) in cfg.fault_plan.events.iter().enumerate() {
-        let at = epoch_at_or_after(ev.at_secs);
-        if at >= epochs {
-            tracer.emit(at_of(epochs.saturating_sub(1)), || {
-                Event::FaultOutsideWindow {
-                    kind: ev.fault.kind_label().to_string(),
-                    at_secs: ev.at_secs,
-                    duration_secs,
-                }
-            });
-            continue;
-        }
-        schedule.push((at, i, i, true));
-        if let Some(rec) = ev.recover_at_secs {
-            let rec_at = epoch_at_or_after(rec);
-            if rec_at < epochs {
-                schedule.push((rec_at, i, i, false));
-            }
-        }
+    let mut fleet = Fleet::new(cfg, policy, capacity_weights, tracer, track);
+    for e in 0..fleet.out.epochs {
+        let at = fleet.open_epoch(e);
+        fleet.fault_edges(e, at);
+        fleet.health(e, at);
+        let weights = fleet.routing_weights();
+        let (fresh, ready) = fleet.admit(e, at, &weights);
+        fleet.dispatch(e, at, &weights, fresh, &ready);
+        fleet.coalesce_retries();
     }
-    schedule.sort_by_key(|&(e, seq, _, apply)| (e, seq, apply));
-    let mut schedule_iter = schedule.into_iter().peekable();
-
-    let mut nodes: Vec<NodeState> = (0..n).map(|_| NodeState::new()).collect();
-    // Per-node observability: labels/tracks from config strings, one
-    // metrics registry and latency-proxy histogram per node, the payload
-    // of each node's currently-open health-episode span, and a per-epoch
-    // hop-span sequence number (ids derive from (node, epoch, seq) — no
-    // global counters, so the stream is identical at any --jobs level).
-    let node_labels = cfg.node_labels();
-    let node_tracks: Vec<String> = (0..n).map(|i| format!("{track}/node{i}")).collect();
-    let mut node_regs: Vec<MetricsRegistry> = (0..n).map(|_| MetricsRegistry::new()).collect();
-    let mut node_hist: Vec<LogHistogram> = vec![LogHistogram::default(); n];
-    let mut episode_open: Vec<Option<u64>> = vec![None; n];
-    let mut retry_queue: Vec<RetryBatch> = Vec::new();
-    let mut arrival_acc = 0.0f64;
-    let mut class_acc = [0.0f64; 3];
-
-    let mut offered = 0u64;
-    let mut dispatched = 0u64;
-    let mut completed = 0u64;
-    let mut on_time = 0u64;
-    let mut redispatched = 0u64;
-    let mut dropped = 0u64;
-    let mut shed = 0u64;
-    let mut shed_by_class = vec![0u64; CLASSES.len()];
-    let mut health_transitions = 0u64;
-
-    for e in 0..epochs {
-        let at = at_of(e);
-
-        // 0. One FleetEpoch span per router epoch on the fleet track
-        // (the close lands on the next boundary; OrderingSink time-sorts
-        // at flush, so emitting it now is safe).
-        let epoch_span = SpanId::derive(SpanKind::FleetEpoch, e).0;
-        tracer.emit(at, || Event::SpanOpen {
-            id: epoch_span,
-            parent: None,
-            kind: SpanKind::FleetEpoch,
-            track: track.to_string(),
-            label: format!("epoch {e}"),
-        });
-        tracer.emit(at_of(e + 1), || Event::SpanClose {
-            id: epoch_span,
-            kind: SpanKind::FleetEpoch,
-            track: track.to_string(),
-        });
-
-        // 1. Replay scripted fault edges landing on this boundary.
-        while let Some(&(edge_epoch, _, idx, apply)) = schedule_iter.peek() {
-            if edge_epoch != e {
-                break;
-            }
-            schedule_iter.next();
-            let ev = &cfg.fault_plan.events[idx];
-            let node = &mut nodes[ev.node];
-            match (ev.fault, apply) {
-                (NodeFault::Crash, a) => node.crashed = a,
-                (NodeFault::Straggler { factor }, true) => node.straggle = factor,
-                (NodeFault::Straggler { .. }, false) => node.straggle = 1.0,
-                (NodeFault::Partition, a) => node.partitioned = a,
-                (NodeFault::Drain, a) => node.draining = a,
-            }
-            tracer.emit(at, || Event::NodeFault {
-                node: ev.node,
-                kind: ev.fault.kind_label().to_string(),
-                detail: ev.fault.detail(),
-                active: apply,
-            });
-        }
-
-        // 2. Heartbeats and the health state machine.
-        for (i, node) in nodes.iter_mut().enumerate() {
-            if node.responsive() {
-                node.missed = 0;
-            } else {
-                node.missed = node.missed.saturating_add(1);
-            }
-            let (next, reason): (NodeHealth, String) = if node.draining {
-                (NodeHealth::Draining, "rolling-restart drain".to_string())
-            } else if !node.responsive() {
-                if node.missed >= params.down_after_misses {
-                    (
-                        NodeHealth::Down,
-                        format!("{} missed heartbeats", node.missed),
-                    )
-                } else if node.missed >= params.suspect_after_misses {
-                    (
-                        NodeHealth::Suspect,
-                        format!("{} missed heartbeat(s)", node.missed),
-                    )
-                } else {
-                    (node.health, String::new())
-                }
-            } else {
-                match node.health {
-                    NodeHealth::Down | NodeHealth::Draining => {
-                        (NodeHealth::Recovering, "heartbeat restored".to_string())
-                    }
-                    NodeHealth::Recovering => (NodeHealth::Healthy, "clean epoch".to_string()),
-                    NodeHealth::Suspect if node.last_violation <= params.violation_suspect => {
-                        (NodeHealth::Healthy, "signal cleared".to_string())
-                    }
-                    NodeHealth::Healthy if node.last_violation > params.violation_suspect => (
-                        NodeHealth::Suspect,
-                        format!("violation rate {:.2}", node.last_violation),
-                    ),
-                    current => (current, String::new()),
-                }
-            };
-            if next != node.health {
-                let from = node.health;
-                node.health = next;
-                health_transitions += 1;
-                tracer.emit(at, || Event::NodeHealthTransition {
-                    node: i,
-                    from,
-                    to: next,
-                    reason: reason.clone(),
-                });
-                // Health-episode spans on the node's track: close the
-                // running episode (if any), open a new one unless the
-                // node just turned Healthy. Payload packs (node, epoch).
-                if let Some(payload) = episode_open[i].take() {
-                    let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
-                    tracer.emit(at, || Event::SpanClose {
-                        id,
-                        kind: SpanKind::NodeHealthEpisode,
-                        track: node_tracks[i].clone(),
-                    });
-                }
-                if next != NodeHealth::Healthy {
-                    let payload = ((i as u64) << 40) | e;
-                    episode_open[i] = Some(payload);
-                    let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
-                    tracer.emit(at, || Event::SpanOpen {
-                        id,
-                        parent: None,
-                        kind: SpanKind::NodeHealthEpisode,
-                        track: node_tracks[i].clone(),
-                        label: format!("{next:?}"),
-                    });
-                }
-                // Snapshot unconditionally (registry state must not
-                // depend on whether the tracer is enabled) so node-down
-                // incident dumps carry the offending node's metrics.
-                let snap = node_regs[i].snapshot(at);
-                tracer.emit(at, || Event::NodeMetricsSnapshot {
-                    node: i,
-                    label: node_labels[i].clone(),
-                    snapshot: snap,
-                });
-            }
-        }
-
-        // 3. Routing weights for this epoch: failover re-weights from
-        // health, every other policy keeps the t=0 split.
-        let weights: Vec<f64> = match policy {
-            RoutingPolicy::Failover => base_weights
-                .iter()
-                .zip(&nodes)
-                .map(|(w, s)| w * health_factor(s.health))
-                .collect(),
-            _ => base_weights.clone(),
-        };
-
-        // 4. Assemble the dispatch pool: fresh arrivals (exact integer
-        // accumulation of the offered rate, split into priority classes)
-        // plus retry batches whose backoff expired.
-        arrival_acc += cfg.total_rate * params.epoch_secs;
-        let arrivals = arrival_acc.floor() as u64;
-        arrival_acc -= arrivals as f64;
-        let mut fresh = [0u64; 3];
-        for (c, (_, share)) in CLASSES.iter().enumerate() {
-            class_acc[c] += arrivals as f64 * (*share as f64 / 100.0);
-            fresh[c] = class_acc[c].floor() as u64;
-            class_acc[c] -= fresh[c] as f64;
-        }
-        offered += fresh.iter().sum::<u64>();
-        let mut ready: Vec<RetryBatch> = Vec::new();
-        retry_queue.retain_mut(|b| {
-            if b.ready_epoch <= e {
-                ready.push(RetryBatch {
-                    ready_epoch: b.ready_epoch,
-                    attempt: b.attempt,
-                    count: b.count,
-                });
-                false
-            } else {
-                true
-            }
-        });
-        let fresh_total: u64 = fresh.iter().sum();
-        let ready_total: u64 = ready.iter().map(|b| b.count).sum();
-        dispatched += fresh_total + ready_total;
-
-        // 5. Admission control: shed down to the live capacity the router
-        // believes it has, lowest class first. Retries are already
-        // admitted work and are never shed.
-        let live_cap: f64 = node_cap
-            .iter()
-            .zip(&weights)
-            .zip(&nodes)
-            .map(|((cap, w), s)| if *w > 0.0 { cap / s.straggle } else { 0.0 })
-            .sum();
-        let budget = (params.shed_headroom * live_cap).floor() as u64;
-        let pool_total = fresh_total + ready_total;
-        let mut shed_this_epoch = 0u64;
-        if pool_total > budget {
-            let mut excess = pool_total - budget;
-            for (c, count) in fresh.iter_mut().enumerate() {
-                if excess == 0 {
-                    break;
-                }
-                let cut = (*count).min(excess);
-                if cut > 0 {
-                    *count -= cut;
-                    excess -= cut;
-                    shed += cut;
-                    shed_this_epoch += cut;
-                    shed_by_class[c] += cut;
-                    tracer.emit(at, || Event::LoadShed {
-                        class: CLASSES[c].0.to_string(),
-                        count: cut,
-                        epoch: e,
-                    });
-                }
-            }
-            // Excess beyond all fresh arrivals stays in the pool: retries
-            // ride through admission unconditionally.
-        }
-        // Attribute the shed work to the nodes whose (un)availability
-        // forced it, by this epoch's routing shares — split_requests
-        // conserves exactly, keeping the per-node rollup a partition of
-        // the fleet totals. With nothing routable the router itself shed,
-        // which the rollup books on node 0 (like router-level strands).
-        if shed_this_epoch > 0 {
-            if weights.iter().sum::<f64>() > 0.0 {
-                for (i, part) in split_requests(shed_this_epoch, &weights)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if part > 0 {
-                        node_regs[i].counter_add("shed", part);
-                    }
-                }
-            } else {
-                node_regs[0].counter_add("shed", shed_this_epoch);
-            }
-        }
-        let admitted_fresh: u64 = fresh.iter().sum();
-
-        // 6. Dispatch: split every pool component across nodes by this
-        // epoch's weights (retries first — they are the oldest work).
-        let fresh_assigned = split_requests(admitted_fresh, &weights);
-        let ready_assigned: Vec<Vec<u64>> = ready
-            .iter()
-            .map(|b| split_requests(b.count, &weights))
-            .collect();
-        let total_weight: f64 = weights.iter().sum();
-
-        // 7. Service and stranding, with exact flow accounting. Hop-span
-        // ids derive from (per-node sequence, epoch); the sequence resets
-        // every epoch so ids are a pure function of simulation state.
-        let mut hop_seq: Vec<u64> = vec![0; n];
-        let strand = |node_idx: usize,
-                      attempt: u32,
-                      count: u64,
-                      reg: &mut MetricsRegistry,
-                      hop: &mut u64,
-                      redispatched: &mut u64,
-                      dropped: &mut u64,
-                      retry_queue: &mut Vec<RetryBatch>| {
-            if count == 0 {
-                return;
-            }
-            if attempt > params.max_retries {
-                *dropped += count;
-                reg.counter_add("dropped", count);
-                return;
-            }
-            let backoff = params
-                .backoff_base_epochs
-                .saturating_mul(1u32 << (attempt - 1).min(16))
-                .min(params.backoff_cap_epochs)
-                .max(1);
-            *redispatched += count;
-            reg.counter_add("redispatched", count);
-            let ready_epoch = e + 1 + u64::from(backoff);
-            retry_queue.push(RetryBatch {
-                ready_epoch,
-                attempt: attempt + 1,
-                count,
-            });
-            tracer.emit(at, || Event::RequestRedispatch {
-                node: node_idx,
-                count,
-                attempt: attempt + 1,
-                backoff_epochs: backoff,
-            });
-            // One RedispatchHop span per stranded batch on the failing
-            // node's track, covering the backoff window. The label is the
-            // merged batch id (`r<ready>a<attempt>`) the batch carries
-            // when it re-enters dispatch — the link tying consecutive
-            // hops of one retry chain together.
-            let seq = *hop;
-            *hop += 1;
-            let id = SpanId::derive(SpanKind::RedispatchHop, (seq << 40) | e).0;
-            tracer.emit(at, || Event::SpanOpen {
-                id,
-                parent: None,
-                kind: SpanKind::RedispatchHop,
-                track: node_tracks[node_idx].clone(),
-                label: format!("batch r{ready_epoch}a{} x{count}", attempt + 1),
-            });
-            tracer.emit(at_of(ready_epoch.min(epochs)), || Event::SpanClose {
-                id,
-                kind: SpanKind::RedispatchHop,
-                track: node_tracks[node_idx].clone(),
-            });
-        };
-
-        if total_weight <= 0.0 {
-            // Nothing routable: the whole pool strands at the router,
-            // booked on node 0 (like the router-level shed above).
-            let pool = admitted_fresh + ready_total;
-            if pool > 0 {
-                node_regs[0].counter_add("assigned", pool);
-            }
-            strand(
-                0,
-                1,
-                admitted_fresh,
-                &mut node_regs[0],
-                &mut hop_seq[0],
-                &mut redispatched,
-                &mut dropped,
-                &mut retry_queue,
-            );
-            for b in &ready {
-                strand(
-                    0,
-                    b.attempt,
-                    b.count,
-                    &mut node_regs[0],
-                    &mut hop_seq[0],
-                    &mut redispatched,
-                    &mut dropped,
-                    &mut retry_queue,
-                );
-            }
-        } else {
-            for (i, node) in nodes.iter_mut().enumerate() {
-                let fresh_i = fresh_assigned[i];
-                let retry_i: u64 = ready_assigned.iter().map(|v| v[i]).sum();
-                if fresh_i + retry_i > 0 {
-                    node_regs[i].counter_add("assigned", fresh_i + retry_i);
-                }
-                if node.serves() {
-                    let cap = (node_cap[i] / node.straggle).floor() as u64;
-                    let served = fresh_i + retry_i;
-                    // Retries complete but are late by construction (they
-                    // blew TTFT stranded on a dead node); fresh work
-                    // beyond the node's epoch capacity completes late too.
-                    let on_time_i = fresh_i.min(cap.saturating_sub(retry_i));
-                    completed += served;
-                    on_time += on_time_i;
-                    node.last_violation = if served == 0 {
-                        0.0
-                    } else {
-                        (served - on_time_i) as f64 / served as f64
-                    };
-                    if served > 0 {
-                        let reg = &mut node_regs[i];
-                        reg.counter_add("completed", served);
-                        if on_time_i > 0 {
-                            reg.counter_add("on_time", on_time_i);
-                        }
-                        if served > on_time_i {
-                            reg.counter_add("violation_tracked", served - on_time_i);
-                        }
-                        reg.gauge_set("violation_rate", node.last_violation);
-                        if cap > 0 {
-                            // Latency proxy: the fraction of the epoch the
-                            // node's capacity was busy on this load.
-                            node_hist[i].record(params.epoch_secs * served as f64 / cap as f64);
-                        }
-                    }
-                } else {
-                    // Stranded: re-queue with backoff or drop when the
-                    // retry budget is spent.
-                    strand(
-                        i,
-                        1,
-                        fresh_i,
-                        &mut node_regs[i],
-                        &mut hop_seq[i],
-                        &mut redispatched,
-                        &mut dropped,
-                        &mut retry_queue,
-                    );
-                    for (b, assigned) in ready.iter().zip(&ready_assigned) {
-                        strand(
-                            i,
-                            b.attempt,
-                            assigned[i],
-                            &mut node_regs[i],
-                            &mut hop_seq[i],
-                            &mut redispatched,
-                            &mut dropped,
-                            &mut retry_queue,
-                        );
-                    }
-                    node.last_violation = 0.0;
-                }
-            }
-        }
-
-        // Coalesce retry batches sharing (ready, attempt) so the queue
-        // stays bounded regardless of run length.
-        retry_queue.sort_by_key(|b| (b.ready_epoch, b.attempt));
-        retry_queue.dedup_by(|b, a| {
-            if a.ready_epoch == b.ready_epoch && a.attempt == b.attempt {
-                a.count += b.count;
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    // Close health episodes still open at run end (balanced span streams
-    // export cleanly) and roll each node's registry up into the outcome.
-    let end = at_of(epochs);
-    for (i, open) in episode_open.iter_mut().enumerate() {
-        if let Some(payload) = open.take() {
-            let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
-            tracer.emit(end, || Event::SpanClose {
-                id,
-                kind: SpanKind::NodeHealthEpisode,
-                track: node_tracks[i].clone(),
-            });
-        }
-    }
-    let mut node_metrics: Vec<NodeMetricsRollup> = Vec::with_capacity(n);
-    for (i, mut reg) in node_regs.into_iter().enumerate() {
-        let h = &node_hist[i];
-        if h.count() > 0 {
-            reg.gauge_set("epoch_latency_proxy_secs/p50", h.quantile(0.5));
-            reg.gauge_set("epoch_latency_proxy_secs/p90", h.quantile(0.9));
-            reg.gauge_set("epoch_latency_proxy_secs/p99", h.quantile(0.99));
-        }
-        let snapshot = reg.snapshot(end);
-        node_metrics.push(NodeMetricsRollup {
-            label: node_labels[i].clone(),
-            snapshot,
-            latency_proxy: h.clone(),
-        });
-    }
-
-    let pending: u64 = retry_queue.iter().map(|b| b.count).sum();
-    let attainment = if offered == 0 {
-        1.0
-    } else {
-        on_time as f64 / offered as f64
-    };
-    // Cost: amortized CapEx plus energy over the whole provisioned fleet
-    // for the whole run (a crashed node still costs money).
-    let anchor = CpuAnchor::gen_a_paper();
-    let node_usd_per_sec =
-        anchor.cost_usd / AMORTIZATION_SECS + anchor.power_w / 1000.0 * USD_PER_KWH / 3600.0;
-    let fleet_cost = node_usd_per_sec * n as f64 * duration_secs;
-    let tokens = completed as f64 * cfg.scenario.mean_output() as f64;
-    let usd_per_mtok = fleet_cost / (tokens.max(1.0) / 1e6);
-
-    FleetOutcome {
-        policy: policy.to_string(),
-        epochs,
-        offered,
-        dispatched,
-        completed,
-        on_time,
-        redispatched,
-        dropped,
-        shed,
-        shed_by_class,
-        pending,
-        health_transitions,
-        attainment,
-        usd_per_mtok,
-        node_metrics,
-    }
+    fleet.finish()
 }
 
 /// CapEx amortization horizon: 3 years of seconds.
@@ -1556,19 +1476,58 @@ mod tests {
         );
     }
 
+    /// Node 0's health transitions as `(boundary secs, to)`.
+    fn node0_health(records: &[TraceRecord]) -> Vec<(f64, NodeHealth)> {
+        records
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::NodeHealthTransition { node: 0, to, .. } => Some((r.at.as_secs_f64(), to)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn plan_serde_round_trips_and_accepts_null() {
-        let plan = NodeFaultPlan::new(vec![
-            NodeFaultEvent::windowed(0, 20.0, 60.0, NodeFault::Crash),
-            NodeFaultEvent::permanent(1, 30.0, NodeFault::Straggler { factor: 2.5 }),
-            NodeFaultEvent::windowed(2, 40.0, 50.0, NodeFault::Partition),
-            NodeFaultEvent::permanent(0, 90.0, NodeFault::Drain),
-        ]);
-        let json = serde_json::to_string(&plan).expect("encode");
-        let back: NodeFaultPlan = serde_json::from_str(&json).expect("decode");
-        assert_eq!(back, plan);
-        let empty: NodeFaultPlan = serde_json::from_str("null").expect("null decodes");
-        assert!(empty.is_empty());
-        assert_eq!(serde_json::to_string(&empty).expect("encode"), "null");
+    fn a_window_inside_one_epoch_applies_then_recovers() {
+        // Both edges land on the t=11 s boundary; they fire in time order,
+        // so the node ends the boundary healthy and never misses a beat.
+        let cfg = fleet_cfg(NodeFaultPlan::single(NodeFaultEvent::windowed(
+            0,
+            10.2,
+            10.6,
+            NodeFault::Crash,
+        )));
+        let (out, records) = captured(&cfg, RoutingPolicy::Failover, &even_weights(3));
+        let edges: Vec<(f64, bool)> = records
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::NodeFault {
+                    node: 0, active, ..
+                } => Some((r.at.as_secs_f64(), active)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(edges, vec![(11.0, true), (11.0, false)]);
+        assert_eq!(node0_health(&records), vec![], "the node never goes down");
+        assert_eq!(out.redispatched, 0);
+    }
+
+    #[test]
+    fn overlapping_crash_windows_keep_the_node_down_until_the_last_recovers() {
+        let cfg = fleet_cfg(NodeFaultPlan::new(vec![
+            NodeFaultEvent::windowed(0, 10.0, 50.0, NodeFault::Crash),
+            NodeFaultEvent::windowed(0, 30.0, 70.0, NodeFault::Crash),
+        ]));
+        let (out, records) = captured(&cfg, RoutingPolicy::Failover, &even_weights(3));
+        assert!(out.conservation_ok());
+        assert_eq!(
+            node0_health(&records),
+            vec![
+                (10.0, NodeHealth::Suspect),
+                (12.0, NodeHealth::Down),
+                (70.0, NodeHealth::Recovering),
+                (71.0, NodeHealth::Healthy),
+            ]
+        );
     }
 }

@@ -21,7 +21,8 @@
 //! - [`experiment`]: the co-location harness coupling the platform, AU,
 //!   LLM-serving and co-runner substrates;
 //! - [`fault`]: the scripted fault-injection plane ([`fault::FaultPlan`])
-//!   driving chaos runs through that harness;
+//!   driving chaos runs through that harness, and the fault-script core
+//!   ([`fault::FaultScript`]) the fleet plane's node faults share;
 //! - [`prices`] / [`tco`]: the weighted efficiency objective and the
 //!   §VII-E total-cost-of-ownership analysis;
 //! - [`manager`]: the [`manager::ResourceManager`] trait every scheme

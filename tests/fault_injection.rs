@@ -368,3 +368,21 @@ fn fault_is_deterministic_too() {
     let d = run_experiment(&noisy, &mut AllAu::new(&spec));
     assert_eq!(c.decode_tps.to_bits(), d.decode_tps.to_bits());
 }
+
+#[test]
+fn an_event_after_the_last_boundary_is_warned_about() {
+    // A 20 s run at 500 ms intervals has its last boundary at 19.5 s, so
+    // an event at 19.7 s can never fire even though it precedes the end.
+    let plan = FaultPlan::single(FaultEvent::permanent(
+        19.7,
+        Fault::BandwidthDegrade { frac: 0.5 },
+    ));
+    let (_, records) = traced_all_au(&cfg_with(None, 20, plan));
+    let count = |pred: fn(&Event) -> bool| records.iter().filter(|r| pred(&r.event)).count();
+    assert_eq!(count(|e| matches!(e, Event::FaultInjected { .. })), 0);
+    assert_eq!(
+        count(|e| matches!(e, Event::FaultOutsideWindow { .. })),
+        1,
+        "an event no boundary reaches gets one warning"
+    );
+}
