@@ -219,7 +219,8 @@ pub fn cluster(ctx: &RunCtx) -> String {
         RoutingPolicy::BandwidthProportional,
         RoutingPolicy::AuvWeighted,
     ] {
-        let out = run_cluster_with(&cfg, policy, &models, &Tracer::disabled());
+        let out = run_cluster_with(&cfg, policy, &models, &Tracer::disabled())
+            .expect("the demo cluster config is valid");
         t.row([
             out.policy.clone(),
             fmt3(out.efficiency),

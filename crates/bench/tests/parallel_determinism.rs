@@ -173,7 +173,8 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
                 aum::cluster::RoutingPolicy::AuvWeighted,
                 &models,
                 &ctx.tracer,
-            );
+            )
+            .expect("a 20 s cluster config is valid");
             serde_json::to_string(&outcome).expect("cluster outcome serializes")
         });
         exec::set_jobs(0);

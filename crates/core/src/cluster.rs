@@ -27,7 +27,8 @@ use aum_workloads::be::BeKind;
 
 use crate::baselines::AllAu;
 use crate::controller::AumController;
-use crate::experiment::{try_run_experiment_traced, ExperimentConfig, Outcome};
+use crate::error::AumError;
+use crate::experiment::{try_run_experiment_traced, validate, ExperimentConfig, Outcome};
 use crate::fleet::{FleetParams, NodeFaultPlan};
 use crate::manager::ResourceManager;
 use crate::prices::Prices;
@@ -223,52 +224,38 @@ fn slo_tracked(outcome: &Outcome) -> f64 {
 /// merge into `tracer` in canonical server order via the sweep executor,
 /// so the merged trace is byte-identical at any `--jobs` setting.
 ///
+/// # Errors
+///
+/// - [`AumError::Config`] when a served server's experiment config would
+///   not run (for instance a `duration` shorter than the 500 ms control
+///   interval); every server is checked before any of them runs;
+/// - otherwise the first error a server's run returns, in server order.
+///
 /// # Panics
 ///
-/// Panics if `models` does not provide one model per server, or if a
-/// server's experiment fails (for instance on a `duration` shorter than
-/// its 500 ms control interval).
-#[must_use]
+/// Panics if `models` does not provide one model per server.
 pub fn run_cluster_with(
     cfg: &ClusterConfig,
     policy: RoutingPolicy,
     models: &[AuvModel],
     tracer: &Tracer,
-) -> ClusterOutcome {
+) -> Result<ClusterOutcome, AumError> {
     assert_eq!(models.len(), cfg.servers.len(), "one model per server");
     let weights = routing_weights(cfg, policy, models);
-    run_cluster_weighted(cfg, policy.to_string(), &weights, models, tracer)
-}
-
-/// The shared cluster fan-out: splits `cfg.total_rate` by `weights`,
-/// skipping zero-weight servers, and simulates every served server.
-fn run_cluster_weighted(
-    cfg: &ClusterConfig,
-    policy: String,
-    weights: &[f64],
-    models: &[AuvModel],
-    tracer: &Tracer,
-) -> ClusterOutcome {
     // A zero-weight server receives no traffic: skip the cell instead of
     // flooring its rate to a synthetic trickle that would pollute the
-    // fleet aggregates with a near-idle simulation.
-    let cells: Vec<(usize, &ServerConfig, f64, AuvModel)> = cfg
+    // fleet aggregates with a near-idle simulation. Each server's seed
+    // depends only on its index, so the sweep executor reproduces the
+    // serial result bit-for-bit at any worker count (and bounds
+    // concurrency by `--jobs` instead of one thread per server).
+    let cells: Vec<(usize, ExperimentConfig, &AuvModel)> = cfg
         .servers
         .iter()
-        .zip(weights)
+        .zip(&weights)
         .zip(models)
         .enumerate()
         .filter(|(_, ((_, &weight), _))| weight > 0.0)
-        .map(|(i, ((server, &weight), model))| (i, server, weight, model.clone()))
-        .collect();
-    let served: Vec<usize> = cells.iter().map(|(i, ..)| *i).collect();
-    // Each server's seed depends only on its index, so the sweep executor
-    // reproduces the serial result bit-for-bit at any worker count (and
-    // bounds concurrency by `--jobs` instead of one thread per server).
-    let outcomes: Vec<Outcome> = aum_sim::exec::sweep_traced(
-        tracer,
-        cells,
-        |_, (i, server, weight, model), cell_tracer| {
+        .map(|(i, ((server, &weight), model))| {
             let exp = ExperimentConfig {
                 platform: server.platform.clone(),
                 scenario: cfg.scenario,
@@ -282,14 +269,23 @@ fn run_cluster_weighted(
                 prices: cfg.prices,
                 model: aum_llm::config::ModelConfig::llama2_7b(),
             };
-            let mut manager: Box<dyn ResourceManager> = match server.be {
-                Some(_) => Box::new(AumController::new(model)),
-                None => Box::new(AllAu::new(&server.platform)),
+            (i, exp, model)
+        })
+        .collect();
+    for (i, exp, _) in &cells {
+        validate(exp).map_err(|e| AumError::Config(format!("cluster server {i}: {e}")))?;
+    }
+    let served: Vec<usize> = cells.iter().map(|(i, ..)| *i).collect();
+    let outcomes: Vec<Outcome> =
+        aum_sim::exec::sweep_traced(tracer, cells, |_, (_, exp, model), cell_tracer| {
+            let mut manager: Box<dyn ResourceManager> = match exp.be {
+                Some(_) => Box::new(AumController::new(model.clone())),
+                None => Box::new(AllAu::new(&exp.platform)),
             };
             try_run_experiment_traced(&exp, manager.as_mut(), cell_tracer)
-                .unwrap_or_else(|e| panic!("cluster server {i}: {e}"))
-        },
-    );
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
     let total_power: f64 = outcomes.iter().map(|o| o.avg_power_w).sum();
     let total_value: f64 = outcomes
@@ -304,14 +300,14 @@ fn run_cluster_weighted(
         .iter()
         .map(|o| (o.slo.violation_rate(), slo_tracked(o)))
         .collect();
-    ClusterOutcome {
-        policy,
+    Ok(ClusterOutcome {
+        policy: policy.to_string(),
         per_server: outcomes,
         served,
-        weights: weights.to_vec(),
+        weights,
         efficiency: total_value / total_power.max(1e-9),
         violation_rate: weighted_violation_rate(&per_violation),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -385,7 +381,8 @@ mod tests {
             RoutingPolicy::AuvWeighted,
             &models,
             &Tracer::disabled(),
-        );
+        )
+        .expect("the demo cluster runs");
         assert_eq!(out.per_server.len(), 3);
         assert_eq!(out.served, vec![0, 1, 2]);
         assert!(out.efficiency > 0.0);
@@ -401,20 +398,32 @@ mod tests {
 
     #[test]
     fn zero_weight_servers_are_skipped_not_trickled() {
-        let cfg = small_cluster();
+        let mut cfg = small_cluster();
         let models = server_models(&cfg);
-        let weights = [0.0, 0.6, 0.4];
-        let out = run_cluster_weighted(
-            &cfg,
-            "hand-weighted".to_string(),
-            &weights,
-            &models,
-            &Tracer::disabled(),
-        );
+        // No memory bandwidth: the bandwidth-proportional policy routes
+        // nothing to server 0.
+        cfg.servers[0].platform.mem_bw = aum_platform::units::GbPerSec(0.0);
+        let policy = RoutingPolicy::BandwidthProportional;
+        let out = run_cluster_with(&cfg, policy, &models, &Tracer::disabled())
+            .expect("the served servers run");
         assert_eq!(out.served, vec![1, 2], "zero-weight server gets no cell");
         assert_eq!(out.per_server.len(), 2);
-        assert_eq!(out.weights, weights);
+        assert_eq!(out.weights, routing_weights(&cfg, policy, &models));
+        assert_eq!(out.weights[0], 0.0);
         assert!(out.per_server.iter().all(|o| o.decode_tps > 0.0));
+    }
+
+    #[test]
+    fn a_duration_shorter_than_one_interval_is_a_config_error() {
+        let mut cfg = small_cluster();
+        cfg.duration = SimDuration::from_millis(100);
+        let spec = cfg.servers[0].platform.clone();
+        let model = build_model(&ProfilerConfig::smoke(spec, cfg.scenario, BeKind::SpecJbb));
+        let models = vec![model; cfg.servers.len()];
+        let err = run_cluster_with(&cfg, RoutingPolicy::Uniform, &models, &Tracer::disabled())
+            .expect_err("no server has a whole control interval");
+        let msg = "cluster server 0: duration 0.1s is shorter than one 0.5s control interval";
+        assert!(matches!(&err, AumError::Config(m) if m == msg), "{err}");
     }
 
     #[test]
@@ -436,8 +445,10 @@ mod tests {
         // improves cluster efficiency over AUV-blind routing.
         let cfg = small_cluster();
         let models = server_models(&cfg);
-        let [uniform, auv] = [RoutingPolicy::Uniform, RoutingPolicy::AuvWeighted]
-            .map(|policy| run_cluster_with(&cfg, policy, &models, &Tracer::disabled()));
+        let [uniform, auv] = [RoutingPolicy::Uniform, RoutingPolicy::AuvWeighted].map(|policy| {
+            run_cluster_with(&cfg, policy, &models, &Tracer::disabled())
+                .expect("the demo cluster runs")
+        });
         assert!(
             auv.efficiency > uniform.efficiency * 0.98,
             "AUV-aware routing must not lose to uniform: {} vs {}",
