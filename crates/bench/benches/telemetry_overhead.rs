@@ -4,7 +4,8 @@
 //! `/dev/null`. The disabled and `NullSink` rows must be indistinguishable
 //! from each other — `Tracer::emit` short-circuits before constructing the
 //! event — while the sink-backed rows price construction, cloning, and
-//! serialization.
+//! serialization. `ordering_sink` and `flight_ordering` price the chain
+//! that `repro --flight --trace` installs, minus the file at its end.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -12,7 +13,8 @@ use aum::baselines::AllAu;
 use aum::experiment::{try_run_experiment_traced, ExperimentConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
-use aum_sim::telemetry::{JsonlSink, MemorySink, NullSink, Tracer};
+use aum_sim::flight::{FlightConfig, FlightRecorder};
+use aum_sim::telemetry::{JsonlSink, MemorySink, NullSink, OrderingSink, Tracer};
 use aum_sim::SimDuration;
 
 fn short_config() -> ExperimentConfig {
@@ -49,6 +51,20 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
+    group.bench_function("ordering_sink", |b| {
+        b.iter(|| run_once(black_box(&cfg), Tracer::new(OrderingSink::new(NullSink))))
+    });
+    let incidents = std::env::temp_dir().join(format!("aum-bench-flight-{}", std::process::id()));
+    group.bench_function("flight_ordering", |b| {
+        b.iter(|| {
+            let recorder = FlightRecorder::with_inner(
+                FlightConfig::new(&incidents),
+                OrderingSink::new(NullSink),
+            );
+            run_once(black_box(&cfg), Tracer::new(recorder))
+        })
+    });
+    std::fs::remove_dir_all(&incidents).ok();
     group.bench_function("memory_sink", |b| {
         b.iter(|| run_once(black_box(&cfg), Tracer::new(MemorySink::new())))
     });

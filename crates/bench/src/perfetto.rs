@@ -69,7 +69,7 @@ pub fn export(records: &[TraceRecord]) -> Result<String, String> {
     let mut pids: BTreeMap<&str, usize> = BTreeMap::new();
     for n in &forest.nodes {
         let next = pids.len() + 1;
-        pids.entry(n.track.as_str()).or_insert(next);
+        pids.entry(&n.track).or_insert(next);
     }
 
     let mut events: Vec<String> = Vec::new();
@@ -90,7 +90,7 @@ pub fn export(records: &[TraceRecord]) -> Result<String, String> {
             .roots
             .iter()
             .copied()
-            .filter(|&i| forest.nodes[i].track == *track)
+            .filter(|&i| *forest.nodes[i].track == **track)
             .collect();
         roots.sort_by_key(|&i| (forest.nodes[i].open, forest.nodes[i].id));
         let mut lanes: Vec<SimTime> = Vec::new();
@@ -201,7 +201,7 @@ mod tests {
                 id: id.0,
                 parent: parent.map(|p| p.0),
                 kind,
-                track: "run".to_string(),
+                track: "run".into(),
                 label: format!("{} {}", kind.label(), id.payload()),
             },
         )
@@ -213,7 +213,7 @@ mod tests {
             Event::SpanClose {
                 id: id.0,
                 kind,
-                track: "run".to_string(),
+                track: "run".into(),
             },
         )
     }
@@ -316,7 +316,7 @@ mod tests {
                         id: id.0,
                         parent: None,
                         kind,
-                        track: track.to_string(),
+                        track: track.into(),
                         label: label.to_string(),
                     },
                 ),
@@ -325,7 +325,7 @@ mod tests {
                     Event::SpanClose {
                         id: id.0,
                         kind,
-                        track: track.to_string(),
+                        track: track.into(),
                     },
                 ),
             ]
@@ -391,7 +391,7 @@ mod tests {
                     id: a.0,
                     parent: None,
                     kind: SpanKind::FaultWindow,
-                    track: "t\"q\"\\w".to_string(),
+                    track: "t\"q\"\\w".into(),
                     label: "line\nbreak".to_string(),
                 },
             ),
@@ -400,7 +400,7 @@ mod tests {
                 Event::SpanClose {
                     id: a.0,
                     kind: SpanKind::FaultWindow,
-                    track: "t\"q\"\\w".to_string(),
+                    track: "t\"q\"\\w".into(),
                 },
             ),
         ];

@@ -960,7 +960,7 @@ mod tests {
                     id: id.0,
                     parent: parent.map(|p| p.0),
                     kind,
-                    track: "cell".to_string(),
+                    track: "cell".into(),
                     label: match kind {
                         SpanKind::Prefill => "prefill 0".to_string(),
                         _ => format!("req {}", id.payload()),
@@ -974,7 +974,7 @@ mod tests {
                 Event::SpanClose {
                     id: id.0,
                     kind,
-                    track: "cell".to_string(),
+                    track: "cell".into(),
                 },
             )
         };

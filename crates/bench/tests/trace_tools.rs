@@ -21,7 +21,7 @@ fn open(id: u64, parent: Option<u64>, kind: SpanKind, label: &str, t: f64) -> Tr
             id,
             parent,
             kind,
-            track: "cell".to_string(),
+            track: "cell".into(),
             label: label.to_string(),
         },
     }
@@ -33,7 +33,7 @@ fn close(id: u64, kind: SpanKind, t: f64) -> TraceRecord {
         event: Event::SpanClose {
             id,
             kind,
-            track: "cell".to_string(),
+            track: "cell".into(),
         },
     }
 }

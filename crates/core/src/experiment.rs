@@ -32,6 +32,7 @@
 //! servers); both reuse this harness per node.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -362,8 +363,8 @@ const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
 /// The span track that names a run. Every distinguishing knob is folded in
 /// so concurrent cells sharing one sink never collide on span ids (ids are
-/// unique per track only).
-fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> String {
+/// unique per track only). Built once per run; every span record shares it.
+fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> Arc<str> {
     format!(
         "{}/{}+{} c{} r{} s{} d{} f{}",
         scheme,
@@ -375,6 +376,7 @@ fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> String {
         cfg.duration.as_secs_f64(),
         cfg.fault.events.len(),
     )
+    .into()
 }
 
 /// What every stage of one run reads and none changes.
@@ -384,7 +386,7 @@ struct Run<'a> {
     be: Option<BeProfile>,
     dt_secs: f64,
     tracer: Tracer,
-    track: String,
+    track: Arc<str>,
 }
 
 /// What one interval leaves for the next.

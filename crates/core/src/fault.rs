@@ -33,6 +33,7 @@
 //! `{"BandwidthDegrade": {"at_secs": 120.0, "frac": 0.6}}`.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
@@ -497,7 +498,7 @@ impl FaultPlane<'_, FaultEvent> {
         now: SimTime,
         platform: &mut PlatformSim,
         tracer: &Tracer,
-        track: &str,
+        track: &Arc<str>,
     ) -> Result<FaultEffects, AumError> {
         let fired = self.advance(now.as_secs_f64(), |idx, ev, applies| {
             let (kind, id) = (ev.fault.kind_label(), window_span(idx));
@@ -510,7 +511,7 @@ impl FaultPlane<'_, FaultEvent> {
                     id,
                     parent: None,
                     kind: SpanKind::FaultWindow,
-                    track: track.to_string(),
+                    track: track.clone(),
                     label: format!("fault {kind}"),
                 });
             } else {
@@ -531,7 +532,7 @@ impl FaultPlane<'_, FaultEvent> {
 
     /// Closes the window span of every fault still active at the run's
     /// `end`, so the trace holds a well-formed span forest.
-    pub(crate) fn close_open_windows(&self, end: SimTime, tracer: &Tracer, track: &str) {
+    pub(crate) fn close_open_windows(&self, end: SimTime, tracer: &Tracer, track: &Arc<str>) {
         for (idx, _) in self.active() {
             close_window(end, window_span(idx), tracer, track);
         }
@@ -542,11 +543,11 @@ fn window_span(idx: usize) -> u64 {
     SpanId::derive(SpanKind::FaultWindow, idx as u64).0
 }
 
-fn close_window(at: SimTime, id: u64, tracer: &Tracer, track: &str) {
+fn close_window(at: SimTime, id: u64, tracer: &Tracer, track: &Arc<str>) {
     tracer.emit(at, || Event::SpanClose {
         id,
         kind: SpanKind::FaultWindow,
-        track: track.to_string(),
+        track: track.clone(),
     });
 }
 
@@ -662,9 +663,10 @@ mod tests {
         let tracer = Tracer::disabled();
         let mut platform = PlatformSim::new(aum_platform::spec::PlatformSpec::gen_a());
         let mut plane = FaultPlane::new(&plan, 60.0, 60.0, &tracer);
+        let track: Arc<str> = "t".into();
         let mut at = |secs| {
             let fx = plane
-                .apply(SimTime::from_secs_f64(secs), &mut platform, &tracer, "t")
+                .apply(SimTime::from_secs_f64(secs), &mut platform, &tracer, &track)
                 .expect("validated plan");
             (fx.bandwidth_frac, fx.be_surge)
         };

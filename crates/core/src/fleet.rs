@@ -57,6 +57,8 @@
 //! sequence-within-epoch) — no global counters — so the stream is
 //! byte-identical at any `--jobs` level.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use aum_sim::hist::LogHistogram;
@@ -296,12 +298,6 @@ impl FleetParams {
 /// arrival stream (percent; sums to 100).
 const CLASSES: [(&str, u64); 3] = [("best-effort", 20), ("standard", 30), ("interactive", 50)];
 
-/// Stable labels of the admission classes, in shed-first order.
-#[must_use]
-pub fn class_labels() -> [&'static str; 3] {
-    [CLASSES[0].0, CLASSES[1].0, CLASSES[2].0]
-}
-
 /// One node's metrics rollup at run end: the final registry snapshot
 /// (counters `assigned`/`completed`/`on_time`/`redispatched`/`dropped`/
 /// `shed`/`violation_tracked`, plus latency-proxy quantile gauges) and
@@ -349,7 +345,8 @@ pub struct FleetOutcome {
     pub dropped: u64,
     /// Requests shed by the admission controller.
     pub shed: u64,
-    /// Shed counts by class, in [`class_labels`] order.
+    /// Shed counts by class, in shed-first order: best-effort, standard,
+    /// interactive.
     pub shed_by_class: Vec<u64>,
     /// Requests still waiting in the retry queue at run end.
     pub pending: u64,
@@ -453,8 +450,8 @@ struct Node {
     base_weight: f64,
     /// `node<i>/<platform name>`, from config strings.
     label: String,
-    /// The node's span track, `<track>/node<i>`.
-    track: String,
+    /// The node's span track, `<track>/node<i>`, built once per run.
+    track: Arc<str>,
     reg: MetricsRegistry,
     /// Per-epoch latency proxy.
     hist: LogHistogram,
@@ -561,12 +558,12 @@ impl Node {
     }
 }
 
-fn close_episode(tracer: &Tracer, at: SimTime, payload: u64, track: &str) {
+fn close_episode(tracer: &Tracer, at: SimTime, payload: u64, track: &Arc<str>) {
     let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
     tracer.emit(at, || Event::SpanClose {
         id,
         kind: SpanKind::NodeHealthEpisode,
-        track: track.to_string(),
+        track: track.clone(),
     });
 }
 
@@ -628,7 +625,8 @@ struct Fleet<'a> {
     policy: RoutingPolicy,
     params: FleetParams,
     tracer: &'a Tracer,
-    track: &'a str,
+    /// The fleet's span track, built once per run.
+    track: Arc<str>,
     faults: FaultPlane<'a, NodeFaultEvent>,
     nodes: Vec<Node>,
     retry_queue: Vec<RetryBatch>,
@@ -645,7 +643,7 @@ impl<'a> Fleet<'a> {
         policy: RoutingPolicy,
         capacity_weights: &[f64],
         tracer: &'a Tracer,
-        track: &'a str,
+        track: &str,
     ) -> Self {
         let n = cfg.servers.len();
         assert!(n > 0, "fleet needs servers");
@@ -680,7 +678,7 @@ impl<'a> Fleet<'a> {
                         RoutingPolicy::AuvWeighted | RoutingPolicy::Failover => share,
                     },
                     label,
-                    track: format!("{track}/node{i}"),
+                    track: format!("{track}/node{i}").into(),
                     reg: MetricsRegistry::new(),
                     hist: LogHistogram::default(),
                     episode: None,
@@ -693,7 +691,7 @@ impl<'a> Fleet<'a> {
             policy,
             params,
             tracer,
-            track,
+            track: track.into(),
             faults: FaultPlane::new(&cfg.fault_plan, last_boundary, duration_secs, tracer),
             nodes,
             retry_queue: Vec::new(),
@@ -722,13 +720,13 @@ impl<'a> Fleet<'a> {
             id,
             parent: None,
             kind: SpanKind::FleetEpoch,
-            track: self.track.to_string(),
+            track: self.track.clone(),
             label: format!("epoch {e}"),
         });
         self.tracer.emit(self.at_of(e + 1), || Event::SpanClose {
             id,
             kind: SpanKind::FleetEpoch,
-            track: self.track.to_string(),
+            track: self.track.clone(),
         });
         at
     }
@@ -1452,16 +1450,16 @@ mod tests {
         let track = format!("fleet/{}", RoutingPolicy::Failover);
         let epochs: Vec<_> = forest.of_kind(SpanKind::FleetEpoch).collect();
         assert_eq!(epochs.len() as u64, out.epochs, "one span per router epoch");
-        assert!(epochs.iter().all(|s| s.track == track));
+        assert!(epochs.iter().all(|s| *s.track == track));
         let health: Vec<_> = forest.of_kind(SpanKind::NodeHealthEpisode).collect();
         assert!(
-            health.iter().any(|s| s.track == format!("{track}/node0")),
+            health.iter().any(|s| *s.track == format!("{track}/node0")),
             "a crash must open health episodes on the node's own track"
         );
         // The crash is permanent, so node 0's last episode only closes at
         // the run-end boundary.
         let run_end = cfg.duration.as_secs_f64();
-        assert!(health.iter().any(|s| s.track == format!("{track}/node0")
+        assert!(health.iter().any(|s| *s.track == format!("{track}/node0")
             && (s.close.as_secs_f64() - run_end).abs() < 1e-9));
         let hops: Vec<_> = forest.of_kind(SpanKind::RedispatchHop).collect();
         assert!(!hops.is_empty(), "detection-lag strands must emit hops");

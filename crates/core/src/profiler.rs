@@ -11,6 +11,7 @@
 //! controller consults in O(1).
 
 use std::path::Path;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -352,15 +353,17 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
         .collect();
     // Span ids are only unique per track, and one trace can carry several
     // profiler sweeps (one per cached model), so the track folds in the
-    // profiled model's identity and grid shape.
-    let span_track = format!(
+    // profiled model's identity and grid shape. Every cell's spans share
+    // the one name.
+    let span_track: Arc<str> = format!(
         "profiler {}/{}+{} d{}a{}",
         cfg.platform.name,
         cfg.scenario.code(),
         cfg.be,
         cfg.divisions.len(),
         cfg.allocations.len(),
-    );
+    )
+    .into();
     let buckets = aum_sim::exec::sweep_traced(&tracer, cells, |cell_idx, (div_idx, cfg_idx), t| {
         let _prof = aum_sim::prof::scope("profiler.cell");
         let division = cfg.divisions[div_idx];

@@ -15,6 +15,7 @@
 //! reaches token latency mechanistically.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -250,8 +251,9 @@ pub struct LlmEngine {
     /// Trace handle; request lifecycle and iteration events stream here
     /// when a sink is attached (free when disabled).
     tracer: Tracer,
-    /// Span track label for this run (one experiment cell).
-    span_track: String,
+    /// Span track label for this run (one experiment cell), shared by
+    /// every span record the engine emits.
+    span_track: Arc<str>,
     /// Monotonic step counters — the deterministic span-id payloads for
     /// prefill/decode iteration spans.
     prefill_steps: u64,
@@ -300,7 +302,7 @@ impl LlmEngine {
             pmu: PmuCounters::new(),
             completed: 0,
             tracer: Tracer::disabled(),
-            span_track: "run".to_string(),
+            span_track: "run".into(),
             prefill_steps: 0,
             decode_steps: 0,
             open_request_spans: std::collections::BTreeSet::new(),
@@ -317,7 +319,7 @@ impl LlmEngine {
     /// Names the span track for this run (one experiment cell). Span ids
     /// are unique per track, so concurrent cells sharing one sink must use
     /// distinct tracks.
-    pub fn set_span_track(&mut self, track: impl Into<String>) {
+    pub fn set_span_track(&mut self, track: impl Into<Arc<str>>) {
         self.span_track = track.into();
     }
 

@@ -34,7 +34,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::LogHistogram;
-use crate::telemetry::{MemorySink, Tracer};
+use crate::telemetry::{MemorySink, TraceRecord, Tracer};
 
 /// Process-wide worker-count override; 0 = unset (fall through to the
 /// `AUM_JOBS` environment variable, then to `available_parallelism`).
@@ -336,23 +336,27 @@ where
     if !parent.is_enabled() {
         return sweep(cells, |i, cell| f(i, cell, Tracer::disabled()));
     }
-    let mut traced: Vec<(R, Vec<crate::telemetry::TraceRecord>)> = sweep(cells, |i, cell| {
+    let traced: Vec<(R, Vec<TraceRecord>)> = sweep(cells, |i, cell| {
         let (tracer, sink) = Tracer::shared(MemorySink::new());
         let r = f(i, cell, tracer);
-        let records = sink.lock().expect("cell sink lock").records().to_vec();
+        let records = std::mem::take(&mut *sink.lock().expect("cell sink lock")).into_records();
         (r, records)
     });
     let merge_t0 = Instant::now();
-    {
+    let out = {
         let _merge_scope = crate::prof::scope("exec.merge");
-        for (_, records) in &traced {
-            for record in records {
-                parent.emit(record.at, || record.event.clone());
-            }
-        }
-    }
+        traced
+            .into_iter()
+            .map(|(r, records)| {
+                for TraceRecord { at, event } in records {
+                    parent.emit(at, || event);
+                }
+                r
+            })
+            .collect()
+    };
     MERGE_NANOS.fetch_add(merge_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    traced.drain(..).map(|(r, _)| r).collect()
+    out
 }
 
 /// [`sweep_traced`] plus per-cell histogram reduction: each cell returns

@@ -39,6 +39,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::attrib;
 use crate::span::SpanKind;
@@ -588,7 +589,7 @@ impl<S: TraceSink> TraceSink for FlightRecorder<S> {
 /// Unresolved *parents* need no fixup: `collect_spans` degrades those
 /// spans to roots by design.
 fn balance_spans(records: Vec<TraceRecord>, end: SimTime) -> Vec<TraceRecord> {
-    let mut open: Vec<(String, u64, SpanKind)> = Vec::new();
+    let mut open: Vec<(Arc<str>, u64, SpanKind)> = Vec::new();
     let mut kept: Vec<TraceRecord> = Vec::with_capacity(records.len());
     for r in records {
         match &r.event {
@@ -759,7 +760,6 @@ mod tests {
     #[test]
     fn node_down_dump_pins_the_offending_nodes_metric_snapshot() {
         use crate::telemetry::MetricsSnapshot;
-        use std::sync::Arc;
 
         let dir = temp_dir("node-down-snap");
         let mut cfg = FlightConfig::new(&dir);
@@ -824,7 +824,7 @@ mod tests {
         let mut cfg = FlightConfig::new(&dir);
         cfg.window = SimDuration::from_secs(10);
         let mut fr = FlightRecorder::new(cfg);
-        let track = "aum/test".to_string();
+        let track: Arc<str> = "aum/test".into();
         let outer = SpanId::derive(SpanKind::ControllerInterval, 1).0;
         let inner = SpanId::derive(SpanKind::ControllerInterval, 2).0;
         let stale = SpanId::derive(SpanKind::ControllerInterval, 0).0;

@@ -27,6 +27,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -143,8 +144,8 @@ pub struct SpanNode {
     pub id: u64,
     /// Interval kind.
     pub kind: SpanKind,
-    /// The track (run) the span belongs to.
-    pub track: String,
+    /// The track (run) the span belongs to, shared with its records.
+    pub track: Arc<str>,
     /// Human-readable label carried on the open event.
     pub label: String,
     /// Index of the parent span in [`SpanForest::nodes`], if any.
@@ -189,14 +190,14 @@ pub enum SpanError {
         /// Raw span id of the offending close.
         id: u64,
         /// Track it arrived on.
-        track: String,
+        track: Arc<str>,
     },
     /// A second open arrived for an id that is still open.
     DuplicateOpen {
         /// Raw span id opened twice.
         id: u64,
         /// Track it arrived on.
-        track: String,
+        track: Arc<str>,
     },
     /// The stream ended with spans still open.
     UnclosedSpans {
@@ -210,7 +211,7 @@ pub enum SpanError {
         /// Raw span id of the inverted interval.
         id: u64,
         /// Track it arrived on.
-        track: String,
+        track: Arc<str>,
     },
 }
 
@@ -257,7 +258,7 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
         open: SimTime,
     }
     // Pass 1: match opens to closes into flat nodes (close order).
-    let mut open: HashMap<(String, u64), OpenSpan> = HashMap::new();
+    let mut open: HashMap<(Arc<str>, u64), OpenSpan> = HashMap::new();
     let mut nodes: Vec<SpanNode> = Vec::new();
     let mut parent_ids: Vec<Option<u64>> = Vec::new();
     for record in records {
@@ -324,14 +325,14 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
     let by_id: HashMap<(&str, u64), usize> = nodes
         .iter()
         .enumerate()
-        .map(|(i, n)| ((n.track.as_str(), n.id), i))
+        .map(|(i, n)| ((&*n.track, n.id), i))
         .collect();
     let links: Vec<Option<usize>> = nodes
         .iter()
         .zip(&parent_ids)
         .enumerate()
         .map(|(i, (n, pid))| {
-            pid.and_then(|pid| by_id.get(&(n.track.as_str(), pid)).copied())
+            pid.and_then(|pid| by_id.get(&(&*n.track, pid)).copied())
                 .filter(|&p| p != i)
         })
         .collect();
@@ -368,7 +369,7 @@ mod tests {
                 id: id.0,
                 parent: parent.map(|p| p.0),
                 kind,
-                track: "t0".to_string(),
+                track: "t0".into(),
                 label: kind.label().to_string(),
             },
         )
@@ -380,7 +381,7 @@ mod tests {
             Event::SpanClose {
                 id: id.0,
                 kind,
-                track: "t0".to_string(),
+                track: "t0".into(),
             },
         )
     }
@@ -436,14 +437,14 @@ mod tests {
                         id: id.0,
                         parent: None,
                         kind: SpanKind::ControllerInterval,
-                        track: track.to_string(),
+                        track: track.into(),
                         label: "interval".to_string(),
                     }
                 } else {
                     Event::SpanClose {
                         id: id.0,
                         kind: SpanKind::ControllerInterval,
-                        track: track.to_string(),
+                        track: track.into(),
                     }
                 },
             )

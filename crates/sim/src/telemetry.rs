@@ -302,8 +302,9 @@ pub enum Event {
         /// Interval kind.
         kind: crate::span::SpanKind,
         /// The run this span belongs to (one experiment cell, the
-        /// profiler, …); spans never nest across tracks.
-        track: String,
+        /// profiler, …); spans never nest across tracks. Each run builds
+        /// its track name once and every span record shares it.
+        track: Arc<str>,
         /// Human-readable label, e.g. `"req 7"` or `"interval 12"`.
         label: String,
     },
@@ -315,7 +316,7 @@ pub enum Event {
         /// so a close line is self-describing).
         kind: crate::span::SpanKind,
         /// The track the span opened on.
-        track: String,
+        track: Arc<str>,
     },
     /// The SLO deadlines in force for this run, emitted once at the start
     /// so a trace is self-contained for burn-rate analysis.
@@ -559,17 +560,19 @@ impl Drop for JsonlSink {
 /// once per run, so a single-run trace is globally monotonic.
 ///
 /// **Stability guarantee**: records with equal [`SimTime`] are forwarded in
-/// emission order. The tie-break is a monotonic per-sink sequence number
-/// assigned at [`TraceSink::record`] time (it persists across flush
-/// boundaries), so the ordering is deterministic by construction rather
-/// than by relying on the sort algorithm's stability — `repro trace-diff`
-/// alignment depends on two same-seed runs serializing byte-identical
-/// streams.
+/// emission order. The flush sorts `(at, index)` keys, where the index is
+/// the record's position in the flushed segment — its emission order —
+/// so the ordering is deterministic by construction rather than by relying
+/// on the sort algorithm's stability. Ties that straddle a flush boundary
+/// keep emission order too, because the earlier segment is forwarded
+/// first. `repro trace-diff` alignment depends on two same-seed runs
+/// serializing byte-identical streams. The sort moves keys, never records,
+/// and both buffers keep their capacity across flushes.
 #[derive(Debug)]
 pub struct OrderingSink<S: TraceSink> {
     inner: S,
-    seq: u64,
-    pending: Vec<(u64, TraceRecord)>,
+    pending: Vec<TraceRecord>,
+    keys: Vec<(SimTime, usize)>,
 }
 
 impl<S: TraceSink> OrderingSink<S> {
@@ -577,8 +580,8 @@ impl<S: TraceSink> OrderingSink<S> {
     pub fn new(inner: S) -> Self {
         OrderingSink {
             inner,
-            seq: 0,
             pending: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -588,17 +591,24 @@ impl<S: TraceSink> OrderingSink<S> {
     }
 
     fn forward(&mut self) {
-        self.pending.sort_by_key(|(seq, r)| (r.at, *seq));
-        for (_, record) in std::mem::take(&mut self.pending) {
-            self.inner.record(&record);
+        // Held outside `self` while forwarding, so an inner sink that
+        // panics mid-segment cannot be handed the segment again by `drop`.
+        let mut pending = std::mem::take(&mut self.pending);
+        self.keys.clear();
+        self.keys
+            .extend(pending.iter().enumerate().map(|(i, r)| (r.at, i)));
+        self.keys.sort_unstable();
+        for &(_, i) in &self.keys {
+            self.inner.record(&pending[i]);
         }
+        pending.clear();
+        self.pending = pending;
     }
 }
 
 impl<S: TraceSink> TraceSink for OrderingSink<S> {
     fn record(&mut self, record: &TraceRecord) {
-        self.pending.push((self.seq, record.clone()));
-        self.seq += 1;
+        self.pending.push(record.clone());
     }
 
     fn flush_sink(&mut self) {
@@ -1040,13 +1050,13 @@ mod tests {
                     crate::span::SpanId::derive(crate::span::SpanKind::ControllerInterval, 2).0,
                 ),
                 kind: crate::span::SpanKind::RequestLifecycle,
-                track: "aum/chatbot+specjbb".to_string(),
+                track: "aum/chatbot+specjbb".into(),
                 label: "req 7".to_string(),
             },
             Event::SpanClose {
                 id: crate::span::SpanId::derive(crate::span::SpanKind::RequestLifecycle, 7).0,
                 kind: crate::span::SpanKind::RequestLifecycle,
-                track: "aum/chatbot+specjbb".to_string(),
+                track: "aum/chatbot+specjbb".into(),
             },
             Event::SloTargets {
                 ttft_secs: 3.0,
@@ -1092,20 +1102,20 @@ mod tests {
                 id: crate::span::SpanId::derive(crate::span::SpanKind::FleetEpoch, 3).0,
                 parent: None,
                 kind: crate::span::SpanKind::FleetEpoch,
-                track: "fleet/failover/node-crash".to_string(),
+                track: "fleet/failover/node-crash".into(),
                 label: "epoch 3".to_string(),
             },
             Event::SpanOpen {
                 id: crate::span::SpanId::derive(crate::span::SpanKind::NodeHealthEpisode, 1).0,
                 parent: None,
                 kind: crate::span::SpanKind::NodeHealthEpisode,
-                track: "fleet/failover/node-crash/node1".to_string(),
+                track: "fleet/failover/node-crash/node1".into(),
                 label: "Suspect".to_string(),
             },
             Event::SpanClose {
                 id: crate::span::SpanId::derive(crate::span::SpanKind::RedispatchHop, 77).0,
                 kind: crate::span::SpanKind::RedispatchHop,
-                track: "fleet/failover/node-crash/node0".to_string(),
+                track: "fleet/failover/node-crash/node0".into(),
             },
             Event::WatchdogStall {
                 intervals: 16,
@@ -1146,8 +1156,8 @@ mod tests {
     fn ordering_sink_keeps_emission_order_for_ties_across_flushes() {
         // Regression test for trace-diff determinism: duplicate timestamps
         // must forward in emission order, including when the tied records
-        // span several flush boundaries (the per-sink sequence number is
-        // monotonic for the sink's whole lifetime, not per segment).
+        // span several flush boundaries (each segment is forwarded whole
+        // before the next one starts buffering).
         let progress = |completed| Event::ProfilerProgress {
             completed,
             total: 8,

@@ -414,3 +414,41 @@ proptest! {
         prop_assert_eq!(ring.to_vec(), records[records.len() - kept..].to_vec());
     }
 }
+
+proptest! {
+    /// `OrderingSink` forwards each flushed segment stable-sorted by `at`.
+    /// Timestamps come from a handful of values and flushes fall at random
+    /// points, so runs of equal timestamps sit inside segments and straddle
+    /// flush boundaries. Event ids are random, so no tie-break other than
+    /// emission order reproduces the reference.
+    #[test]
+    fn ordering_sink_forwards_each_segment_stable_sorted_by_time(
+        stream in prop::collection::vec((0u64..6, 0u64..1_000, 0u8..24), 0..400),
+    ) {
+        use aum_sim::telemetry::{Event, MemorySink, OrderingSink, TraceRecord, TraceSink};
+
+        // Reference: the segment in emission order, then std's stable sort.
+        fn stable_sorted(segment: &mut Vec<TraceRecord>, out: &mut Vec<TraceRecord>) {
+            segment.sort_by_key(|r| r.at);
+            out.append(segment);
+        }
+        let mut sink = OrderingSink::new(MemorySink::new());
+        let mut expected = Vec::new();
+        let mut segment = Vec::new();
+        for &(at_ms, id, flush) in &stream {
+            let record = TraceRecord {
+                at: SimTime::from_millis(at_ms),
+                event: Event::RequestAdmitted { id, input_len: 16, output_len: 4 },
+            };
+            sink.record(&record);
+            segment.push(record);
+            if flush == 0 {
+                sink.flush_sink();
+                stable_sorted(&mut segment, &mut expected);
+            }
+        }
+        sink.flush_sink();
+        stable_sorted(&mut segment, &mut expected);
+        prop_assert_eq!(sink.inner().records(), &expected[..]);
+    }
+}
