@@ -52,6 +52,9 @@ pub struct TraceDiff {
 }
 
 /// The studies `repro attrib` knows how to run.
+pub const STUDIES: [&str; 2] = ["fig14", "chaos"];
+
+/// The configuration of one of [`STUDIES`].
 fn study_config(study: &str, quick: bool) -> Result<(ExperimentConfig, BeKind), String> {
     let spec = PlatformSpec::gen_a();
     match study {
