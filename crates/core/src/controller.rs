@@ -28,18 +28,6 @@ use aum_sim::time::SimTime;
 use crate::manager::{Decision, ResourceManager, SystemState};
 use crate::profiler::AuvModel;
 
-/// What the controller did at a control boundary — the decision trail a
-/// production daemon would emit for observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerAction {
-    /// One harvesting step along the bound-aware resource ladder.
-    Harvest,
-    /// One conservative step returning resources to the AU class.
-    Return,
-    /// A processor-division switch (Algorithm 1 line 17).
-    Switch,
-}
-
 /// Deviation threshold above which the controller switches the processor
 /// division rather than tuning allocations (paper §VII-A1: 2).
 pub const DEFAULT_DELTA_THRESHOLD: f64 = 2.0;
@@ -146,9 +134,6 @@ pub struct AumController {
     /// Telemetry: division switches and tuning steps taken.
     switches: u64,
     tunes: u64,
-    /// Timestamped decision trail: one [`Event::ControllerDecision`] per
-    /// non-trivial action, carrying the full reasoning behind it.
-    decisions: Vec<(SimTime, Event)>,
     /// Trace handle; decisions and SLO breaches stream here when attached.
     tracer: Tracer,
     // --- Resilience layer (sensor distrust, backoff, safe mode). ---
@@ -244,7 +229,6 @@ impl AumController {
             refine_alpha: None,
             switches: 0,
             tunes: 0,
-            decisions: Vec::new(),
             tracer: Tracer::disabled(),
             mode: ResilienceMode::Normal,
             mode_age: 0,
@@ -321,40 +305,6 @@ impl AumController {
     #[must_use]
     pub fn sensor_rejections(&self) -> u64 {
         self.sensor_rejections
-    }
-
-    /// Timestamped trail of non-trivial actions (harvest/return/switch) —
-    /// a thin compatibility view over [`AumController::decision_log`].
-    #[must_use]
-    pub fn action_log(&self) -> Vec<(SimTime, ControllerAction)> {
-        self.decisions
-            .iter()
-            .map(|(at, event)| {
-                let kind = match event {
-                    Event::ControllerDecision { kind, .. } => *kind,
-                    _ => unreachable!("decision log only holds ControllerDecision events"),
-                };
-                let action = match kind {
-                    DecisionKind::Harvest => ControllerAction::Harvest,
-                    DecisionKind::Return => ControllerAction::Return,
-                    DecisionKind::Switch => ControllerAction::Switch,
-                };
-                (*at, action)
-            })
-            .collect()
-    }
-
-    /// The full decision trail: one [`Event::ControllerDecision`] per
-    /// non-trivial action, with the verdict, deviation and stated reason.
-    #[must_use]
-    pub fn decision_log(&self) -> &[(SimTime, Event)] {
-        &self.decisions
-    }
-
-    /// Records a decision in the trail and streams it to the tracer.
-    fn push_decision(&mut self, at: SimTime, event: Event) {
-        self.tracer.emit(at, || event.clone());
-        self.decisions.push((at, event));
     }
 
     fn decision_for(&self, bucket: (usize, usize)) -> Decision {
@@ -708,25 +658,22 @@ impl ResourceManager for AumController {
                     let from = self.current;
                     self.current = next;
                     self.switches += 1;
-                    self.push_decision(
-                        state.now,
-                        Event::ControllerDecision {
-                            kind: DecisionKind::Switch,
-                            action: format!(
-                                "Switch(div {}\u{2192}{}, cfg {}\u{2192}{})",
-                                from.0, next.0, from.1, next.1
-                            ),
-                            verdict: SlackVerdict::Meeting,
-                            lag_secs: lag,
-                            deviation: delta,
-                            collision: true,
-                            reason: format!(
-                                "headroom \u{3b4}={delta:.2} > {:.2}: switcher re-selects the \
+                    self.tracer.emit(state.now, || Event::ControllerDecision {
+                        kind: DecisionKind::Switch,
+                        action: format!(
+                            "Switch(div {}\u{2192}{}, cfg {}\u{2192}{})",
+                            from.0, next.0, from.1, next.1
+                        ),
+                        verdict: SlackVerdict::Meeting,
+                        lag_secs: lag,
+                        deviation: delta,
+                        collision: true,
+                        reason: format!(
+                            "headroom \u{3b4}={delta:.2} > {:.2}: switcher re-selects the \
                              division for SLO_H {slo_h:.3}s / d_TPOT {d_tpot:.3}s",
-                                self.delta_threshold
-                            ),
-                        },
-                    );
+                            self.delta_threshold
+                        ),
+                    });
                     self.arm_cooldown(false);
                     switched = true;
                 }
@@ -745,22 +692,19 @@ impl ResourceManager for AumController {
                     let from_cfg = self.current.1;
                     self.current = candidate;
                     self.tunes += 1;
-                    self.push_decision(
-                        state.now,
-                        Event::ControllerDecision {
-                            kind: DecisionKind::Harvest,
-                            action: format!("Harvest(cfg {from_cfg}\u{2192}{})", candidate.1),
-                            verdict: SlackVerdict::Meeting,
-                            lag_secs: lag,
-                            deviation: delta,
-                            collision: false,
-                            reason: format!(
-                                "meeting SLOs {HARVEST_PATIENCE}+ intervals; avg predictions \
+                    self.tracer.emit(state.now, || Event::ControllerDecision {
+                        kind: DecisionKind::Harvest,
+                        action: format!("Harvest(cfg {from_cfg}\u{2192}{})", candidate.1),
+                        verdict: SlackVerdict::Meeting,
+                        lag_secs: lag,
+                        deviation: delta,
+                        collision: false,
+                        reason: format!(
+                            "meeting SLOs {HARVEST_PATIENCE}+ intervals; avg predictions \
                              fit (TTFT p50 {ttft_p50:.3}s \u{2264} SLO_H {slo_h:.3}s, \
                              TPOT p50 {tpot_p50:.3}s \u{2264} 0.88\u{b7}SLO_L {slo_l:.3}s)"
-                            ),
-                        },
-                    );
+                        ),
+                    });
                     self.arm_cooldown(false);
                 }
             }
@@ -784,35 +728,31 @@ impl ResourceManager for AumController {
                     // destination rung just failed.
                     self.harvest_ceiling = self.harvest_ceiling.min(next.1);
                     self.switches += 1;
-                    let reason = if structurally_bad {
-                        format!(
-                            "current division structurally violates: profiled TPOT p90 \
-                             {:.3}s cannot meet d_TPOT {d_tpot:.3}s",
-                            cur.tpot_p90
-                        )
-                    } else {
-                        format!(
-                            "collision: \u{3b4}={delta:.2} > {:.2}, tuning deemed \
-                             insufficient (TTFT p90 {ttft_m:.3}s vs SLO_H {slo_h:.3}s, \
-                             TPOT p50 {tpot_m:.3}s vs SLO_L {slo_l:.3}s)",
-                            self.delta_threshold
-                        )
-                    };
-                    self.push_decision(
-                        state.now,
-                        Event::ControllerDecision {
-                            kind: DecisionKind::Switch,
-                            action: format!(
-                                "Switch(div {}\u{2192}{}, cfg {}\u{2192}{})",
-                                from.0, next.0, from.1, next.1
-                            ),
-                            verdict: SlackVerdict::Violating,
-                            lag_secs: lag,
-                            deviation: delta,
-                            collision: delta > self.delta_threshold,
-                            reason,
+                    self.tracer.emit(state.now, || Event::ControllerDecision {
+                        kind: DecisionKind::Switch,
+                        action: format!(
+                            "Switch(div {}\u{2192}{}, cfg {}\u{2192}{})",
+                            from.0, next.0, from.1, next.1
+                        ),
+                        verdict: SlackVerdict::Violating,
+                        lag_secs: lag,
+                        deviation: delta,
+                        collision: delta > self.delta_threshold,
+                        reason: if structurally_bad {
+                            format!(
+                                "current division structurally violates: profiled TPOT p90 \
+                                 {:.3}s cannot meet d_TPOT {d_tpot:.3}s",
+                                cur.tpot_p90
+                            )
+                        } else {
+                            format!(
+                                "collision: \u{3b4}={delta:.2} > {:.2}, tuning deemed \
+                                 insufficient (TTFT p90 {ttft_m:.3}s vs SLO_H {slo_h:.3}s, \
+                                 TPOT p50 {tpot_m:.3}s vs SLO_L {slo_l:.3}s)",
+                                self.delta_threshold
+                            )
                         },
-                    );
+                    });
                     self.arm_cooldown(true);
                     return self.decision_for(self.current);
                 }
@@ -827,23 +767,19 @@ impl ResourceManager for AumController {
                 // cap the ladder at the rung below it.
                 self.harvest_ceiling = self.harvest_ceiling.min(self.current.1);
                 self.tunes += 1;
-                let reason = if ttft_m > slo_h {
-                    format!("TTFT p90 {ttft_m:.3}s > SLO_H {slo_h:.3}s")
-                } else {
-                    format!("TPOT p50 {tpot_m:.3}s > SLO_L {slo_l:.3}s")
-                };
-                self.push_decision(
-                    state.now,
-                    Event::ControllerDecision {
-                        kind: DecisionKind::Return,
-                        action: format!("Return(cfg {from_cfg}\u{2192}{})", self.current.1),
-                        verdict: SlackVerdict::Violating,
-                        lag_secs: lag,
-                        deviation: delta,
-                        collision: false,
-                        reason,
+                self.tracer.emit(state.now, || Event::ControllerDecision {
+                    kind: DecisionKind::Return,
+                    action: format!("Return(cfg {from_cfg}\u{2192}{})", self.current.1),
+                    verdict: SlackVerdict::Violating,
+                    lag_secs: lag,
+                    deviation: delta,
+                    collision: false,
+                    reason: if ttft_m > slo_h {
+                        format!("TTFT p90 {ttft_m:.3}s > SLO_H {slo_h:.3}s")
+                    } else {
+                        format!("TPOT p50 {tpot_m:.3}s > SLO_L {slo_l:.3}s")
                     },
-                );
+                });
                 self.arm_cooldown(true);
             }
         }
@@ -993,24 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn action_log_records_the_decision_trail() {
-        let mut c = AumController::new(model());
-        for _ in 0..20 {
-            let _ = c.decide(&state(0.05, 0.04, 0.05));
-        }
-        for _ in 0..12 {
-            let _ = c.decide(&state(0.10, 0.115, -0.01));
-        }
-        let log = c.action_log();
-        assert_eq!(log.len() as u64, c.switch_count() + c.tune_count());
-        assert!(log.iter().any(|(_, a)| *a == ControllerAction::Return));
-        // Timestamps are non-decreasing.
-        for w in log.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-    }
-
-    #[test]
     fn decisions_stream_to_the_tracer_with_reasons() {
         use aum_sim::telemetry::MemorySink;
         let (tracer, sink) = Tracer::shared(MemorySink::new());
@@ -1029,12 +947,22 @@ mod tests {
             .collect();
         // Every non-trivial action appears exactly once in the stream.
         assert_eq!(decisions.len() as u64, c.switch_count() + c.tune_count());
-        assert_eq!(decisions.len(), c.decision_log().len());
         for r in &decisions {
             if let Event::ControllerDecision { reason, action, .. } = &r.event {
                 assert!(!reason.is_empty(), "decision must state its reason");
                 assert!(!action.is_empty());
             }
+        }
+        assert!(decisions.iter().any(|r| matches!(
+            r.event,
+            Event::ControllerDecision {
+                kind: DecisionKind::Return,
+                ..
+            }
+        )));
+        // Timestamps are non-decreasing.
+        for w in decisions.windows(2) {
+            assert!(w[0].at <= w[1].at);
         }
         // The violating stretch produced SLO-breach events too.
         assert!(records
