@@ -1,5 +1,9 @@
 //! Serving-iteration cost evaluation: one decode and one prefill step of
-//! llama2-7b through the full op-graph + roofline + PMU pipeline.
+//! llama2-7b through the full op-graph + roofline + PMU pipeline, and the
+//! engine's pricer on a decode iteration that keeps the last iteration's
+//! batch and resources (`decode_bs16_repeat`: only the two attention
+//! operators are re-priced) and on one whose resources changed
+//! (`decode_bs16_new_resources`: every operator is re-priced).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -7,9 +11,10 @@ use aum_au::counters::PmuCounters;
 use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::config::ModelConfig;
-use aum_llm::cost::{iteration_cost, AuKernels};
+use aum_llm::cost::{iteration_cost, AuKernels, IterationPricer};
 use aum_llm::ops::Phase;
 use aum_platform::spec::PlatformSpec;
+use aum_platform::units::GbPerSec;
 
 fn bench(c: &mut Criterion) {
     let spec = PlatformSpec::gen_a();
@@ -30,6 +35,27 @@ fn bench(c: &mut Criterion) {
                 &decode_ctx,
                 &mut pmu,
             )
+        })
+    });
+    let mut pricer = IterationPricer::new(model.clone(), Precision::Bf16, kernels);
+    let mut step = 0usize;
+    c.bench_function("llm_iteration/decode_bs16_repeat", |b| {
+        b.iter(|| {
+            // The context grows by one token per iteration, as in serving.
+            step += 1;
+            let context = 855 + step % 1024;
+            pricer.price(Phase::Decode, 16, black_box(context), &decode_ctx)
+        })
+    });
+    // A new bandwidth grant on every call, as after each platform step.
+    let grants = [
+        decode_ctx,
+        ExecContext::new(96, 3.1, GbPerSec(spec.mem_bw.value() * 0.9)),
+    ];
+    c.bench_function("llm_iteration/decode_bs16_new_resources", |b| {
+        b.iter(|| {
+            step += 1;
+            pricer.price(Phase::Decode, 16, 855, black_box(&grants[step % 2]))
         })
     });
     c.bench_function("llm_iteration/prefill_755", |b| {

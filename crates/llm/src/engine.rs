@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use aum_au::counters::PmuCounters;
 use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_platform::spec::PlatformSpec;
@@ -32,7 +31,7 @@ use aum_sim::time::{SimDuration, SimTime};
 
 use crate::batching::{ActiveRequest, DecodePool, PrefillQueue};
 use crate::config::ModelConfig;
-use crate::cost::{iteration_cost, AuKernels};
+use crate::cost::{AuKernels, IterationPricer};
 use crate::ops::Phase;
 use crate::request::Request;
 use crate::slo::{SloReport, SloSpec, SloTally};
@@ -219,7 +218,7 @@ impl RecentWindow {
 #[derive(Debug, Clone)]
 pub struct LlmEngine {
     cfg: EngineConfig,
-    kernels: AuKernels,
+    pricer: IterationPricer,
     trace: VecDeque<Request>,
     queue: PrefillQueue,
     pool: DecodePool,
@@ -246,7 +245,6 @@ pub struct LlmEngine {
     /// prefill bursts (unlike the per-token execution times the SLO report
     /// histograms, which are pure iteration time).
     wall_tpot_hist: LogHistogram,
-    pmu: PmuCounters,
     completed: u64,
     /// Trace handle; request lifecycle and iteration events stream here
     /// when a sink is attached (free when disabled).
@@ -282,9 +280,14 @@ impl LlmEngine {
         );
         let max_batch = cfg.max_batch;
         let slo_tally = SloTally::new(cfg.scenario.slo());
+        let pricer = IterationPricer::new(
+            cfg.model.clone(),
+            cfg.precision,
+            AuKernels::for_platform(platform),
+        );
         LlmEngine {
             cfg,
-            kernels: AuKernels::for_platform(platform),
+            pricer,
             trace: trace.into(),
             queue: PrefillQueue::new(),
             pool: DecodePool::new(max_batch),
@@ -299,7 +302,6 @@ impl LlmEngine {
             recent_tokens: RecentWindow::new(TOKEN_WINDOW),
             sensing_scratch: Vec::new(),
             wall_tpot_hist: LogHistogram::new(),
-            pmu: PmuCounters::new(),
             completed: 0,
             tracer: Tracer::disabled(),
             span_track: "run".into(),
@@ -412,16 +414,7 @@ impl LlmEngine {
                 debug_assert!(!batch.is_empty());
                 let tokens: usize = batch.iter().map(|r| r.input_len).sum();
                 let ctx = (tokens / batch.len()).max(1);
-                let cost = iteration_cost(
-                    &self.cfg.model,
-                    Phase::Prefill,
-                    tokens,
-                    ctx,
-                    self.cfg.precision,
-                    &self.kernels,
-                    res,
-                    &mut self.pmu,
-                );
+                let cost = self.pricer.price(Phase::Prefill, tokens, ctx, res);
                 let start = self.prefill_clock;
                 self.prefill_clock += cost.time;
                 stats.prefill_tokens += tokens as u64;
@@ -451,16 +444,9 @@ impl LlmEngine {
                 };
                 let step = chunk.min(req.input_len - done);
                 // The chunk attends over the already-processed prefix.
-                let cost = iteration_cost(
-                    &self.cfg.model,
-                    Phase::Prefill,
-                    step,
-                    (done + step).max(1),
-                    self.cfg.precision,
-                    &self.kernels,
-                    res,
-                    &mut self.pmu,
-                );
+                let cost = self
+                    .pricer
+                    .price(Phase::Prefill, step, (done + step).max(1), res);
                 let start = self.prefill_clock;
                 self.prefill_clock += cost.time;
                 stats.prefill_tokens += step as u64;
@@ -605,16 +591,7 @@ impl LlmEngine {
         let batch = self.pool.batch();
         debug_assert!(batch > 0);
         let ctx = self.pool.mean_context();
-        let cost = iteration_cost(
-            &self.cfg.model,
-            Phase::Decode,
-            batch,
-            ctx,
-            self.cfg.precision,
-            &self.kernels,
-            res,
-            &mut self.pmu,
-        );
+        let cost = self.pricer.price(Phase::Decode, batch, ctx, res);
         let start = self.decode_clock;
         self.decode_clock += cost.time;
         if self.pool.active().iter().any(|r| r.generated > 0) {
@@ -811,12 +788,6 @@ impl LlmEngine {
     #[must_use]
     pub fn wall_tpot_hist(&self) -> &LogHistogram {
         &self.wall_tpot_hist
-    }
-
-    /// Accumulated synthetic PMU counters.
-    #[must_use]
-    pub fn pmu(&self) -> &PmuCounters {
-        &self.pmu
     }
 
     /// Requests fully completed.

@@ -86,7 +86,7 @@ fn ffn_down_width(model: &ModelConfig) -> usize {
     }
 }
 
-/// Builds the operator list for one iteration.
+/// Builds the operator list for one iteration, in pricing order.
 ///
 /// For prefill, `tokens` is `batch × prompt_len` and `context` the prompt
 /// length; for decode, `tokens` is the batch size and `context` the average
@@ -113,7 +113,7 @@ pub fn iteration_ops(
     phase: Phase,
     tokens: usize,
     context: usize,
-) -> Vec<IterOp> {
+) -> [IterOp; 8] {
     assert!(tokens > 0, "iteration needs at least one token");
     assert!(context > 0, "context length must be positive");
     let d = model.d_model;
@@ -143,7 +143,7 @@ pub fn iteration_ops(
         Phase::Prefill => (m / context).max(1), // only last position per prompt
         Phase::Decode => m,
     };
-    vec![
+    [
         IterOp {
             label: "qkv_proj",
             shape: GemmShape::new(m, d, d + model.kv_dim()),

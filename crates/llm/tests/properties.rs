@@ -9,13 +9,14 @@ use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::batching::{ActiveRequest, DecodePool, PrefillQueue};
 use aum_llm::config::ModelConfig;
-use aum_llm::cost::{iteration_cost, AuKernels};
+use aum_llm::cost::{iteration_cost, AuKernels, IterationCost, IterationPricer};
 use aum_llm::engine::{EngineConfig, EngineMode, EngineResources, LlmEngine, RegionResources};
 use aum_llm::ops::{iteration_ops, IterOp, Phase};
 use aum_llm::request::{Request, RequestId};
 use aum_llm::slo::{SloReport, SloSpec, SloTally};
 use aum_llm::traces::{Scenario, TraceGenerator};
 use aum_platform::spec::PlatformSpec;
+use aum_platform::units::GbPerSec;
 use aum_sim::hist::LogHistogram;
 use aum_sim::rng::DetRng;
 use aum_sim::time::{SimDuration, SimTime};
@@ -283,5 +284,71 @@ proptest! {
             prop_assert_eq!(a.sum().to_bits(), b.sum().to_bits());
         }
         prop_assert_eq!(online, oracle);
+    }
+}
+
+/// Every field of an iteration's cost, as bits.
+fn cost_bits(c: &IterationCost) -> [u64; 6] {
+    [
+        c.time.as_nanos(),
+        c.flops.to_bits(),
+        c.bytes.to_bits(),
+        c.bw_demand_gbs.to_bits(),
+        c.memory_bound_frac.to_bits(),
+        c.amx_flop_frac.to_bits(),
+    ]
+}
+
+/// The grants a pricer sequence draws from: few, so that keys repeat, and
+/// differing in every field, so that a changed key re-prices.
+fn grants(spec: &PlatformSpec) -> [ExecContext; 3] {
+    let cores = spec.total_cores();
+    [
+        ExecContext::new(cores, 3.1, spec.mem_bw),
+        ExecContext::new(cores / 2, 2.5, GbPerSec(spec.mem_bw.value() / 2.0)),
+        ExecContext::new(cores / 4, 2.0, spec.mem_bw).with_penalties(1.3, 1.1),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // One pricer serves a whole sequence, as in an engine run. Half the
+    // steps keep the last decode batch and grant, so its terms are
+    // reused; the rest draw a new batch and grant, and one in eight is a
+    // prefill step between decode iterations. Every result must equal
+    // `iteration_cost`'s, field by field and bit for bit.
+    #[test]
+    fn pricer_matches_iteration_cost_bit_for_bit(
+        platform in 0usize..3,
+        moe in any::<bool>(),
+        steps in prop::collection::vec((0u8..8, 1usize..=16, 1usize..=8192, 0usize..3), 1..48),
+    ) {
+        let spec = match platform {
+            0 => PlatformSpec::gen_a(),
+            1 => PlatformSpec::gen_b(),
+            _ => PlatformSpec::gen_c(),
+        };
+        let model = if moe { ModelConfig::qwen3_30b_a3b() } else { ModelConfig::llama2_7b() };
+        let kernels = AuKernels::for_platform(&spec);
+        let grants = grants(&spec);
+        let mut pricer = IterationPricer::new(model.clone(), Precision::Bf16, kernels);
+        let (mut batch, mut grant) = (1, 0);
+        for (draw, new_batch, context, new_grant) in steps {
+            let (phase, tokens, ctx) = match draw {
+                0 => (Phase::Prefill, new_batch * context, &grants[new_grant]),
+                1..=3 => {
+                    (batch, grant) = (new_batch, new_grant);
+                    (Phase::Decode, batch, &grants[grant])
+                }
+                _ => (Phase::Decode, batch, &grants[grant]),
+            };
+            let priced = pricer.price(phase, tokens, context, ctx);
+            let mut pmu = PmuCounters::new();
+            let full = iteration_cost(&model, phase, tokens, context,
+                Precision::Bf16, &kernels, ctx, &mut pmu);
+            prop_assert_eq!(cost_bits(&priced), cost_bits(&full),
+                "{} {} x {} on grant {:?}", phase, tokens, context, ctx);
+        }
     }
 }
