@@ -121,7 +121,9 @@ pub fn overhead(ctx: &RunCtx) -> String {
     }
     let per_decision = t0.elapsed() / iters;
     // Host timing stays on stderr so stdout is byte-identical run to run.
-    eprintln!("overhead: controller decision latency {per_decision:?} per decision");
+    aum_sim::report::note(&format!(
+        "overhead: controller decision latency {per_decision:?} per decision\n"
+    ));
     assert!(
         per_decision < std::time::Duration::from_millis(1),
         "decision latency must stay under the paper's 1 ms bound"

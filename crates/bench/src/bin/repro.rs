@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use aum_sim::exec;
 use aum_sim::flight::{FlightConfig, FlightRecorder};
 use aum_sim::live::{self, LiveState, MetricsServer, Watchdog};
+use aum_sim::report::note;
 use aum_sim::telemetry::{parse_jsonl, JsonlSink, OrderingSink, TraceRecord, Tracer};
 use aum_sim::time::SimDuration;
 
@@ -498,7 +499,8 @@ impl From<String> for Halt {
     }
 }
 
-/// The one stdout writer; `print!` would panic on a closed pipe.
+/// The one stdout writer; `print!` would panic on a closed pipe. Stderr
+/// lines go through [`note`], which ignores write errors.
 fn print(text: &str) -> Result<(), Halt> {
     let mut out = io::stdout().lock();
     out.write_all(text.as_bytes())
@@ -615,7 +617,10 @@ impl Driver {
             let state = live::install();
             let server = MetricsServer::serve(addr, state.clone())
                 .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            eprintln!("metrics: live endpoint at http://{}/metrics", server.addr());
+            note(&format!(
+                "metrics: live endpoint at http://{}/metrics\n",
+                server.addr()
+            ));
             if let Some(SinkHandle::Flight(handle)) = &self.sinks {
                 let flight = handle.clone();
                 state.set_flight_source(move || flight.lock().expect("flight lock").stats());
@@ -644,16 +649,16 @@ impl Driver {
         print(&format!("==== {name} ====\n{text}\n"))?;
         // Host timings go to stderr so stdout stays byte-identical across
         // runs and worker counts (CI `cmp`s captured stdout).
-        eprintln!("{name}: completed in {elapsed:?}");
+        note(&format!("{name}: completed in {elapsed:?}\n"));
         if let Some(dir) = &self.cli.out_dir {
             write_file(&dir.join(format!("{name}.txt")), &text)?;
         }
         // Speedup = summed cell compute time / sweep wall time.
         let d = exec::stats().since(&before);
         if d.cells > 0 {
-            eprintln!(
+            note(&format!(
                 "{name}: {} sweep cells, busy {:.2?} / wall {:.2?}, speedup {:.2}x (jobs {}; \
-                 claim {:.2?}, merge {:.2?}, idle {:.2?})",
+                 claim {:.2?}, merge {:.2?}, idle {:.2?})\n",
                 d.cells,
                 d.busy,
                 d.wall,
@@ -662,7 +667,7 @@ impl Driver {
                 d.claim,
                 d.merge,
                 d.idle,
-            );
+            ));
         }
         Ok(rest)
     }
@@ -680,7 +685,7 @@ impl Driver {
                 for (name, run) in &self.experiments {
                     self.study(name, |ctx| Ok((run(ctx), ())))?;
                 }
-                eprintln!("total: {:?}", t0.elapsed());
+                note(&format!("total: {:?}\n", t0.elapsed()));
                 Ok(())
             }
             Command::One(name, run) => self.study(name, |ctx| Ok((run(ctx), ()))),
@@ -714,7 +719,7 @@ impl Driver {
                 })?;
                 if let Some(path) = &self.cli.metrics_out {
                     write_file(path, &prom)?;
-                    eprintln!("metrics: {}", path.display());
+                    note(&format!("metrics: {}\n", path.display()));
                 }
                 Ok(())
             }
@@ -727,7 +732,10 @@ impl Driver {
                 if let Some(path) = &self.cli.flame {
                     write_file(path, &report.folded)?;
                     let stacks = report.folded.lines().count();
-                    eprintln!("flame: {stacks} stack(s) \u{2192} {}", path.display());
+                    note(&format!(
+                        "flame: {stacks} stack(s) \u{2192} {}\n",
+                        path.display()
+                    ));
                 }
                 let bench_path =
                     self.cli.bench_out.clone().unwrap_or_else(|| {
@@ -736,7 +744,7 @@ impl Driver {
                 let json = serde_json::to_string_pretty(&report.bench)
                     .map_err(|e| format!("cannot serialize bench summary: {e}"))?;
                 write_file(&bench_path, &json)?;
-                eprintln!("bench: {}", bench_path.display());
+                note(&format!("bench: {}\n", bench_path.display()));
                 if let Some(path) = &self.cli.baseline {
                     let baseline: BenchSummary = serde_json::from_str(&read_file(path)?)
                         .map_err(|e| format!("malformed baseline {}: {e}", path.display()))?;
@@ -744,7 +752,7 @@ impl Driver {
                         .bench
                         .regression_against(&baseline)
                         .map_err(|msg| format!("perf regression vs {}: {msg}", path.display()))?;
-                    eprintln!("perf gate: {line}");
+                    note(&format!("perf gate: {line}\n"));
                 }
                 Ok(())
             }
@@ -765,7 +773,10 @@ impl Driver {
                 let records = load_trace(input, false)?;
                 write_file(out, &perfetto::export(&records)?)?;
                 let n = records.len();
-                eprintln!("perfetto: {n} records \u{2192} {}", out.display());
+                note(&format!(
+                    "perfetto: {n} records \u{2192} {}\n",
+                    out.display()
+                ));
                 Ok(())
             }
         }
@@ -777,7 +788,7 @@ impl Driver {
     fn finish(self, result: Result<(), Halt>) -> ExitCode {
         let mut failed = false;
         if let Err(Halt::Failed(msg)) = result {
-            eprintln!("error: {msg}");
+            note(&format!("error: {msg}\n"));
             failed = true;
         }
         // The work is done: stop stall detection before the flush/hold
@@ -799,28 +810,31 @@ impl Driver {
             }
         };
         if let (Some(path), Some(lines)) = (&self.cli.trace, lines) {
-            eprintln!("trace: {lines} events \u{2192} {}", path.display());
+            note(&format!(
+                "trace: {lines} events \u{2192} {}\n",
+                path.display()
+            ));
         }
         if let (Some(recorder), Some(fcfg)) = (recorder, &self.cli.flight) {
             let stats = recorder.stats();
-            eprintln!(
-                "flight: {} trigger(s), {} incident dump(s) \u{2192} {}",
+            note(&format!(
+                "flight: {} trigger(s), {} incident dump(s) \u{2192} {}\n",
                 stats.triggers,
                 stats.incidents,
                 fcfg.dir.display()
-            );
+            ));
             for incident in recorder.incidents() {
-                eprintln!(
-                    "flight: incident {:04} [{}] at t={:.1}s \u{2192} {} ({} events)",
+                note(&format!(
+                    "flight: incident {:04} [{}] at t={:.1}s \u{2192} {} ({} events)\n",
                     incident.seq,
                     incident.trigger.label(),
                     incident.at.as_secs_f64(),
                     incident.path.display(),
                     incident.events
-                );
+                ));
             }
             for error in recorder.errors() {
-                eprintln!("flight: error: {error}");
+                note(&format!("flight: error: {error}\n"));
                 failed = true;
             }
         }
@@ -828,7 +842,9 @@ impl Driver {
             let _ = state.set_phase("done");
             let hold = self.cli.serve_hold_secs;
             if hold > 0 {
-                eprintln!("metrics: holding endpoint for {hold}s (ctrl-c to stop early)");
+                note(&format!(
+                    "metrics: holding endpoint for {hold}s (ctrl-c to stop early)\n"
+                ));
                 std::thread::sleep(Duration::from_secs(hold));
             }
             server.shutdown();
@@ -844,7 +860,7 @@ fn main() -> ExitCode {
     let (command, cli) = match parse_args(&args, &experiments) {
         Ok(parsed) => parsed,
         Err(msg) => {
-            eprint!("error: {msg}\n{}", usage_text(&experiments));
+            note(&format!("error: {msg}\n{}", usage_text(&experiments)));
             return ExitCode::from(2);
         }
     };

@@ -188,6 +188,22 @@ fn closed_stdout_ends_the_run_without_a_panic() {
 }
 
 #[test]
+fn closed_stderr_keeps_the_exit_code() {
+    let dir = scratch("closed_stderr");
+    // A rejection writes its usage to stderr and a study its `completed
+    // in` line; a closed stderr must change neither exit code.
+    for (args, code) in [(&["nope"][..], 2), (&["table1"], 0)] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = repro_cmd(&dir, args)
+            .stderr(writer)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(code), "repro {args:?}");
+    }
+}
+
+#[test]
 fn a_failed_output_write_exits_1() {
     let dir = scratch("failed_write");
     std::fs::create_dir_all(dir.join("d/table1.txt")).expect("a directory where the file goes");

@@ -407,11 +407,11 @@ impl Watchdog {
                     last = now;
                     last_change = Instant::now();
                 } else if last_change.elapsed() >= timeout {
-                    eprintln!(
-                        "watchdog: no progress for {:.0}s — terminating (exit {})",
+                    crate::report::note(&format!(
+                        "watchdog: no progress for {:.0}s — terminating (exit {})\n",
                         timeout.as_secs_f64(),
                         WATCHDOG_EXIT_CODE
-                    );
+                    ));
                     std::process::exit(WATCHDOG_EXIT_CODE);
                 }
             }

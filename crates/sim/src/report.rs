@@ -1,9 +1,17 @@
-//! Plain-text report tables.
+//! Plain-text report tables, and the stderr writer for diagnostics.
 //!
 //! The `repro` harness prints each paper table/figure as an aligned text
 //! table; this module keeps the formatting in one place.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
+
+/// Writes `text` to stderr, ignoring write errors. `eprint!` panics when
+/// stderr is closed (`repro table1 2>&1 | head -1`), and a diagnostic
+/// line must never change how a run ends.
+pub fn note(text: &str) {
+    let _ = std::io::stderr().write_all(text.as_bytes());
+}
 
 /// A simple column-aligned text table builder.
 ///
