@@ -3,7 +3,7 @@
 //! `repro fleet-chaos [--quick]` replays every node-scoped fault scenario
 //! (crash, crash/restart, straggler, router partition, rolling drain)
 //! against two routers on the heterogeneous demo fleet — FAILOVER (the
-//! health-checked epoch router, [`aum::fleet::run_fleet_traced`] under
+//! health-checked epoch router, [`aum::fleet::try_run_fleet_traced`] under
 //! `RoutingPolicy::Failover`) and STATIC (the same router with the
 //! AUV-weighted t=0 split frozen for the whole run) — and reports *SLO
 //! retention*: the fraction of each router's own healthy attainment it
@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 
 use aum::cluster::{routing_weights, ClusterConfig, RoutingPolicy};
-use aum::fleet::{run_fleet_traced, FleetOutcome, NodeFault, NodeFaultEvent, NodeFaultPlan};
+use aum::fleet::{try_run_fleet_traced, FleetOutcome, NodeFault, NodeFaultEvent, NodeFaultPlan};
 use aum_llm::traces::Scenario;
 use aum_sim::telemetry::{MetricsSnapshot, Tracer};
 use aum_sim::time::SimDuration;
@@ -153,7 +153,8 @@ fn run_scheme(
     // — span ids are only unique per track, and all cells merge into one
     // harness trace.
     let track = format!("fleet/{}/{scenario}", scheme.policy());
-    run_fleet_traced(&cfg, scheme.policy(), weights, &tracer, &track)
+    try_run_fleet_traced(&cfg, scheme.policy(), weights, &tracer, &track)
+        .expect("every fault-matrix plan fits the 3-node demo fleet")
 }
 
 /// Publishes one completed FAILOVER cell to the live `/metrics` endpoint

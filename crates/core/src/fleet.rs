@@ -68,6 +68,7 @@ use aum_sim::time::SimTime;
 use aum_workloads::gpu::CpuAnchor;
 
 use crate::cluster::{ClusterConfig, RoutingPolicy};
+use crate::error::AumError;
 use crate::fault::{FaultPlane, FaultScript, ScriptEvent};
 
 /// One node-scoped failure mode the fleet fault plane can inject.
@@ -644,13 +645,20 @@ impl<'a> Fleet<'a> {
         capacity_weights: &[f64],
         tracer: &'a Tracer,
         track: &str,
-    ) -> Self {
+    ) -> Result<Self, AumError> {
         let n = cfg.servers.len();
-        assert!(n > 0, "fleet needs servers");
-        assert_eq!(capacity_weights.len(), n, "one capacity weight per server");
+        if n == 0 {
+            return Err(AumError::Config("fleet needs servers".into()));
+        }
+        if capacity_weights.len() != n {
+            return Err(AumError::Config(format!(
+                "{} capacity weights for {n} servers",
+                capacity_weights.len()
+            )));
+        }
         cfg.fault_plan
             .validate_for(n)
-            .expect("invalid NodeFaultPlan");
+            .map_err(AumError::FaultPlan)?;
         let params = cfg.fleet.normalized();
         let duration_secs = cfg.duration.as_secs_f64();
         let epochs = (duration_secs / params.epoch_secs).ceil().max(1.0) as u64;
@@ -686,7 +694,7 @@ impl<'a> Fleet<'a> {
                 }
             })
             .collect();
-        Fleet {
+        Ok(Fleet {
             cfg,
             policy,
             params,
@@ -703,7 +711,7 @@ impl<'a> Fleet<'a> {
                 shed_by_class: vec![0; CLASSES.len()],
                 ..FleetOutcome::default()
             },
-        }
+        })
     }
 
     fn at_of(&self, e: u64) -> SimTime {
@@ -1052,6 +1060,34 @@ impl<'a> Fleet<'a> {
 /// the fleet-chaos matrix) must pass a distinct track per run or the
 /// streams collide as duplicate opens.
 ///
+/// # Errors
+///
+/// - [`AumError::Config`] if the cluster has no servers, or if
+///   `capacity_weights` disagrees with the server count;
+/// - [`AumError::FaultPlan`] if the fault plan is invalid for this fleet,
+///   such as an event naming a node the fleet does not have.
+pub fn try_run_fleet_traced(
+    cfg: &ClusterConfig,
+    policy: RoutingPolicy,
+    capacity_weights: &[f64],
+    tracer: &Tracer,
+    track: &str,
+) -> Result<FleetOutcome, AumError> {
+    let mut fleet = Fleet::new(cfg, policy, capacity_weights, tracer, track)?;
+    for e in 0..fleet.out.epochs {
+        let at = fleet.open_epoch(e);
+        fleet.fault_edges(e, at);
+        fleet.health(e, at);
+        let weights = fleet.routing_weights();
+        let (fresh, ready) = fleet.admit(e, at, &weights);
+        fleet.dispatch(e, at, &weights, fresh, &ready);
+        fleet.coalesce_retries();
+    }
+    Ok(fleet.finish())
+}
+
+/// [`try_run_fleet_traced`], panicking on its errors.
+///
 /// # Panics
 ///
 /// Panics if the cluster is empty, if `capacity_weights` disagrees with
@@ -1064,17 +1100,7 @@ pub fn run_fleet_traced(
     tracer: &Tracer,
     track: &str,
 ) -> FleetOutcome {
-    let mut fleet = Fleet::new(cfg, policy, capacity_weights, tracer, track);
-    for e in 0..fleet.out.epochs {
-        let at = fleet.open_epoch(e);
-        fleet.fault_edges(e, at);
-        fleet.health(e, at);
-        let weights = fleet.routing_weights();
-        let (fresh, ready) = fleet.admit(e, at, &weights);
-        fleet.dispatch(e, at, &weights, fresh, &ready);
-        fleet.coalesce_retries();
-    }
-    fleet.finish()
+    try_run_fleet_traced(cfg, policy, capacity_weights, tracer, track).expect("invalid fleet run")
 }
 
 /// CapEx amortization horizon: 3 years of seconds.
@@ -1361,6 +1387,59 @@ mod tests {
             }
         }
         assert_eq!(split_requests(10, &[0.0, 0.0]), vec![0, 0]);
+    }
+
+    #[test]
+    fn an_empty_fleet_is_a_config_error() {
+        let mut cfg = fleet_cfg(NodeFaultPlan::none());
+        cfg.servers.clear();
+        let err = try_run_fleet_traced(
+            &cfg,
+            RoutingPolicy::Failover,
+            &[],
+            &Tracer::disabled(),
+            "fleet",
+        )
+        .expect_err("no servers");
+        assert!(
+            matches!(&err, AumError::Config(m) if m == "fleet needs servers"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mismatched_capacity_weights_are_a_config_error() {
+        let cfg = fleet_cfg(NodeFaultPlan::none());
+        let err = try_run_fleet_traced(
+            &cfg,
+            RoutingPolicy::Failover,
+            &even_weights(2),
+            &Tracer::disabled(),
+            "fleet",
+        )
+        .expect_err("two weights for three servers");
+        assert!(
+            matches!(&err, AumError::Config(m) if m == "2 capacity weights for 3 servers"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_fault_on_a_missing_node_is_a_fault_plan_error() {
+        let plan = NodeFaultPlan::single(NodeFaultEvent::permanent(7, 20.0, NodeFault::Crash));
+        let err = try_run_fleet_traced(
+            &fleet_cfg(plan),
+            RoutingPolicy::Failover,
+            &even_weights(3),
+            &Tracer::disabled(),
+            "fleet",
+        )
+        .expect_err("node 7 of 3");
+        assert!(
+            matches!(&err, AumError::FaultPlan(m)
+                if m == "event 0: node 7 out of range for a 3-node fleet"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub use error::AumError;
 pub use experiment::{run_experiment, ExperimentConfig, Outcome};
 pub use fault::{Fault, FaultEvent, FaultPlan};
 pub use fleet::{
-    run_fleet_traced, FleetOutcome, FleetParams, NodeFault, NodeFaultEvent, NodeFaultPlan,
-    NodeMetricsRollup,
+    run_fleet_traced, try_run_fleet_traced, FleetOutcome, FleetParams, NodeFault, NodeFaultEvent,
+    NodeFaultPlan, NodeMetricsRollup,
 };
 pub use manager::{Decision, ResourceManager, StaticManager, SystemState};
 pub use prices::{e_cpu, Prices};
