@@ -6,7 +6,8 @@
 //! - [`config`]: the six Table II model architectures;
 //! - [`ops`]: per-iteration operator graphs (the paper's §IV-A3 GEMM
 //!   shapes fall out of these);
-//! - [`cost`]: iteration cost evaluation over the roofline model + PMU;
+//! - [`cost`]: iteration cost evaluation over the roofline model + PMU,
+//!   and the engine's per-run pricer;
 //! - [`request`] / [`traces`]: Table IV scenarios (cb/cc/sm) with seeded
 //!   trace generation;
 //! - [`batching`]: FCFS prefill queue + continuous-batching decode pool
