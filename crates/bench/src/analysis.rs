@@ -16,7 +16,7 @@ use aum_sim::report::{fmt_pct, TextTable};
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
-use crate::common::{scheme_outcome_cell, RunCtx, Scheme};
+use crate::common::{Cell, RunCtx, Scheme};
 
 /// §VII-D price sensitivity: efficiency gain of AUM over SMT-AU under the
 /// default 1.8/0.2 prices and the "cheaper tokens" 0.9/0.1 setting
@@ -29,26 +29,30 @@ pub fn sens(ctx: &RunCtx) -> String {
     let mut out = String::from("Price sensitivity (Compute + cc): AUM vs SMT-AU\n");
     let mut t = TextTable::new(["alpha/beta", "AUM eff", "SMT-AU eff", "AUM gain"]);
     for prices in [Prices::paper_default(), Prices::cheap_tokens()] {
-        // The default prices are the paper-default profile the ctx caches;
-        // only the cheap-token model needs its own sweep.
-        let model = if prices == Prices::paper_default() {
-            ctx.cache.model(&spec, scenario, be, &ctx.tracer)
+        // The default prices are the paper-default cells the ctx caches;
+        // only the cheap-token row needs a model and runs of its own.
+        let (aum, smt) = if prices == Prices::paper_default() {
+            let [aum, smt] = [Scheme::Aum, Scheme::SmtAu].map(|scheme| {
+                let cell = Cell::new(scheme, &spec, scenario, be);
+                ctx.cache.outcome_untraced(&cell, &ctx.tracer).efficiency
+            });
+            (aum, smt)
         } else {
-            Arc::new(build_model(&ProfilerConfig {
+            let model = build_model(&ProfilerConfig {
                 prices,
                 ..ProfilerConfig::paper_default(spec.clone(), scenario, be)
-            }))
+            });
+            let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
+            cfg.prices = prices;
+            let aum = run_experiment(&cfg, &mut AumController::new(Arc::new(model)));
+            let smt = run_experiment(&cfg, &mut aum::baselines::SmtAu::new(&spec));
+            (aum.efficiency, smt.efficiency)
         };
-        let mut cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
-        cfg.prices = prices;
-        let aum = run_experiment(&cfg, &mut AumController::new(model));
-        let mut smt = aum::baselines::SmtAu::new(&spec);
-        let smt_out = run_experiment(&cfg, &mut smt);
         t.row([
             format!("{}/{}", prices.alpha, prices.beta),
-            format!("{:.3}", aum.efficiency),
-            format!("{:.3}", smt_out.efficiency),
-            fmt_pct(aum.efficiency / smt_out.efficiency - 1.0),
+            format!("{aum:.3}"),
+            format!("{smt:.3}"),
+            fmt_pct(aum / smt - 1.0),
         ]);
     }
     out.push_str(&t.render());
@@ -141,16 +145,8 @@ pub fn overhead(ctx: &RunCtx) -> String {
 pub fn tco(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let [excl, aum] = [Scheme::AllAu, Scheme::Aum].map(|scheme| {
-        scheme_outcome_cell(
-            scheme,
-            &spec,
-            Scenario::Chatbot,
-            BeKind::SpecJbb,
-            None,
-            None,
-            &ctx.cache,
-            &ctx.tracer,
-        )
+        let cell = Cell::new(scheme, &spec, Scenario::Chatbot, BeKind::SpecJbb);
+        ctx.cache.outcome(&cell, &ctx.tracer)
     });
     let gain = aum.efficiency / excl.efficiency;
     let mut t = TextTable::new(["configuration", "perf/CapEx vs GPU", "perf/W vs GPU"]);

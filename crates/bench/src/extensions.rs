@@ -22,7 +22,7 @@ use aum_workloads::be::BeKind;
 
 use aum_llm::traces::RateProfile;
 
-use crate::common::{scheme_outcome_cell, RunCtx, Scheme};
+use crate::common::{Cell, RunCtx, Scheme};
 
 /// Fig 1 companion: the management gap. AU acceleration of key operations
 /// (left side of the paper's opening figure) against the degradation that
@@ -40,16 +40,8 @@ pub fn fig1(ctx: &RunCtx) -> String {
     );
     let spec = PlatformSpec::gen_a();
     let [base, smt, aum] = [Scheme::AllAu, Scheme::SmtAu, Scheme::Aum].map(|scheme| {
-        scheme_outcome_cell(
-            scheme,
-            &spec,
-            Scenario::Chatbot,
-            BeKind::Olap,
-            None,
-            None,
-            &ctx.cache,
-            &ctx.tracer,
-        )
+        let cell = Cell::new(scheme, &spec, Scenario::Chatbot, BeKind::Olap);
+        ctx.cache.outcome(&cell, &ctx.tracer)
     });
     let oblivious_loss = 1.0 - smt.decode_tps / base.decode_tps;
     let aum_loss = 1.0 - aum.decode_tps / base.decode_tps;
@@ -138,18 +130,11 @@ pub fn ablate(ctx: &RunCtx) -> String {
     let be = BeKind::SpecJbb;
     let full_divs = default_divisions(&spec);
     let full_cfgs = default_allocations(&spec);
-    let exclusive = scheme_outcome_cell(
-        Scheme::AllAu,
-        &spec,
-        scenario,
-        be,
-        None,
-        None,
-        &ctx.cache,
-        &ctx.tracer,
-    );
-    // The full grid is the paper-default profile the ctx caches; only the
-    // coarser grids need sweeps of their own.
+    let cell = |scheme| Cell::new(scheme, &spec, scenario, be);
+    let exclusive = ctx.cache.outcome(&cell(Scheme::AllAu), &ctx.tracer);
+    // The full grid is the paper-default profile the ctx caches, and its
+    // AUM run is the paper-default AUM cell; only the coarser grids need
+    // sweeps and runs of their own.
     let full_model = ctx.cache.model(&spec, scenario, be, &ctx.tracer);
     let mut t = TextTable::new([
         "grid (div x cfg)",
@@ -157,18 +142,20 @@ pub fn ablate(ctx: &RunCtx) -> String {
         "AUM efficiency gain",
         "TPOT guarantee",
     ]);
+    let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
     for (divs, cfgs) in [(2usize, 2usize), (3, 3), (6, 5)] {
-        let model = if divs >= full_divs.len() && cfgs >= full_cfgs.len() {
-            Arc::clone(&full_model)
+        let (runs, out) = if divs >= full_divs.len() && cfgs >= full_cfgs.len() {
+            let out = ctx.cache.outcome_untraced(&cell(Scheme::Aum), &ctx.tracer);
+            (full_model.profiling_runs, out)
         } else {
             let mut pc = ProfilerConfig::paper_default(spec.clone(), scenario, be);
             pc.divisions = full_divs.iter().copied().take(divs).collect();
             pc.allocations = full_cfgs.iter().copied().take(cfgs).collect();
-            Arc::new(build_model(&pc))
+            let model = build_model(&pc);
+            let runs = model.profiling_runs;
+            let out = run_experiment(&cfg, &mut AumController::new(Arc::new(model)));
+            (runs, Arc::new(out))
         };
-        let runs = model.profiling_runs;
-        let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
-        let out = run_experiment(&cfg, &mut AumController::new(model));
         t.row([
             format!("{divs} x {cfgs}"),
             runs.to_string(),
@@ -178,9 +165,8 @@ pub fn ablate(ctx: &RunCtx) -> String {
     }
     // Value of runtime adaptation: freeze the best bucket of the full
     // model and compare against the adaptive controller.
-    let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
     let static_out = run_experiment(&cfg, &mut aum::baselines::StaticBest::new(&full_model));
-    let aum_out = run_experiment(&cfg, &mut AumController::new(full_model));
+    let aum_out = ctx.cache.outcome_untraced(&cell(Scheme::Aum), &ctx.tracer);
     let mut t2 = TextTable::new(["manager", "efficiency gain", "TPOT guarantee"]);
     t2.row([
         "STATIC-BEST (frozen bucket)".to_string(),

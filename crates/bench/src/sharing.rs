@@ -13,7 +13,7 @@ use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_sim::report::{fmt3, TextTable};
 use aum_workloads::be::{BeKind, BeProfile};
 
-use crate::common::{scheme_outcome_cell, RunCtx, Scheme};
+use crate::common::{Cell, RunCtx, Scheme};
 
 /// Fig 9: variable SMT impact on AU sharing performance.
 #[must_use]
@@ -44,16 +44,10 @@ pub fn fig9(ctx: &RunCtx) -> String {
 
     out.push_str("\nFig 9b: end-to-end impact of shared application types (SMT-AU vs ALL-AU)\n");
     let spec = PlatformSpec::gen_a();
-    let base = scheme_outcome_cell(
-        Scheme::AllAu,
-        &spec,
-        Scenario::Chatbot,
-        BeKind::SpecJbb,
-        None,
-        None,
-        &ctx.cache,
-        &ctx.tracer,
-    );
+    let cell = |scheme, be| Cell::new(scheme, &spec, Scenario::Chatbot, be);
+    let base = ctx
+        .cache
+        .outcome(&cell(Scheme::AllAu, BeKind::SpecJbb), &ctx.tracer);
     let mut t = TextTable::new([
         "shared app",
         "decode tput vs ALL-AU",
@@ -62,16 +56,7 @@ pub fn fig9(ctx: &RunCtx) -> String {
         "BE rate",
     ]);
     for be in [BeKind::Compute, BeKind::Olap, BeKind::SpecJbb] {
-        let out_ = scheme_outcome_cell(
-            Scheme::SmtAu,
-            &spec,
-            Scenario::Chatbot,
-            be,
-            None,
-            None,
-            &ctx.cache,
-            &ctx.tracer,
-        );
+        let out_ = ctx.cache.outcome(&cell(Scheme::SmtAu, be), &ctx.tracer);
         t.row([
             be.to_string(),
             fmt3(out_.decode_tps / base.decode_tps),
@@ -167,14 +152,8 @@ pub fn fig10(_ctx: &RunCtx) -> String {
 pub fn fig12(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let total = spec.total_cores();
-    let base = scheme_outcome_cell(
-        Scheme::AllAu,
-        &spec,
-        Scenario::Chatbot,
-        BeKind::SpecJbb,
-        None,
-        None,
-        &ctx.cache,
+    let base = ctx.cache.outcome(
+        &Cell::new(Scheme::AllAu, &spec, Scenario::Chatbot, BeKind::SpecJbb),
         &ctx.tracer,
     );
     let mut t = TextTable::new([

@@ -8,13 +8,13 @@
 //!
 //! The grids run at reduced scale (smoke profiler, short experiment
 //! durations) through the *same* code paths the paper-scale studies use —
-//! `build_model_traced`, `evaluation::scheme_grid_hists`, `chaos::run`,
-//! `cluster::run_cluster_with`, `fleetchaos::run` — so the gate exercises
-//! the real cell dispatch, cache latching and ordered trace merge, not a
-//! test-only replica.
+//! `build_model_traced`, `ModelCache::outcomes` with
+//! `evaluation::grid_latency`, `chaos::run`, `cluster::run_cluster_with`,
+//! `fleetchaos::run` — so the gate exercises the real cell dispatch, cache
+//! latching and ordered trace merge, not a test-only replica.
 
 use aum::profiler::{build_model_traced, ProfilerConfig};
-use aum_bench::common::{ModelCache, RunCtx, Scheme};
+use aum_bench::common::{Cell, ModelCache, RunCtx, Scheme};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::exec;
@@ -80,25 +80,27 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
 
     // --- Fig 14 grid shape (reduced scale): identical Outcome metrics,
     // byte-identical trace, and byte-identical merged latency histograms.
-    // Same scheme_grid_hists code path as the paper run; the smoke-profile
-    // cache and 30 s cells keep debug runtime sane. ---
+    // Same cell runner and histogram fold as the paper run; the
+    // smoke-profile cache and 30 s cells keep debug runtime sane. ---
     let fig14_grid = |jobs: usize| {
         exec::set_jobs(jobs);
         let out = with_captured_trace(|ctx| {
-            let (grid, hists) = aum_bench::evaluation::scheme_grid_hists(
+            let cells = Cell::grid(
                 &spec,
                 &[Scenario::Chatbot],
                 &[BeKind::SpecJbb],
                 &Scheme::ALL,
-                Some(SimDuration::from_secs(30)),
-                &ctx.cache,
-                &ctx.tracer,
-            );
+            )
+            .into_iter()
+            .map(|c| c.with_duration(SimDuration::from_secs(30)))
+            .collect();
+            let grid = ctx.cache.outcomes(cells, &ctx.tracer);
+            let (ttft, tpot) = aum_bench::evaluation::grid_latency(&grid);
             let outcomes = grid
                 .iter()
                 .map(|o| serde_json::to_string(o).expect("outcome serializes"))
                 .collect::<Vec<_>>();
-            let hist_state = hists
+            let hist_state = [("ttft_seconds", ttft), ("tpot_request_seconds", tpot)]
                 .iter()
                 .map(|(name, h)| {
                     format!(

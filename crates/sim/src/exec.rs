@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::hist::LogHistogram;
 use crate::telemetry::{MemorySink, TraceRecord, Tracer};
 
 /// Process-wide worker-count override; 0 = unset (fall through to the
@@ -359,40 +358,6 @@ where
     out
 }
 
-/// [`sweep_traced`] plus per-cell histogram reduction: each cell returns
-/// its result together with named [`LogHistogram`]s, and the sweep folds
-/// same-named histograms together **in canonical cell order**.
-///
-/// Histogram bucket counts are order-independent (element-wise `u64`
-/// addition), but the running `sum` is an `f64` whose value depends on the
-/// addition order — merging in cell order makes the folded state
-/// byte-identical at every `--jobs` level, the same argument
-/// `sweep_traced` makes for trace streams. This is how SLO latency
-/// distributions aggregate across evaluation-grid cells without shipping
-/// raw sample vectors.
-pub fn sweep_traced_hists<T, R, F>(
-    parent: &Tracer,
-    cells: Vec<T>,
-    f: F,
-) -> (Vec<R>, std::collections::BTreeMap<String, LogHistogram>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, Tracer) -> (R, Vec<(String, LogHistogram)>) + Sync,
-{
-    let cell_results = sweep_traced(parent, cells, f);
-    let mut merged: std::collections::BTreeMap<String, LogHistogram> =
-        std::collections::BTreeMap::new();
-    let mut out = Vec::with_capacity(cell_results.len());
-    for (r, hists) in cell_results {
-        for (name, h) in hists {
-            merged.entry(name).or_default().merge(&h);
-        }
-        out.push(r);
-    }
-    (out, merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,30 +434,6 @@ mod tests {
         let parallel = run(8);
         assert_eq!(serial.len(), 12);
         assert_eq!(serial, parallel, "merged trace must be order-identical");
-    }
-
-    #[test]
-    fn traced_hist_sweep_folds_identically_for_any_job_count() {
-        let _globals = lock_globals();
-        let run = |jobs: usize| -> String {
-            set_jobs(jobs);
-            let cells: Vec<usize> = (0..10).collect();
-            let (out, hists) = sweep_traced_hists(&Tracer::disabled(), cells, |i, _, _| {
-                let mut h = LogHistogram::new();
-                // Cell-local values: the fold order, not the values,
-                // is what parallelism could perturb.
-                for k in 0..=i {
-                    h.record(0.01 * (k + 1) as f64);
-                }
-                (i, vec![("ttft".to_string(), h)])
-            });
-            set_jobs(0);
-            assert_eq!(out, (0..10).collect::<Vec<_>>());
-            serde_json::to_string(&hists["ttft"]).expect("serialize")
-        };
-        let serial = run(1);
-        let parallel = run(8);
-        assert_eq!(serial, parallel, "folded histogram must be byte-identical");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! `1/SUB_BUCKETS` (≈ 0.78 %). The boundaries are *fixed* — independent of
 //! the data — which makes two histograms mergeable by element-wise count
 //! addition: `merge(a, b)` has exactly the bucket counts of histogramming
-//! `a ∪ b`, no matter how observations were split across workers. That is
-//! the property the deterministic sweep executor
-//! ([`crate::exec::sweep_traced_hists`]) relies on to keep quantile
-//! readouts byte-identical at every worker count.
+//! `a ∪ b`, no matter how observations were split across workers. Folding
+//! per-cell histograms in a fixed cell order (Fig 14's grid-wide latency
+//! line) therefore keeps quantile readouts byte-identical at every worker
+//! count.
 //!
 //! The covered range is `[2^-20, 2^12)` seconds (≈ 1 µs to ≈ 68 min);
 //! values below it (including zero and negatives) land in an underflow

@@ -77,7 +77,7 @@ pub mod time;
 pub use attrib::{
     Cause, CauseVec, ConservationError, IntervalLedger, Ledger, Region, RegionSample,
 };
-pub use exec::{jobs, set_jobs, sweep, sweep_jobs, sweep_traced, sweep_traced_hists, ExecStats};
+pub use exec::{jobs, set_jobs, sweep, sweep_jobs, sweep_traced, ExecStats};
 pub use flight::{FlightConfig, FlightRecorder, FlightStats, Incident, RingSink, TriggerKind};
 pub use hist::LogHistogram;
 pub use live::{LiveState, MetricsServer, Watchdog};
