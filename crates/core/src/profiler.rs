@@ -203,10 +203,52 @@ impl AuvModel {
     ///
     /// # Errors
     ///
-    /// Returns [`AumError`] on IO or decoding failure.
+    /// Returns [`AumError`] on IO or decoding failure, and
+    /// [`AumError::Config`] for a model no controller can serve from: a
+    /// `div_count` or `cfg_count` of 0, a bucket count other than their
+    /// product, or a bucket whose latencies, rates, power or efficiency are
+    /// not finite (JSON `null` decodes into an `f64` as NaN).
     pub fn load(path: &Path) -> Result<Self, AumError> {
         let json = std::fs::read_to_string(path)?;
-        Ok(serde_json::from_str(&json)?)
+        let model: AuvModel = serde_json::from_str(&json)?;
+        model.validate().map_err(AumError::Config)?;
+        Ok(model)
+    }
+
+    /// The shape and finiteness that `bucket`, `best_bucket` and
+    /// `conservative_division` rely on.
+    fn validate(&self) -> Result<(), String> {
+        for (field, n) in [("div_count", self.div_count), ("cfg_count", self.cfg_count)] {
+            if n == 0 {
+                return Err(format!("AUV model {field} is 0; it needs at least 1"));
+            }
+        }
+        if self.div_count.checked_mul(self.cfg_count) != Some(self.buckets.len()) {
+            return Err(format!(
+                "AUV model has {} buckets, but div_count x cfg_count is {} x {}",
+                self.buckets.len(),
+                self.div_count,
+                self.cfg_count
+            ));
+        }
+        for (i, b) in self.buckets.iter().enumerate() {
+            for (field, v) in [
+                ("prefill_tps", b.prefill_tps),
+                ("decode_tps", b.decode_tps),
+                ("be_rate", b.be_rate),
+                ("ttft_p50", b.ttft_p50),
+                ("ttft_p90", b.ttft_p90),
+                ("tpot_p50", b.tpot_p50),
+                ("tpot_p90", b.tpot_p90),
+                ("power_w", b.power_w),
+                ("efficiency", b.efficiency),
+            ] {
+                if !v.is_finite() {
+                    return Err(format!("AUV model bucket {i}: {field} is {v}, not finite"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Approximate in-memory footprint, bytes.

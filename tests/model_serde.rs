@@ -4,6 +4,7 @@
 //! §VII-D).
 
 use aum::cluster::{ClusterConfig, RoutingPolicy};
+use aum::error::AumError;
 use aum::experiment::ExperimentConfig;
 use aum::fault::{Fault, FaultEvent, FaultPlan};
 use aum::fleet::{FleetParams, NodeFault, NodeFaultEvent, NodeFaultPlan};
@@ -249,6 +250,44 @@ fn partial_fleet_params_fall_back_to_documented_defaults() {
         FleetParams::default().down_after_misses
     );
     assert_eq!(norm.shed_headroom, FleetParams::default().shed_headroom);
+}
+
+/// Saves a smoke model after `corrupt` edits it, loads it back, and
+/// returns the `AumError::Config` message `load` must give.
+fn load_error_after(name: &str, corrupt: impl FnOnce(&mut AuvModel)) -> String {
+    let mut model = build_model(&ProfilerConfig::smoke(
+        PlatformSpec::gen_a(),
+        Scenario::Chatbot,
+        BeKind::SpecJbb,
+    ));
+    corrupt(&mut model);
+    let path = std::env::temp_dir().join(format!("aum_unservable_model_{name}.json"));
+    model.save(&path).expect("save model");
+    let loaded = AuvModel::load(&path);
+    let _ = std::fs::remove_file(path);
+    match loaded {
+        Err(AumError::Config(msg)) => msg,
+        other => panic!("{name}: expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_model_with_a_null_efficiency_is_a_config_error() {
+    // A NaN saves as `null`, which decodes back into the f64 as NaN.
+    let msg = load_error_after("null_efficiency", |m| m.buckets[1].efficiency = f64::NAN);
+    assert!(msg.contains("bucket 1: efficiency"), "{msg}");
+}
+
+#[test]
+fn a_model_without_divisions_is_a_config_error() {
+    let msg = load_error_after("zero_divisions", |m| m.div_count = 0);
+    assert!(msg.contains("div_count is 0"), "{msg}");
+}
+
+#[test]
+fn a_model_whose_grid_outruns_its_buckets_is_a_config_error() {
+    let msg = load_error_after("short_grid", |m| m.cfg_count = 9);
+    assert!(msg.contains("div_count x cfg_count"), "{msg}");
 }
 
 #[test]
