@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use aum_sim::flight::{BURN_WINDOW_SECS, ERROR_BUDGET};
 use aum_sim::hist::LogHistogram;
 use aum_sim::span::{collect_spans, SpanId, SpanKind};
 use aum_sim::telemetry::{
@@ -221,19 +222,11 @@ fn fleet_digest(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Fraction of requests an SLO allows to miss their deadline before the
-/// error budget is spent — burn rate 1.0× means "exactly on budget".
-const ERROR_BUDGET: f64 = 0.01;
-
-/// Tumbling-window lengths (seconds) of the multi-window burn-rate check:
-/// the short window catches fast burns, the long one filters blips. Both
-/// burning simultaneously is the page-worthy condition.
-const BURN_WINDOWS: [f64; 2] = [10.0, 60.0];
-
-/// One metric's windowed burn rates against its target.
+/// One metric's windowed burn rates against its target, under the flight
+/// recorder's burn policy ([`ERROR_BUDGET`], [`BURN_WINDOW_SECS`]).
 fn burn_lines(out: &mut String, samples: &[(f64, f64)], target: f64) -> bool {
     let mut all_burning = true;
-    for w in BURN_WINDOWS {
+    for w in BURN_WINDOW_SECS.map(|s| s as f64) {
         let mut windows: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
         for &(at, v) in samples {
             let e = windows.entry((at / w) as u64).or_insert((0, 0));
@@ -333,10 +326,10 @@ fn slo_digest(records: &[TraceRecord]) -> String {
         [] => writeln!(out, "  alert: none (no metric burns in both windows)"),
         names => writeln!(
             out,
-            "  alert: PAGE — {} burning in both the {:.0}s and {:.0}s windows",
+            "  alert: PAGE — {} burning in both the {}s and {}s windows",
             names.join(" and "),
-            BURN_WINDOWS[0],
-            BURN_WINDOWS[1]
+            BURN_WINDOW_SECS[0],
+            BURN_WINDOW_SECS[1]
         ),
     };
     out

@@ -153,12 +153,14 @@ impl TriggerKind {
 }
 
 /// Fraction of requests the SLO error budget allows to miss their
-/// deadline; mirrors the `trace-summary` digest.
-const ERROR_BUDGET: f64 = 0.01;
+/// deadline: a burn rate of 1.0× means "exactly on budget". The
+/// `trace-summary` digest judges a finished trace by the same policy.
+pub const ERROR_BUDGET: f64 = 0.01;
 
-/// Tumbling-window lengths (seconds) of the dual-window burn check; the
-/// short window catches fast burns, the long one filters blips.
-const BURN_WINDOW_SECS: [u64; 2] = [10, 60];
+/// Tumbling-window lengths (seconds) of the dual-window burn check: the
+/// short window catches fast burns, the long one filters blips, and both
+/// burning at once is the page-worthy condition.
+pub const BURN_WINDOW_SECS: [u64; 2] = [10, 60];
 
 /// How far a timestamp may rise above the window walk's running minimum
 /// before it is treated as the previous cell's tail rather than
