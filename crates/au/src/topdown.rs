@@ -107,12 +107,6 @@ impl TopDown {
         self.cycles.backend_bound * (1.0 - self.core_frac)
     }
 
-    /// Core-bound fraction of all slots.
-    #[must_use]
-    pub fn core_bound(&self) -> f64 {
-        self.cycles.backend_bound * self.core_frac
-    }
-
     /// DRAM-bound fraction of all slots (Table II "DB").
     #[must_use]
     pub fn dram_bound(&self) -> f64 {
@@ -528,7 +522,8 @@ mod tests {
     #[test]
     fn accessors_are_consistent() {
         let t = signature(SignatureKind::Prefill, &gen_a());
-        assert!((t.core_bound() + t.memory_bound() - t.backend_bound()).abs() < 1e-12);
+        let core_bound = t.backend_bound() * t.core_frac;
+        assert!((core_bound + t.memory_bound() - t.backend_bound()).abs() < 1e-12);
     }
 
     #[test]

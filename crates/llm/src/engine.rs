@@ -136,17 +136,6 @@ impl EngineConfig {
             prefill_chunk: None,
         }
     }
-
-    /// Returns a copy with a KV budget derived from the platform's memory.
-    #[must_use]
-    pub fn with_platform_kv_budget(mut self, platform: &PlatformSpec) -> Self {
-        self.kv_budget = Some(crate::kv::KvBudget::for_platform(
-            platform,
-            &self.model,
-            self.precision,
-        ));
-        self
-    }
 }
 
 /// Statistics of one `run_interval` call.
@@ -1156,7 +1145,12 @@ mod tests {
             e.slo_report()
         };
         let budgeted = {
-            let cfg = EngineConfig::paper_default(Scenario::Chatbot).with_platform_kv_budget(&spec);
+            let mut cfg = EngineConfig::paper_default(Scenario::Chatbot);
+            cfg.kv_budget = Some(crate::kv::KvBudget::for_platform(
+                &spec,
+                &cfg.model,
+                cfg.precision,
+            ));
             let mut e = LlmEngine::new(cfg, &spec, trace());
             for step in 1..=60 {
                 let _ = e.run_interval(SimTime::from_secs(step), &exclusive_resources(&spec));

@@ -227,36 +227,6 @@ impl PlatformSpec {
     pub fn avx_peak_per_core(&self) -> Tflops {
         Tflops(self.avx_peak.value() / self.total_cores() as f64)
     }
-
-    /// Returns a copy restricted to `cores` physical cores (e.g. a sub-NUMA
-    /// slice for small experiments such as the Table III bucket example).
-    /// Peak throughputs, LLC capacity and memory bandwidth scale
-    /// proportionally; per-core properties are preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero or exceeds the platform's total cores.
-    #[must_use]
-    pub fn with_cores(&self, cores: usize) -> PlatformSpec {
-        assert!(cores > 0, "a platform slice needs at least one core");
-        assert!(
-            cores <= self.total_cores(),
-            "cannot slice {cores} cores from a {}-core platform",
-            self.total_cores()
-        );
-        let frac = cores as f64 / self.total_cores() as f64;
-        let mut spec = self.clone();
-        spec.name = format!("{}/{}c", self.name, cores);
-        spec.cores_per_socket = cores;
-        spec.sockets = 1;
-        spec.avx_peak = self.avx_peak * frac;
-        spec.amx_peak = self.amx_peak * frac;
-        spec.llc_mb_per_socket = self.llc_mb_total() * frac;
-        spec.mem_bw = self.mem_bw * frac;
-        spec.tdp = self.tdp * frac;
-        spec.cost_usd = self.cost_usd * frac;
-        spec
-    }
 }
 
 #[cfg(test)]
@@ -297,24 +267,6 @@ mod tests {
         let a = PlatformSpec::gen_a();
         assert!((a.llc_mb_total() - 195.0).abs() < 1e-9);
         assert!((a.llc_mb_per_way() - 195.0 / 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_cores_scales_shared_resources() {
-        let a = PlatformSpec::gen_a();
-        let slice = a.with_cores(24);
-        assert_eq!(slice.total_cores(), 24);
-        assert!((slice.amx_peak.value() - 206.4 / 4.0).abs() < 1e-9);
-        assert!((slice.mem_bw.value() - 233.8 / 4.0).abs() < 1e-9);
-        // Per-core properties preserved.
-        assert!((slice.amx_peak_per_core().value() - a.amx_peak_per_core().value()).abs() < 1e-12);
-        assert_eq!(slice.l2_mb_per_core, a.l2_mb_per_core);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot slice")]
-    fn with_cores_rejects_oversize() {
-        let _ = PlatformSpec::gen_a().with_cores(1000);
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl PlatformSim {
         &self.thermal
     }
 
-    /// Resets thermal history (cold restart between experiments).
-    pub fn reset_thermal(&mut self) {
-        self.thermal = ThermalState::new();
-    }
-
     /// Degrades the memory pool to `frac` of the *spec* bandwidth — a DIMM
     /// failure or memory-RAS event. Used by fault-injection experiments.
     /// `frac = 1.0` restores the healthy pool (fault recovery).
@@ -728,15 +723,5 @@ mod tests {
         for w in records.windows(2) {
             assert!(w[0].at <= w[1].at, "event stamps must be monotonic");
         }
-    }
-
-    #[test]
-    fn reset_thermal_cools() {
-        let mut s = sim();
-        for _ in 0..100 {
-            s.step(SimDuration::from_millis(500), &[stressor_load(24)]);
-        }
-        s.reset_thermal();
-        assert_eq!(s.thermal().heat(AuUsageLevel::None), 0.0);
     }
 }

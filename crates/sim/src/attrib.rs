@@ -676,18 +676,6 @@ impl Ledger {
         total
     }
 
-    /// Summed time attribution across all regions.
-    #[must_use]
-    pub fn total_time(&self) -> CauseVec {
-        let mut total = CauseVec::zero();
-        for iv in &self.intervals {
-            for row in &iv.regions {
-                total.accumulate(&row.time);
-            }
-        }
-        total
-    }
-
     /// Summed energy attribution across all regions.
     #[must_use]
     pub fn total_energy(&self) -> CauseVec {
@@ -919,7 +907,6 @@ mod tests {
         };
         assert!((ledger.wall_secs() - 1.0).abs() < 1e-12);
         assert!((ledger.energy_j() - 120.0).abs() < 1e-12);
-        assert!((ledger.total_time().sum() - 1.0).abs() < 1e-12);
         assert!((ledger.region_time(Region::AuHigh).sum() - 1.0).abs() < 1e-12);
         assert_eq!(ledger.region_time(Region::Uncore).sum(), 0.0);
         assert!((ledger.total_energy().sum() - 120.0).abs() < 1e-9);

@@ -184,23 +184,10 @@ impl SimDuration {
         self.0 as f64 / 1e3
     }
 
-    /// True if this is the zero duration.
-    #[must_use]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     #[must_use]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the duration by a non-negative factor, saturating at the
-    /// representable maximum.
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 }
 
@@ -350,16 +337,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12)), "12.000s");
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_millis(100).mul_f64(2.5);
-        assert_eq!(d, SimDuration::from_millis(250));
-        assert_eq!(
-            SimDuration::from_millis(100).mul_f64(-1.0),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
