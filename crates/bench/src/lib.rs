@@ -23,7 +23,8 @@
 //! - [`tracereport`]: the `trace-summary` renderer, including the SLO
 //!   burn-rate digest and per-request span drill-down;
 //! - [`common`]: the run context every study takes ([`common::RunCtx`]),
-//!   scheme construction and model caching.
+//!   scheme construction, and the per-invocation cache of AUV models and
+//!   paper-default scheme runs ([`common::Cell`]).
 //!
 //! Run `cargo run -p aum-bench --release --bin repro -- all` (or a single
 //! experiment id such as `fig14`).

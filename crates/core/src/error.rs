@@ -14,9 +14,10 @@ pub enum AumError {
     /// A fault plan is malformed (bad parameters or timing) — experiments
     /// reject it cleanly instead of aborting the process.
     FaultPlan(String),
-    /// An experiment config would hang or panic a run (a zero control
-    /// interval, a duration shorter than one interval, a request rate that
-    /// is not positive and finite); rejected before any work.
+    /// A decoded input would hang or panic a run: an experiment config (a
+    /// zero control interval, a duration shorter than one interval, a
+    /// request rate that is not positive and finite), a cluster config, or
+    /// an AUV model no controller can serve from. Rejected before any work.
     Config(String),
     /// A resource manager returned a processor division that does not
     /// cover the platform's cores.
@@ -33,7 +34,7 @@ impl fmt::Display for AumError {
             AumError::Io(e) => write!(f, "model artifact io error: {e}"),
             AumError::Serde(e) => write!(f, "model artifact encoding error: {e}"),
             AumError::FaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
-            AumError::Config(msg) => write!(f, "invalid experiment config: {msg}"),
+            AumError::Config(msg) => write!(f, "invalid config: {msg}"),
             AumError::Division(msg) => write!(f, "invalid processor division: {msg}"),
             AumError::Attribution(e) => write!(f, "attribution ledger violation: {e}"),
         }
