@@ -97,9 +97,8 @@ pub fn iteration_cost(
     ctx: &ExecContext,
     pmu: &mut PmuCounters,
 ) -> IterationCost {
-    let _prof = aum_sim::prof::scope("cost.iteration");
+    let _prof = aum_sim::prof::scope("cost.eval_ops");
     let ops = iteration_ops(model, phase, tokens, context);
-    let _eval = aum_sim::prof::scope("cost.eval_ops");
     let terms = ops.map(|op| price_op(&op, prec, kernels, ctx));
     for t in &terms {
         // One scaled execution per operator.
@@ -263,9 +262,8 @@ impl IterationPricer {
         context: usize,
         ctx: &ExecContext,
     ) -> IterationCost {
-        let _prof = aum_sim::prof::scope("cost.iteration");
+        let _prof = aum_sim::prof::scope("cost.eval_ops");
         let ops = iteration_ops(&self.model, phase, tokens, context);
-        let _eval = aum_sim::prof::scope("cost.eval_ops");
         let price = |op: &IterOp| price_op(op, self.prec, &self.kernels, ctx);
         if phase == Phase::Prefill {
             return fold(&ops.map(|op| price(&op)));
