@@ -103,12 +103,6 @@ impl UsageClassifier {
             AuUsageLevel::None
         }
     }
-
-    /// Classifies an operator directly from its ARI.
-    #[must_use]
-    pub fn classify_ari(&self, ari: f64) -> AuUsageLevel {
-        self.classify(usage_from_ari(ari))
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +150,6 @@ mod tests {
         assert_eq!(c.classify(prefill), AuUsageLevel::High);
         assert_eq!(c.classify(decode), AuUsageLevel::Low);
         assert_eq!(c.classify(0.0), AuUsageLevel::None);
-    }
-
-    #[test]
-    fn classify_ari_shortcut_agrees() {
-        let c = UsageClassifier::default();
-        for ari in [0.0, 5.0, 50.0, 5000.0] {
-            assert_eq!(c.classify_ari(ari), c.classify(usage_from_ari(ari)));
-        }
     }
 
     #[test]

@@ -214,19 +214,6 @@ impl PlatformSpec {
     pub fn llc_mb_per_way(&self) -> f64 {
         self.llc_mb_total() / f64::from(self.llc_ways)
     }
-
-    /// Per-core peak AMX throughput at the frequency the vendor quotes the
-    /// Table I TFLOPS numbers for.
-    #[must_use]
-    pub fn amx_peak_per_core(&self) -> Tflops {
-        Tflops(self.amx_peak.value() / self.total_cores() as f64)
-    }
-
-    /// Per-core peak AVX-512 throughput.
-    #[must_use]
-    pub fn avx_peak_per_core(&self) -> Tflops {
-        Tflops(self.avx_peak.value() / self.total_cores() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -252,14 +239,6 @@ mod tests {
         assert_eq!(c.amx_peak, Tflops(344.0));
         assert_eq!(c.memory, MemoryKind::Mcr);
         assert_eq!(c.llc_mb_per_socket, 504.0);
-    }
-
-    #[test]
-    fn per_core_peaks_divide_out() {
-        let a = PlatformSpec::gen_a();
-        let per_core = a.amx_peak_per_core().value();
-        assert!((per_core * 96.0 - 206.4).abs() < 1e-9);
-        assert!(per_core > a.avx_peak_per_core().value());
     }
 
     #[test]
