@@ -10,10 +10,10 @@
 //! `repro trace-diff <a.jsonl> <b.jsonl>` aligns the `AttributionSample`
 //! events of two traces on simulation time and reports the per-cause shift
 //! of total time share in percentage points. Any cause shifting by at
-//! least the threshold (default 2.0 pp) marks the diff a regression — the
-//! CLI exits 1 so CI can gate on attribution drift. Two same-seed runs
-//! serialize byte-identical streams (see
-//! [`aum_sim::telemetry::OrderingSink`]), so a self-diff is exactly zero.
+//! least [`THRESHOLD_PP`] marks the diff a regression — the CLI exits 1 so
+//! CI can gate on attribution drift. Two same-seed runs serialize
+//! byte-identical streams (see [`aum_sim::telemetry::OrderingSink`]), so a
+//! self-diff is exactly zero.
 
 use std::fmt::Write as _;
 
@@ -28,9 +28,9 @@ use aum_workloads::be::BeKind;
 
 use crate::common::{make_manager, RunCtx, Scheme};
 
-/// Default regression threshold for [`trace_diff`], percentage points of
-/// total time share per cause.
-pub const DEFAULT_THRESHOLD_PP: f64 = 2.0;
+/// Regression threshold of [`trace_diff`], percentage points of total
+/// time share per cause.
+pub const THRESHOLD_PP: f64 = 2.0;
 
 /// A rendered attribution study: the human-readable report plus the
 /// Prometheus exposition of the same run.
@@ -328,20 +328,26 @@ fn render_breach_blame(out: &mut String, ledger: &Ledger, records: &[TraceRecord
     }
 }
 
-/// Sums every `AttributionSample` time vector per simulation timestamp
-/// (across regions), preserving time order.
-fn attribution_by_time(records: &[TraceRecord]) -> Vec<(SimTime, CauseVec)> {
-    let mut out: Vec<(SimTime, CauseVec)> = Vec::new();
+/// Sums every `AttributionSample` time vector per `(segment, time)` key
+/// (across regions), in trace order. A trace of several runs restarts its
+/// sim clock at each run, so a new segment starts wherever the time goes
+/// backwards, and the keys rise through the whole trace.
+fn attribution_by_time(records: &[TraceRecord]) -> Vec<((usize, SimTime), CauseVec)> {
+    let mut out: Vec<((usize, SimTime), CauseVec)> = Vec::new();
+    let mut segment = 0;
     for r in records {
         if let Event::AttributionSample { time, .. } = &r.event {
             match out.last_mut() {
-                Some((at, vec)) if *at == r.at => vec.accumulate(time),
-                _ => {
-                    let mut vec = CauseVec::zero();
+                Some(((_, at), vec)) if *at == r.at => {
                     vec.accumulate(time);
-                    out.push((r.at, vec));
+                    continue;
                 }
+                Some(((_, at), _)) if r.at < *at => segment += 1,
+                _ => {}
             }
+            let mut vec = CauseVec::zero();
+            vec.accumulate(time);
+            out.push(((segment, r.at), vec));
         }
     }
     out
@@ -349,21 +355,17 @@ fn attribution_by_time(records: &[TraceRecord]) -> Vec<(SimTime, CauseVec)> {
 
 /// Diffs the attribution content of two traces.
 ///
-/// Intervals are aligned on simulation time (only timestamps present in
-/// both traces are compared); each trace's aligned time vectors are summed
-/// and normalized to shares, and the per-cause share deltas are reported
-/// in percentage points, largest magnitude first. `regression` is set when
-/// any cause moves by at least `threshold_pp`.
+/// Intervals are aligned on simulation time within each run segment (only
+/// keys present in both traces are compared); each trace's aligned time
+/// vectors are summed and normalized to shares, and the per-cause share
+/// deltas are reported in percentage points, largest magnitude first.
+/// `regression` is set when any cause moves by at least [`THRESHOLD_PP`].
 ///
 /// # Errors
 ///
 /// Returns an error when either trace carries no `AttributionSample`
 /// events, or when the traces share no timestamps.
-pub fn trace_diff(
-    a: &[TraceRecord],
-    b: &[TraceRecord],
-    threshold_pp: f64,
-) -> Result<TraceDiff, String> {
+pub fn trace_diff(a: &[TraceRecord], b: &[TraceRecord]) -> Result<TraceDiff, String> {
     // The two traces reduce independently — a 2-cell sweep halves the
     // dominant cost of diffing two large JSONL traces when jobs ≥ 2.
     let mut reduced = aum_sim::exec::sweep(vec![a, b], |_, t| attribution_by_time(t));
@@ -423,14 +425,14 @@ pub fn trace_diff(
     rows.sort_by(|x, y| y.3.abs().total_cmp(&x.3.abs()));
     let over: Vec<&(Cause, f64, f64, f64)> = rows
         .iter()
-        .filter(|(_, _, _, d)| d.abs() >= threshold_pp)
+        .filter(|(_, _, _, d)| d.abs() >= THRESHOLD_PP)
         .collect();
     let regression = !over.is_empty();
 
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "trace-diff: {aligned} aligned intervals (A: {}, B: {}), threshold {threshold_pp:.2} pp",
+        "trace-diff: {aligned} aligned intervals (A: {}, B: {}), threshold {THRESHOLD_PP:.2} pp",
         by_time_a.len(),
         by_time_b.len()
     );
@@ -440,7 +442,7 @@ pub fn trace_diff(
         "cause", "A %", "B %", "Δpp"
     );
     for (c, pa, pb, d) in &rows {
-        let flag = if d.abs() >= threshold_pp { "  **" } else { "" };
+        let flag = if d.abs() >= THRESHOLD_PP { "  **" } else { "" };
         let _ = writeln!(
             text,
             "  {:<16} {pa:>8.2} {pb:>8.2} {d:>+8.2}{flag}",
@@ -450,14 +452,14 @@ pub fn trace_diff(
     let verdict = if regression {
         let worst = over[0];
         format!(
-            "verdict: REGRESSION — {} cause(s) shifted ≥ {threshold_pp:.2} pp (worst: {} {:+.2} pp)",
+            "verdict: REGRESSION — {} cause(s) shifted ≥ {THRESHOLD_PP:.2} pp (worst: {} {:+.2} pp)",
             over.len(),
             worst.0.label(),
             worst.3
         )
     } else {
         let max = rows.first().map_or(0.0, |r| r.3.abs());
-        format!("verdict: OK — max |Δ| {max:.2} pp < {threshold_pp:.2} pp")
+        format!("verdict: OK — max |Δ| {max:.2} pp < {THRESHOLD_PP:.2} pp")
     };
     let _ = writeln!(text, "{verdict}");
 
@@ -491,17 +493,43 @@ mod tests {
             sample(0.5, Region::AuLow, 0.3, 0.2),
             sample(1.0, Region::AuHigh, 0.4, 0.1),
         ];
-        let diff = trace_diff(&trace, &trace, DEFAULT_THRESHOLD_PP).unwrap();
+        let diff = trace_diff(&trace, &trace).unwrap();
         assert!(!diff.regression);
         assert!(diff.text.contains("verdict: OK"), "{}", diff.text);
         assert!(diff.text.contains("3 aligned intervals") || diff.text.contains("2 aligned"));
     }
 
     #[test]
+    fn self_diff_aligns_every_interval_of_a_trace_whose_clock_restarts() {
+        // Two runs in one trace: the second restarts the sim clock at 0.5 s
+        // with a different cause mix, so pairing intervals across runs
+        // would show a shift.
+        let mut trace = Vec::new();
+        for run in [(0.9, 0.1), (0.5, 0.5)] {
+            for i in 1..=4 {
+                let at = f64::from(i) * 0.5;
+                trace.push(sample(at, Region::AuHigh, run.0, run.1));
+                trace.push(sample(at, Region::AuLow, run.1, run.0));
+            }
+        }
+        let diff = trace_diff(&trace, &trace).unwrap();
+        let head = diff.text.lines().next().unwrap();
+        assert_eq!(
+            head,
+            "trace-diff: 8 aligned intervals (A: 8, B: 8), threshold 2.00 pp"
+        );
+        assert!(
+            diff.text.contains("verdict: OK — max |Δ| 0.00 pp"),
+            "{}",
+            diff.text
+        );
+    }
+
+    #[test]
     fn dram_shift_beyond_threshold_is_flagged() {
         let a = vec![sample(0.5, Region::AuHigh, 0.8, 0.2)];
         let b = vec![sample(0.5, Region::AuHigh, 0.6, 0.4)];
-        let diff = trace_diff(&a, &b, DEFAULT_THRESHOLD_PP).unwrap();
+        let diff = trace_diff(&a, &b).unwrap();
         assert!(diff.regression);
         assert!(diff.text.contains("REGRESSION"), "{}", diff.text);
         assert!(diff.text.contains("mem-dram"), "{}", diff.text);
@@ -510,23 +538,24 @@ mod tests {
     #[test]
     fn small_shift_respects_custom_threshold() {
         let a = vec![sample(0.5, Region::AuHigh, 0.80, 0.20)];
-        let b = vec![sample(0.5, Region::AuHigh, 0.79, 0.21)];
-        assert!(!trace_diff(&a, &b, 2.0).unwrap().regression);
-        assert!(trace_diff(&a, &b, 0.5).unwrap().regression);
+        let below = vec![sample(0.5, Region::AuHigh, 0.79, 0.21)];
+        let above = vec![sample(0.5, Region::AuHigh, 0.77, 0.23)];
+        assert!(!trace_diff(&a, &below).unwrap().regression);
+        assert!(trace_diff(&a, &above).unwrap().regression);
     }
 
     #[test]
     fn empty_traces_error_cleanly() {
         let trace = vec![sample(0.5, Region::AuHigh, 0.8, 0.2)];
-        assert!(trace_diff(&[], &trace, 2.0).is_err());
-        assert!(trace_diff(&trace, &[], 2.0).is_err());
+        assert!(trace_diff(&[], &trace).is_err());
+        assert!(trace_diff(&trace, &[]).is_err());
     }
 
     #[test]
     fn disjoint_timestamps_error_cleanly() {
         let a = vec![sample(0.5, Region::AuHigh, 0.8, 0.2)];
         let b = vec![sample(1.5, Region::AuHigh, 0.8, 0.2)];
-        let err = trace_diff(&a, &b, 2.0).unwrap_err();
+        let err = trace_diff(&a, &b).unwrap_err();
         assert!(err.contains("no aligned intervals"), "{err}");
     }
 

@@ -34,9 +34,8 @@ use aum_sim::flight::{FlightConfig, FlightRecorder};
 use aum_sim::live::{self, LiveState, MetricsServer, Watchdog};
 use aum_sim::report::note;
 use aum_sim::telemetry::{parse_jsonl, JsonlSink, OrderingSink, TraceRecord, Tracer};
-use aum_sim::time::SimDuration;
 
-use aum_bench::attribution::{self, DEFAULT_THRESHOLD_PP};
+use aum_bench::attribution;
 use aum_bench::common::RunCtx;
 use aum_bench::perfreport::{self, BenchSummary};
 use aum_bench::{chaos, fleetchaos, perfetto, tracereport, Experiment};
@@ -123,20 +122,14 @@ const FLAGS: &[FlagSpec] = &[
         name: "--jobs",
         value: Some(("<N>", "a worker count")),
         applies: SWEEPS,
-        help: "worker threads for sweep cells (default: AUM_JOBS env var, else available \
-               parallelism; outputs are byte-identical at every N)",
+        help: "worker threads for sweep cells (default: available parallelism; outputs are \
+               byte-identical at every N)",
     },
     FlagSpec {
         name: "--metrics-out",
         value: Some(("<file.prom>", "a file path")),
         applies: &[CmdId::Attrib],
         help: "write the run's final metrics snapshot + ledger in Prometheus text format",
-    },
-    FlagSpec {
-        name: "--threshold",
-        value: Some(("<pp>", "a number")),
-        applies: &[CmdId::TraceDiff],
-        help: "regression threshold in percentage points of time share (default 2.0)",
     },
     FlagSpec {
         name: "--perfetto",
@@ -169,18 +162,6 @@ const FLAGS: &[FlagSpec] = &[
         help: "arm the flight recorder: keep a bounded ring of telemetry and dump the \
                recent window to <dir>/incident-NNNN-<trigger>.jsonl on faults, safe-mode \
                entries, SLO burn pages, attribution near-misses, and watchdog stalls",
-    },
-    FlagSpec {
-        name: "--flight-capacity",
-        value: Some(("<events>", "a record count")),
-        applies: RUNS,
-        help: "flight-recorder ring retention in records (default 4096; requires --flight)",
-    },
-    FlagSpec {
-        name: "--flight-window",
-        value: Some(("<secs>", "a duration in seconds")),
-        applies: RUNS,
-        help: "sim-time window an incident dump covers (default 30; requires --flight)",
     },
     FlagSpec {
         name: "--serve-metrics",
@@ -242,7 +223,6 @@ struct Cli {
     out_dir: Option<PathBuf>,
     trace: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    threshold: Option<f64>,
     jobs: Option<usize>,
     quick: bool,
     flight: Option<FlightConfig>,
@@ -386,56 +366,26 @@ fn parse_args(
             ));
         }
     }
-    // Cross-flag requirements the applicability table cannot express.
-    for (dependent, prereq) in [
-        ("--flight-capacity", "--flight"),
-        ("--flight-window", "--flight"),
-        ("--serve-hold", "--serve-metrics"),
-    ] {
-        if raw.get(dependent).is_some() && raw.get(prereq).is_none() {
-            return Err(format!("{dependent} requires {prereq}"));
-        }
+    // The cross-flag requirement the applicability table cannot express.
+    if raw.get("--serve-hold").is_some() && raw.get("--serve-metrics").is_none() {
+        return Err("--serve-hold requires --serve-metrics".into());
     }
-    let threshold = raw.parse(
-        "--threshold",
-        "a number",
-        |t: &f64| t.is_finite() && *t >= 0.0,
-        "must be a finite non-negative number",
+    let jobs = raw.parse(
+        "--jobs",
+        "a positive integer",
+        |n: &usize| *n >= 1,
+        "must be at least 1",
     )?;
-    let flight_window = raw.parse(
-        "--flight-window",
-        "a number",
-        |w: &f64| w.is_finite() && *w > 0.0,
-        "must be a positive number of seconds",
-    )?;
-    let count = |name| {
-        raw.parse(
-            name,
-            "a positive integer",
-            |n: &usize| *n >= 1,
-            "must be at least 1",
-        )
-    };
-    let (jobs, flight_capacity) = (count("--jobs")?, count("--flight-capacity")?);
     let secs = "a whole number of seconds";
     let watchdog_secs = raw.parse("--watchdog", secs, |s: &u64| *s >= 1, "must be at least 1")?;
     let serve_hold_secs = raw.parse("--serve-hold", secs, |_: &u64| true, "")?;
-    let flight = raw.get("--flight").map(|dir| {
-        let default = FlightConfig::new(dir);
-        FlightConfig {
-            capacity: flight_capacity.unwrap_or(default.capacity),
-            window: flight_window.map_or(default.window, SimDuration::from_secs_f64),
-            ..default
-        }
-    });
     let cli = Cli {
         out_dir: raw.path("--out"),
         trace: raw.path("--trace"),
         metrics_out: raw.path("--metrics-out"),
-        threshold,
         jobs,
         quick: raw.get("--quick").is_some(),
-        flight,
+        flight: raw.get("--flight").map(FlightConfig::new),
         serve_metrics: raw.get("--serve-metrics").map(str::to_owned),
         serve_hold_secs: serve_hold_secs.unwrap_or(0),
         watchdog_secs,
@@ -759,8 +709,7 @@ impl Driver {
             Command::TraceSummary(path) => print(&tracereport::summarize(&load_trace(path, true)?)),
             Command::TraceDiff(a, b) => {
                 let (a, b) = (load_trace(a, false)?, load_trace(b, false)?);
-                let threshold = self.cli.threshold.unwrap_or(DEFAULT_THRESHOLD_PP);
-                let diff = attribution::trace_diff(&a, &b, threshold)?;
+                let diff = attribution::trace_diff(&a, &b)?;
                 print(&diff.text)?;
                 if diff.regression {
                     return Err(Halt::Failed(

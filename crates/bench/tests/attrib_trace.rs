@@ -1,12 +1,12 @@
 //! End-to-end attribution acceptance: same-seed traces self-diff to zero,
 //! an injected bandwidth fault shifts attribution toward memory-bound
-//! causes past the default regression threshold, and `repro attrib`
+//! causes past the regression threshold, and `repro attrib`
 //! studies render conservation verdicts, blame lines and Prometheus
 //! output.
 
 use aum::baselines::RpAu;
 use aum::experiment::{try_run_experiment_traced, ExperimentConfig, Fault, FaultEvent, FaultPlan};
-use aum_bench::attribution::{run_study, trace_diff, DEFAULT_THRESHOLD_PP};
+use aum_bench::attribution::{run_study, trace_diff, THRESHOLD_PP};
 use aum_bench::common::RunCtx;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
@@ -44,7 +44,7 @@ fn traced_run(fault: FaultPlan) -> Vec<TraceRecord> {
 fn same_seed_traces_diff_to_exactly_zero() {
     let a = traced_run(FaultPlan::none());
     let b = traced_run(FaultPlan::none());
-    let diff = trace_diff(&a, &b, DEFAULT_THRESHOLD_PP).expect("diff aligns");
+    let diff = trace_diff(&a, &b).expect("diff aligns");
     assert!(
         !diff.regression,
         "same seed must not regress:\n{}",
@@ -65,10 +65,10 @@ fn bandwidth_fault_shifts_attribution_toward_memory() {
         5.0,
         Fault::BandwidthDegrade { frac: 0.3 },
     )));
-    let diff = trace_diff(&healthy, &degraded, DEFAULT_THRESHOLD_PP).expect("diff aligns");
+    let diff = trace_diff(&healthy, &degraded).expect("diff aligns");
     assert!(
         diff.regression,
-        "a 45% bandwidth loss must shift attribution past {DEFAULT_THRESHOLD_PP} pp:\n{}",
+        "a 45% bandwidth loss must shift attribution past {THRESHOLD_PP} pp:\n{}",
         diff.text
     );
     assert!(diff.text.contains("REGRESSION"), "{}", diff.text);

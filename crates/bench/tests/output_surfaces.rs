@@ -30,7 +30,6 @@ fn repro(dir: &Path, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .current_dir(dir)
-        .env_remove("AUM_JOBS")
         .output()
         .expect("repro runs");
     assert!(

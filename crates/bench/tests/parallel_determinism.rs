@@ -327,7 +327,6 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     let diff = aum_bench::attribution::trace_diff(
         &parse(&chaos_trace_serial),
         &parse(&chaos_trace_parallel),
-        aum_bench::attribution::DEFAULT_THRESHOLD_PP,
     )
     .expect("chaos traces carry attribution samples");
     assert!(

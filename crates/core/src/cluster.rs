@@ -257,17 +257,11 @@ pub fn run_cluster_with(
         .filter(|(_, ((_, &weight), _))| weight > 0.0)
         .map(|(i, ((server, &weight), model))| {
             let exp = ExperimentConfig {
-                platform: server.platform.clone(),
-                scenario: cfg.scenario,
-                be: server.be,
                 duration: cfg.duration,
-                control_interval: SimDuration::from_millis(500),
                 seed: cfg.seed.wrapping_add(i as u64 * 7919),
                 rate: Some(cfg.total_rate * weight),
-                rate_profile: aum_llm::traces::RateProfile::Constant,
-                fault: crate::fault::FaultPlan::none(),
                 prices: cfg.prices,
-                model: aum_llm::config::ModelConfig::llama2_7b(),
+                ..ExperimentConfig::paper_default(server.platform.clone(), cfg.scenario, server.be)
             };
             (i, exp, model)
         })

@@ -30,7 +30,7 @@ use crate::profiler::AuvModel;
 
 /// Deviation threshold above which the controller switches the processor
 /// division rather than tuning allocations (paper §VII-A1: 2).
-pub const DEFAULT_DELTA_THRESHOLD: f64 = 2.0;
+const DELTA_THRESHOLD: f64 = 2.0;
 
 /// Intervals the controller waits after a change before acting again, so
 /// the measured percentiles reflect the new configuration.
@@ -110,7 +110,6 @@ pub struct AumController {
     /// controllers (parallel sweep cells) share one profiled model without
     /// cloning its buckets; online refinement copies-on-write.
     model: Arc<AuvModel>,
-    delta_threshold: f64,
     current: (usize, usize),
     cooldown: u32,
     /// Normalized AU usage of the two phases (`U_AU`), precomputed from the
@@ -186,18 +185,7 @@ impl AumController {
     /// the profiled buckets instead of cloning them per controller.
     #[must_use]
     pub fn new(model: impl Into<Arc<AuvModel>>) -> Self {
-        Self::with_threshold(model, DEFAULT_DELTA_THRESHOLD)
-    }
-
-    /// Creates a controller with a custom δ threshold (sensitivity study).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is not positive.
-    #[must_use]
-    pub fn with_threshold(model: impl Into<Arc<AuvModel>>, delta_threshold: f64) -> Self {
         let model = model.into();
-        assert!(delta_threshold > 0.0, "delta threshold must be positive");
         let slo = model.scenario.slo();
         let current = model.best_bucket(slo.ttft.as_secs_f64(), slo.tpot.as_secs_f64());
         // Representative operator intensities: QKV mapping at d=4096 with
@@ -218,7 +206,6 @@ impl AumController {
         let harvest_ceiling = model.cfg_count.saturating_sub(1);
         AumController {
             model,
-            delta_threshold,
             current,
             cooldown: 0,
             u_high,
@@ -641,7 +628,7 @@ impl ResourceManager for AumController {
             // Aggressive direction: harvest using average predictions.
             let delta = self.deviation(slo_h / ttft_m, slo_l / tpot_m);
             let mut switched = false;
-            if delta > self.delta_threshold {
+            if delta > DELTA_THRESHOLD {
                 // Large headroom: re-run the switcher. Algorithm 1 line 5
                 // constrains the switcher with the *static* `d_TPOT`: LAG
                 // slack is transient and must not admit divisions whose
@@ -671,7 +658,7 @@ impl ResourceManager for AumController {
                         reason: format!(
                             "headroom \u{3b4}={delta:.2} > {:.2}: switcher re-selects the \
                              division for SLO_H {slo_h:.3}s / d_TPOT {d_tpot:.3}s",
-                            self.delta_threshold
+                            DELTA_THRESHOLD
                         ),
                     });
                     self.arm_cooldown(false);
@@ -719,7 +706,7 @@ impl ResourceManager for AumController {
             // to meet the deadline — no amount of ladder tuning fixes a
             // division whose profiled tail already violates.
             let structurally_bad = cur.tpot_p90 > d_tpot.max(self.tpot_floor * 1.2) * 1.05;
-            if delta > self.delta_threshold || structurally_bad {
+            if delta > DELTA_THRESHOLD || structurally_bad {
                 let next = self.model.best_bucket(slo_h, d_tpot);
                 if next != self.current {
                     let from = self.current;
@@ -737,7 +724,7 @@ impl ResourceManager for AumController {
                         verdict: SlackVerdict::Violating,
                         lag_secs: lag,
                         deviation: delta,
-                        collision: delta > self.delta_threshold,
+                        collision: delta > DELTA_THRESHOLD,
                         reason: if structurally_bad {
                             format!(
                                 "current division structurally violates: profiled TPOT p90 \
@@ -749,7 +736,7 @@ impl ResourceManager for AumController {
                                 "collision: \u{3b4}={delta:.2} > {:.2}, tuning deemed \
                                  insufficient (TTFT p90 {ttft_m:.3}s vs SLO_H {slo_h:.3}s, \
                                  TPOT p50 {tpot_m:.3}s vs SLO_L {slo_l:.3}s)",
-                                self.delta_threshold
+                                DELTA_THRESHOLD
                             )
                         },
                     });
@@ -920,12 +907,6 @@ mod tests {
         // relaxed, so no panic and no forced return of resources.
         let d = c.decide(&state(0.05, 0.15, f64::INFINITY));
         assert_eq!(d.division.total_cores(), 96);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_threshold_rejected() {
-        let _ = AumController::with_threshold(model(), 0.0);
     }
 
     #[test]

@@ -37,10 +37,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use aum_au::topdown::{signature, SignatureKind};
-use aum_au::unit::Precision;
 use aum_llm::config::ModelConfig;
 use aum_llm::engine::{
-    EngineConfig, EngineMode, EngineResources, IntervalStats, LlmEngine, RegionResources,
+    EngineConfig, EngineMode, EngineResources, IntervalStats, LlmEngine, RegionResources, PRECISION,
 };
 use aum_llm::slo::SloReport;
 use aum_llm::traces::{RateProfile, Scenario, TraceGenerator};
@@ -244,14 +243,9 @@ pub fn try_run_experiment_traced(
         .generate(&rng, cfg.duration);
     let engine_cfg = EngineConfig {
         model: cfg.model.clone(),
-        precision: Precision::Bf16,
-        max_batch: 16,
-        prefill_batch: 1,
         scenario: cfg.scenario,
         kv_budget: Some(aum_llm::kv::KvBudget::for_platform(
-            spec,
-            &cfg.model,
-            Precision::Bf16,
+            spec, &cfg.model, PRECISION,
         )),
         prefill_chunk: None,
     };

@@ -279,8 +279,6 @@ pub struct ProfilerConfig {
     pub seed: u64,
     /// Efficiency prices.
     pub prices: Prices,
-    /// Request-rate override.
-    pub rate: Option<f64>,
 }
 
 /// The paper's five "performance-sensitive resource configurations": a
@@ -342,7 +340,6 @@ impl ProfilerConfig {
             run_duration: SimDuration::from_secs(60),
             seed: 7_777,
             prices: Prices::paper_default(),
-            rate: None,
         }
     }
 
@@ -444,17 +441,10 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
         };
         for rep in 0..cfg.repetitions {
             let exp = ExperimentConfig {
-                platform: cfg.platform.clone(),
-                scenario: cfg.scenario,
-                be: Some(cfg.be),
                 duration: cfg.run_duration,
-                control_interval: SimDuration::from_millis(500),
                 seed: cfg.seed.wrapping_add(rep as u64 * 101),
-                rate: cfg.rate,
-                rate_profile: aum_llm::traces::RateProfile::Constant,
-                fault: crate::fault::FaultPlan::none(),
                 prices: cfg.prices,
-                model: aum_llm::config::ModelConfig::llama2_7b(),
+                ..ExperimentConfig::paper_default(cfg.platform.clone(), cfg.scenario, Some(cfg.be))
             };
             let mut mgr = StaticManager::new("profiler", decision);
             let out = run_experiment(&exp, &mut mgr);

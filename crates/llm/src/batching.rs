@@ -54,11 +54,10 @@ impl PrefillQueue {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Pops up to `max` requests FCFS for one prefill batch.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<Request> {
+    /// Pops the oldest waiting request (FCFS), if any.
+    pub fn pop(&mut self) -> Option<Request> {
         let _prof = aum_sim::prof::scope("batch.pop");
-        let n = max.min(self.waiting.len());
-        self.waiting.drain(..n).collect()
+        self.waiting.pop_front()
     }
 }
 
@@ -224,10 +223,8 @@ mod tests {
         q.push(req(0, 0));
         q.push(req(1, 10));
         q.push(req(2, 20));
-        let batch = q.pop_batch(2);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].id.0, 0);
-        assert_eq!(batch[1].id.0, 1);
+        assert_eq!(q.pop().map(|r| r.id.0), Some(0));
+        assert_eq!(q.pop().map(|r| r.id.0), Some(1));
         assert_eq!(q.len(), 1);
     }
 

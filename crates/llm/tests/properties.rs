@@ -95,7 +95,7 @@ proptest! {
     }
 
     #[test]
-    fn prefill_queue_is_fifo(arrivals in prop::collection::vec(0u64..10_000, 1..50), batch in 1usize..8) {
+    fn prefill_queue_is_fifo(arrivals in prop::collection::vec(0u64..10_000, 1..50)) {
         let mut sorted = arrivals.clone();
         sorted.sort_unstable();
         let mut q = PrefillQueue::new();
@@ -103,13 +103,11 @@ proptest! {
             q.push(Request::new(i as u64, SimTime::from_millis(a), 10, 10));
         }
         let mut last = None;
-        while !q.is_empty() {
-            for r in q.pop_batch(batch) {
-                if let Some(prev) = last {
-                    prop_assert!(r.id.0 > prev);
-                }
-                last = Some(r.id.0);
+        while let Some(r) = q.pop() {
+            if let Some(prev) = last {
+                prop_assert!(r.id.0 > prev);
             }
+            last = Some(r.id.0);
         }
     }
 

@@ -24,9 +24,8 @@
 //! argument is: per-cell seeds ⇒ identical per-cell streams; ordered merge
 //! ⇒ identical concatenation).
 //!
-//! The worker count resolves, in priority order: [`set_jobs`] (the
-//! `repro --jobs` flag) → the `AUM_JOBS` environment variable →
-//! [`std::thread::available_parallelism`]. `jobs = 1` degrades to a plain
+//! The worker count is [`set_jobs`] (the `repro --jobs` flag) when set,
+//! else [`std::thread::available_parallelism`]. `jobs = 1` degrades to a plain
 //! in-place loop on the calling thread — no pool, no channels.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,8 +34,8 @@ use std::time::{Duration, Instant};
 
 use crate::telemetry::{MemorySink, TraceRecord, Tracer};
 
-/// Process-wide worker-count override; 0 = unset (fall through to the
-/// `AUM_JOBS` environment variable, then to `available_parallelism`).
+/// Process-wide worker-count override; 0 = unset (fall through to
+/// `available_parallelism`).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Cumulative executor statistics (see [`stats`]).
@@ -76,28 +75,20 @@ impl Drop for CellDepthGuard {
 
 /// Overrides the worker count for subsequent [`sweep`] calls.
 ///
-/// `0` clears the override (reverting to `AUM_JOBS` / auto-detection).
+/// `0` clears the override (reverting to auto-detection).
 /// This is how `repro --jobs <N>` configures the whole harness, and how
 /// the determinism tests force `--jobs 1` vs `--jobs N` comparisons.
 pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The worker count a sweep will use, after resolving the [`set_jobs`]
-/// override, the `AUM_JOBS` environment variable and the machine's
-/// available parallelism (in that priority order). Always ≥ 1.
+/// The worker count a sweep will use: the [`set_jobs`] override, else the
+/// machine's available parallelism. Always ≥ 1.
 #[must_use]
 pub fn jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
-    }
-    if let Ok(env) = std::env::var("AUM_JOBS") {
-        if let Ok(n) = env.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }

@@ -17,8 +17,8 @@
 //!   `trace-summary` digest), [`Event::SafeModeTransition`] into a
 //!   degraded state, [`Event::FaultInjected`], an attribution-conservation
 //!   near-miss, and [`Event::WatchdogStall`]. When one fires, the buffered
-//!   records from the last [`FlightConfig::window`] of sim time are dumped
-//!   to `incident-NNNN-<trigger>.jsonl` in [`FlightConfig::dir`] —
+//!   records from the last 30 s of sim time are dumped to
+//!   `incident-NNNN-<trigger>.jsonl` in [`FlightConfig::dir`] —
 //!   filenames carry a sequence number, never a wall-clock timestamp, so a
 //!   rerun produces byte-identical incident files.
 //! - Dumps are **span-balanced**: a window sliced out of the stream would
@@ -275,39 +275,36 @@ impl BurnTracker {
     }
 }
 
-/// Static configuration of a [`FlightRecorder`].
+/// Ring retention limit of a [`FlightRecorder`], in records.
+const CAPACITY: usize = 4096;
+
+/// How much trailing sim time a dump covers.
+const WINDOW: SimDuration = SimDuration::from_secs(30);
+
+/// Minimum sim time between dumps within one run (a clock restart — the
+/// next cell in a merged stream — always re-arms).
+const COOLDOWN: SimDuration = SimDuration::from_secs(10);
+
+/// Hard cap on incident files per recorder lifetime; triggers beyond it
+/// are counted but not dumped.
+const MAX_INCIDENTS: usize = 32;
+
+/// Fraction of [`attrib::EPSILON`] above which an attribution interval's
+/// relative time-conservation error counts as a near-miss.
+const NEAR_MISS_FRAC: f64 = 0.5;
+
+/// Where a [`FlightRecorder`] writes its incident files.
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
     /// Directory incident files are written into (created on demand).
     pub dir: PathBuf,
-    /// Ring retention limit in records.
-    pub capacity: usize,
-    /// How much trailing sim time a dump covers.
-    pub window: SimDuration,
-    /// Minimum sim time between dumps within one run (a clock restart —
-    /// the next cell in a merged stream — always re-arms).
-    pub cooldown: SimDuration,
-    /// Hard cap on incident files per recorder lifetime; triggers beyond
-    /// it are counted but not dumped.
-    pub max_incidents: usize,
-    /// Fraction of [`attrib::EPSILON`] above which an attribution
-    /// interval's relative time-conservation error counts as a near-miss.
-    pub near_miss_frac: f64,
 }
 
 impl FlightConfig {
-    /// Defaults: 4096-record ring, 30 s window, 10 s cooldown, at most 32
-    /// incidents, near-miss at half the conservation epsilon.
+    /// Incident files go to `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FlightConfig {
-            dir: dir.into(),
-            capacity: 4096,
-            window: SimDuration::from_secs(30),
-            cooldown: SimDuration::from_secs(10),
-            max_incidents: 32,
-            near_miss_frac: 0.5,
-        }
+        FlightConfig { dir: dir.into() }
     }
 }
 
@@ -378,10 +375,9 @@ impl<S: TraceSink> FlightRecorder<S> {
     /// A recorder with an optional inner sink.
     #[must_use]
     pub fn with_inner_opt(cfg: FlightConfig, inner: Option<S>) -> Self {
-        let capacity = cfg.capacity;
         FlightRecorder {
             cfg,
-            ring: RingSink::new(capacity),
+            ring: RingSink::new(CAPACITY),
             burn: BurnTracker::new(),
             pinned_targets: None,
             pinned_node_metrics: std::collections::BTreeMap::new(),
@@ -445,8 +441,7 @@ impl<S: TraceSink> FlightRecorder<S> {
             Event::WatchdogStall { .. } => Some(TriggerKind::WatchdogStall),
             Event::AttributionSample { dt_secs, time, .. } if *dt_secs > 0.0 => {
                 let rel = (time.sum() - dt_secs).abs() / dt_secs;
-                (rel > self.cfg.near_miss_frac * attrib::EPSILON)
-                    .then_some(TriggerKind::AttribNearMiss)
+                (rel > NEAR_MISS_FRAC * attrib::EPSILON).then_some(TriggerKind::AttribNearMiss)
             }
             Event::RequestFinished {
                 generated,
@@ -462,15 +457,15 @@ impl<S: TraceSink> FlightRecorder<S> {
     }
 
     /// Cooldown gate: a dump is allowed on the first trigger, after
-    /// `cooldown` of sim time, or whenever the clock restarted (a new cell
-    /// in a merged stream).
+    /// [`COOLDOWN`] of sim time, or whenever the clock restarted (a new
+    /// cell in a merged stream).
     fn dump_allowed(&self, at: SimTime) -> bool {
-        if self.incidents.len() >= self.cfg.max_incidents {
+        if self.incidents.len() >= MAX_INCIDENTS {
             return false;
         }
         match self.last_dump_at {
             None => true,
-            Some(last) => at < last || at.saturating_since(last) >= self.cfg.cooldown,
+            Some(last) => at < last || at.saturating_since(last) >= COOLDOWN,
         }
     }
 
@@ -483,13 +478,13 @@ impl<S: TraceSink> FlightRecorder<S> {
     /// stops at the first record jumping *up* past it by more than
     /// [`RESTART_JITTER_SECS`] — that jump is the tail of the previous
     /// cell in a merged stream, so a slice never crosses a cell boundary.
-    /// It also stops once records age out of `[at - window, at]`.
+    /// It also stops once records age out of `[at - WINDOW, at]`.
     fn window_slice(&self, at: SimTime) -> Vec<TraceRecord> {
         let jitter = SimDuration::from_secs(RESTART_JITTER_SECS);
         let mut slice: Vec<TraceRecord> = Vec::new();
         let mut floor = at;
         for r in self.ring.buf.iter().rev() {
-            if r.at > floor + jitter || at.saturating_since(r.at) > self.cfg.window {
+            if r.at > floor + jitter || at.saturating_since(r.at) > WINDOW {
                 break;
             }
             floor = floor.min(r.at);
@@ -764,16 +759,14 @@ mod tests {
         use crate::telemetry::MetricsSnapshot;
 
         let dir = temp_dir("node-down-snap");
-        let mut cfg = FlightConfig::new(&dir);
-        cfg.window = SimDuration::from_secs(10);
-        let mut fr = FlightRecorder::new(cfg);
+        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
         let snapshot_for = |at: f64, completed: u64| MetricsSnapshot {
             at: SimTime::from_secs_f64(at),
             counters: Arc::new([("completed".to_string(), completed)].into_iter().collect()),
             gauges: Arc::new(std::collections::BTreeMap::new()),
         };
-        // Snapshots for two nodes, both far outside the 10 s window at
-        // trigger time. Only node 1's (the one that goes Down) is pinned.
+        // Snapshots for two nodes, both outside the 30 s window at trigger
+        // time. Only node 1's (the one that goes Down) is pinned.
         fr.record(&rec(
             5.0,
             Event::NodeMetricsSnapshot {
@@ -823,9 +816,7 @@ mod tests {
     #[test]
     fn dumps_are_span_balanced_for_strict_consumers() {
         let dir = temp_dir("spans");
-        let mut cfg = FlightConfig::new(&dir);
-        cfg.window = SimDuration::from_secs(10);
-        let mut fr = FlightRecorder::new(cfg);
+        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
         let track: Arc<str> = "aum/test".into();
         let outer = SpanId::derive(SpanKind::ControllerInterval, 1).0;
         let inner = SpanId::derive(SpanKind::ControllerInterval, 2).0;
