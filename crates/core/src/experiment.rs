@@ -301,14 +301,20 @@ pub fn try_run_experiment_traced(
         let until = now + dt;
         run.open_interval(step, now);
         let fx = faults.apply(now, &mut platform, &run.tracer, &run.track)?;
-        let observed = sensors.observe(run.sense(&mut engine, now, &feedback), &fx);
+        let observed = {
+            let _prof = aum_sim::prof::scope("ctrl.sense");
+            sensors.observe(run.sense(&engine, now, &feedback), &fx)
+        };
         let place = run.decide(manager, &observed, &fx, &mut rdt, step, now)?;
         let stepped = run.step_platform(&mut platform, &place, &feedback, now, fx.be_surge);
         let stats = run.advance_engine(&mut engine, &place, &stepped, until, &mut stalled);
         totals.be_units += run.be_progress(&place, &stepped.snap);
         let shed = manager.resilience() == Some(ResilienceMode::SafeMode);
-        let interval = run.ledger_interval(&platform, &place, &stepped, shed, now);
-        ledger.intervals.push(interval);
+        {
+            let _prof = aum_sim::prof::scope("ctrl.ledger");
+            let interval = run.ledger_interval(&platform, &place, &stepped, shed, now);
+            ledger.intervals.push(interval);
+        }
         totals.record(&place, &stepped, &stats, &observed, run.dt_secs);
         run.close_interval(step, until);
         feedback.update(&stats, &stepped.snap);
@@ -612,7 +618,7 @@ impl Run<'_> {
 
     /// Sensing: serving telemetry from the engine, platform telemetry from
     /// the previous interval.
-    fn sense(&self, engine: &mut LlmEngine, now: SimTime, feedback: &Feedback) -> SystemState {
+    fn sense(&self, engine: &LlmEngine, now: SimTime, feedback: &Feedback) -> SystemState {
         let [(ttft_p50, ttft_p90), (tpot_p50, tpot_p90)] = engine.recent_latency_quantiles();
         SystemState {
             now,

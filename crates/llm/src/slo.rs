@@ -144,12 +144,10 @@ impl SloTally {
         self.ttft_met += usize::from(ttft <= self.slo.ttft);
     }
 
-    /// Records a decode iteration of `batch` tokens taking `exec` each, one
-    /// observation per token so the histogram sums token by token.
+    /// Records a decode iteration of `batch` tokens taking `exec` each, as
+    /// `batch` observations that the histogram sums token by token.
     pub fn record_tokens(&mut self, exec: SimDuration, batch: usize) {
-        for _ in 0..batch {
-            self.tpot_hist.record(exec.as_secs_f64());
-        }
+        self.tpot_hist.record_n(exec.as_secs_f64(), batch as u64);
     }
 
     /// Records a request leaving the decode pool.

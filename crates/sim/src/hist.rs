@@ -114,17 +114,27 @@ impl LogHistogram {
     /// outside the fixed range clamp into the under/overflow buckets (but
     /// still contribute to `count` and `sum`).
     pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of `v`, leaving the state `n` calls of
+    /// [`record`](Self::record) leave: the bucket is found and incremented
+    /// once, and `v` joins the sum once per observation, so the float sum
+    /// rounds as it would.
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if !v.is_finite() || n == 0 {
             return;
         }
-        self.count += 1;
-        self.sum += v;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += v;
+        }
         if v < min_value() {
-            self.underflow += 1;
+            self.underflow += n;
         } else if v >= max_value() {
-            self.overflow += 1;
+            self.overflow += n;
         } else {
-            self.counts[Self::index(v)] += 1;
+            self.counts[Self::index(v)] += n;
         }
     }
 

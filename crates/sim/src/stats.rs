@@ -4,10 +4,14 @@
 //! full CDFs of performance and resource allocations. [`Samples`] retains
 //! observations for exact quantiles and CDF extraction.
 //! [`quantile_in_place`] is the one exact-quantile rule, also usable on a
-//! caller-owned scratch slice; [`run_length_quantiles`] applies the same
-//! rule to a run-length encoded window without expanding it.
+//! caller-owned scratch slice; [`RecentWindow`] applies the same rule to a
+//! sliding window of durations that it keeps in value order.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
+
+use crate::time::SimDuration;
 
 /// Retained sample set with exact quantiles and CDF extraction.
 ///
@@ -153,42 +157,123 @@ pub fn quantile_in_place(values: &mut [f64], q: f64) -> f64 {
     })
 }
 
-/// Exact quantiles of the newest `window` values of a run-length encoded
-/// series: `runs` holds `(value, count)` pairs oldest first, and the
-/// oldest run inside the window counts only its newest values. Each result
-/// is bit-identical to [`quantile_in_place`] over the expanded window, at
-/// a cost in the number of runs rather than of values. An empty window
-/// gives 0. Reorders `runs`.
+/// The newest `window` values of a duration series, as runs of equal
+/// values: a decode iteration is one run of `batch` equal token times, a
+/// TTFT a run of one.
 ///
-/// # Panics
+/// A FIFO of `(nanos, count)` runs, oldest first, decides eviction: the
+/// oldest run is dropped once the newer runs cover the window, so only its
+/// newest values may still lie inside. The same runs are also kept merged
+/// by value in ascending order, so a readout walks the ordered values once
+/// instead of sorting them. Values enter as nanoseconds and leave through
+/// [`SimDuration::as_secs_f64`], which is monotone, so every quantile is
+/// bit-identical to [`quantile_in_place`] over the expanded window's
+/// seconds, and no NaN can enter.
 ///
-/// Panics if a `q` is outside `[0, 1]` or a value in the window is NaN.
-#[must_use]
-pub fn run_length_quantiles<const N: usize>(
-    runs: &mut [(f64, usize)],
+/// # Examples
+///
+/// ```
+/// use aum_sim::stats::RecentWindow;
+/// use aum_sim::time::SimDuration;
+///
+/// let mut w = RecentWindow::new(5);
+/// w.push(SimDuration::from_millis(30), 3);
+/// w.push(SimDuration::from_millis(10), 3);
+/// // The window holds the three 10 ms values and the newest two 30 ms ones.
+/// assert_eq!(w.quantiles([0.5, 0.75]), [0.01, 0.03]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RecentWindow {
     window: usize,
-    qs: [f64; N],
-) -> [f64; N] {
-    let (mut n, mut first) = (0, runs.len());
-    while first > 0 && n < window {
-        first -= 1;
-        n += runs[first].1;
+    /// `(nanos, count)` runs, oldest first.
+    runs: VecDeque<(u64, usize)>,
+    /// Values the runs hold; more than `window` by less than the oldest run.
+    values: usize,
+    /// The runs merged by value, ascending; every count is positive.
+    by_value: Vec<(u64, usize)>,
+}
+
+impl RecentWindow {
+    /// An empty window over the newest `window` values.
+    #[must_use]
+    pub fn new(window: usize) -> Self {
+        RecentWindow {
+            window,
+            runs: VecDeque::new(),
+            values: 0,
+            by_value: Vec::new(),
+        }
     }
-    let runs = &mut runs[first..];
-    if n > window {
-        runs[0].1 -= n - window;
-        n = window;
+
+    /// Appends `count` values equal to `value`, then drops the oldest runs
+    /// the newer ones cover.
+    pub fn push(&mut self, value: SimDuration, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let nanos = value.as_nanos();
+        self.runs.push_back((nanos, count));
+        self.values += count;
+        match self.by_value.binary_search_by_key(&nanos, |r| r.0) {
+            Ok(i) => self.by_value[i].1 += count,
+            Err(i) => self.by_value.insert(i, (nanos, count)),
+        }
+        while let Some(&(nanos, oldest)) = self.runs.front() {
+            if self.values - oldest < self.window {
+                break;
+            }
+            self.values -= oldest;
+            self.runs.pop_front();
+            let i = self
+                .by_value
+                .binary_search_by_key(&nanos, |r| r.0)
+                .expect("every run is merged by value");
+            self.by_value[i].1 -= oldest;
+            if self.by_value[i].1 == 0 {
+                self.by_value.remove(i);
+            }
+        }
     }
-    runs.sort_unstable_by(|a, b| cmp_finite(&a.0, &b.0));
-    let at_rank = |rank: usize| {
-        let mut seen = 0;
-        let run = runs.iter().find(|r| {
-            seen += r.1;
-            rank < seen
-        });
-        run.expect("the rank lies inside the window").0
-    };
-    qs.map(|q| interpolate_rank(n, q, |lo, hi| (at_rank(lo), at_rank(hi))))
+
+    /// Exact `qs`-quantiles of the window's values, in seconds, under the
+    /// rule of [`quantile_in_place`]; an empty window gives 0. The order
+    /// statistics are found in one walk of the ordered values when `qs`
+    /// ascend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `q` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let n = self.values.min(self.window);
+        // Only the newest values of the oldest run lie inside the window.
+        let (oldest, cut) = self.runs.front().map_or((0, 0), |r| (r.0, self.values - n));
+        let count = |i: usize| {
+            let (nanos, count) = self.by_value[i];
+            if nanos == oldest {
+                count - cut
+            } else {
+                count
+            }
+        };
+        let secs = |i: usize| SimDuration::from_nanos(self.by_value[i].0).as_secs_f64();
+        // The entry the walk is at, and how many values lie below it.
+        let (mut at, mut below) = (0, 0);
+        qs.map(|q| {
+            interpolate_rank(n, q, |lo, hi| {
+                if lo < below {
+                    (at, below) = (0, 0);
+                }
+                while below + count(at) <= lo {
+                    below += count(at);
+                    at += 1;
+                }
+                // `hi` is `lo` or `lo + 1`; every entry holds a value.
+                let upper = if hi < below + count(at) { at } else { at + 1 };
+                (secs(at), secs(upper))
+            })
+        })
+    }
 }
 
 /// The rule both exact quantiles share: the rank `q·(n−1)` falls between

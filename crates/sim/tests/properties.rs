@@ -7,7 +7,7 @@ use aum_sim::attrib::{
 };
 use aum_sim::hist::{LogHistogram, SUB_BUCKETS};
 use aum_sim::rng::DetRng;
-use aum_sim::stats::{quantile_in_place, run_length_quantiles, Samples};
+use aum_sim::stats::{quantile_in_place, RecentWindow, Samples};
 use aum_sim::time::{SimDuration, SimTime};
 
 /// An arbitrary (possibly degenerate) work split — negatives and all-zero
@@ -85,12 +85,15 @@ fn quantiles_of_an_empty_window_are_zero() {
     for q in [0.5, 0.9] {
         assert_eq!(quantile_in_place(&mut [], q).to_bits(), 0.0f64.to_bits());
     }
-    assert_eq!(run_length_quantiles(&mut [], 300, [0.5, 0.9]), [0.0, 0.0]);
-    assert_eq!(
-        run_length_quantiles(&mut [(0.3, 4)], 0, [0.5, 0.9]),
-        [0.0, 0.0]
-    );
+    assert_eq!(RecentWindow::new(300).quantiles([0.5, 0.9]), [0.0, 0.0]);
+    let mut none = RecentWindow::new(0);
+    none.push(SimDuration::from_millis(300), 4);
+    assert_eq!(none.quantiles([0.5, 0.9]), [0.0, 0.0]);
 }
+
+/// Token and TTFT times drawn from a small set, zero included, so that
+/// equal values recur and merge in the window's value order.
+const WINDOW_NANOS: [u64; 7] = [0, 1, 999, 50_000_000, 61_803_399, 123_456_789, 499_999_999];
 
 /// A full interval's worth of samples, one per region.
 fn interval_samples() -> impl Strategy<Value = Vec<RegionSample>> {
@@ -158,34 +161,37 @@ proptest! {
     }
 
     // Sensing keeps decode tokens as one `(exec, batch)` run per
-    // iteration. Over the newest `window` tokens — the oldest run cut
-    // short when the window ends inside it — the run-length quantiles must
-    // equal `quantile_in_place` over the expanded values, bit for bit:
-    // runs of repeated values with zeros, batches 1–16, and totals below,
-    // at and above the window.
+    // iteration. After every push, the window's quantiles must equal
+    // `quantile_in_place` over the newest `window` values expanded to
+    // seconds, bit for bit: the oldest run cut short when the window ends
+    // inside it, equal values merged, batches 1–16, and windows of 1–40
+    // and 300. Descending `qs` must read the same order statistics.
     #[test]
-    fn run_length_quantiles_match_the_expanded_window_bit_for_bit(
+    fn recent_window_matches_the_expanded_window_bit_for_bit(
         runs in prop::collection::vec(
-            (prop_oneof![Just(0.0), Just(0.05), 0.0f64..0.5], 1usize..17),
+            ((0usize..WINDOW_NANOS.len()).prop_map(|i| WINDOW_NANOS[i]), 1usize..17),
             0..80,
         ),
-        window in prop_oneof![Just(300usize), 1usize..40],
-        window_at_total in any::<bool>(),
+        window in prop_oneof![Just(300usize), 1usize..41],
     ) {
-        let total: usize = runs.iter().map(|r| r.1).sum();
-        let window = if window_at_total { total } else { window };
-        let values: Vec<f64> = runs
-            .iter()
-            .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
-            .collect();
-        let mut expanded = values[values.len().saturating_sub(window)..].to_vec();
-        let got = run_length_quantiles(&mut runs.clone(), window, [0.5, 0.9]);
-        for (q, got) in [0.5, 0.9].into_iter().zip(got) {
-            prop_assert_eq!(
-                got.to_bits(),
-                quantile_in_place(&mut expanded, q).to_bits(),
-                "window {} of {} tokens at q {}", window, total, q
-            );
+        let mut recent = RecentWindow::new(window);
+        let mut values: Vec<f64> = Vec::new();
+        for (i, &(nanos, count)) in runs.iter().enumerate() {
+            let value = SimDuration::from_nanos(nanos);
+            recent.push(value, count);
+            values.extend(std::iter::repeat_n(value.as_secs_f64(), count));
+            let mut expanded = values[values.len().saturating_sub(window)..].to_vec();
+            let qs = [0.0, 0.5, 0.9, 1.0];
+            let got = recent.quantiles(qs);
+            let [p90, p50] = recent.quantiles([0.9, 0.5]);
+            prop_assert_eq!([p50.to_bits(), p90.to_bits()], [got[1].to_bits(), got[2].to_bits()]);
+            for (q, got) in qs.into_iter().zip(got) {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    quantile_in_place(&mut expanded, q).to_bits(),
+                    "push {} of {}, window {} at q {}", i + 1, runs.len(), window, q
+                );
+            }
         }
     }
 
@@ -381,6 +387,41 @@ proptest! {
             let q = f64::from(i) / 10.0;
             prop_assert_eq!(merged.quantile(q).to_bits(), union.quantile(q).to_bits());
         }
+    }
+
+    // A decode iteration records its batch of equal token times at once.
+    // `record_n(v, n)` must leave the state `n` calls of `record(v)` leave,
+    // the float sum's bits included: values below, inside and above the
+    // bucketed range, non-finite ones, and `n = 0`.
+    #[test]
+    fn record_n_equals_n_single_records(
+        records in prop::collection::vec(
+            (
+                prop_oneof![
+                    Just(0.0),
+                    Just(-0.25),
+                    Just(1e-9),
+                    Just(1e9),
+                    Just(f64::NAN),
+                    Just(f64::INFINITY),
+                    1e-3f64..1.0,
+                ],
+                0u64..17,
+            ),
+            0..60,
+        ),
+    ) {
+        let (mut batched, mut single) = (LogHistogram::new(), LogHistogram::new());
+        for &(v, n) in &records {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        prop_assert_eq!(batched.sum().to_bits(), single.sum().to_bits());
+        prop_assert_eq!(batched.underflow(), single.underflow());
+        prop_assert_eq!(batched.overflow(), single.overflow());
+        prop_assert_eq!(&batched, &single);
     }
 }
 
