@@ -224,18 +224,19 @@ fn fleet_digest(records: &[TraceRecord]) -> String {
 
 /// One metric's windowed burn rates against its target, under the flight
 /// recorder's burn policy ([`ERROR_BUDGET`], [`BURN_WINDOW_SECS`]).
-fn burn_lines(out: &mut String, samples: &[(f64, f64)], target: f64) -> bool {
+/// `samples` are `(run, sim secs, value)`; a window belongs to one run.
+fn burn_lines(out: &mut String, samples: &[(usize, f64, f64)], target: f64) -> bool {
     let mut all_burning = true;
     for w in BURN_WINDOW_SECS.map(|s| s as f64) {
-        let mut windows: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-        for &(at, v) in samples {
-            let e = windows.entry((at / w) as u64).or_insert((0, 0));
+        let mut windows: BTreeMap<(usize, u64), (usize, usize)> = BTreeMap::new();
+        for &(run, at, v) in samples {
+            let e = windows.entry((run, (at / w) as u64)).or_insert((0, 0));
             e.1 += 1;
             e.0 += usize::from(v > target);
         }
-        let burns: Vec<(u64, f64)> = windows
+        let burns: Vec<((usize, u64), f64)> = windows
             .iter()
-            .map(|(idx, (bad, n))| (*idx, *bad as f64 / *n as f64 / ERROR_BUDGET))
+            .map(|(key, (bad, n))| (*key, *bad as f64 / *n as f64 / ERROR_BUDGET))
             .collect();
         let burning = burns.iter().filter(|(_, b)| *b > 1.0).count();
         let peak = burns
@@ -243,7 +244,7 @@ fn burn_lines(out: &mut String, samples: &[(f64, f64)], target: f64) -> bool {
             .copied()
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
         match peak {
-            Some((idx, b)) => {
+            Some(((_, idx), b)) => {
                 let _ = writeln!(
                     out,
                     "    {w:>4.0}s windows: {burning}/{} burning, peak {b:.1}x at t={:.0}s",
@@ -260,35 +261,82 @@ fn burn_lines(out: &mut String, samples: &[(f64, f64)], target: f64) -> bool {
     all_burning
 }
 
+/// A run's clock segment and span track; `None` when no span names it.
+type RunKey<'a> = Option<(usize, &'a str)>;
+
+/// The track of the span record that follows `records[i]` at its
+/// timestamp and carries span id `id`.
+fn next_span_track(records: &[TraceRecord], i: usize, id: SpanId) -> Option<&str> {
+    let at = records[i].at;
+    records[i + 1..]
+        .iter()
+        .take_while(|r| r.at == at)
+        .find_map(|r| match &r.event {
+            Event::SpanOpen { id: s, track, .. } | Event::SpanClose { id: s, track, .. }
+                if *s == id.0 =>
+            {
+                Some(&**track)
+            }
+            _ => None,
+        })
+}
+
 /// The SLO burn-rate digest: per-metric percentiles (from the same
 /// log-linear histograms the reports use), total violations against the
 /// trace's recorded targets, and multi-window burn rates. Absent when the
 /// trace carries no [`Event::SloTargets`] (pre-span traces).
+///
+/// A trace may hold several runs, each opening with its own
+/// [`Event::SloTargets`] preamble. Runs flushed one after another restart
+/// the sim clock, while the runs of one sweep interleave in sim-time order;
+/// either way, one run's records that share a timestamp stay together in
+/// emission order. So the preamble's run is named by the track of its
+/// first interval span, opened next at t=0, and a finished request's run
+/// by the track of its lifecycle span, closed next at the same time. A run
+/// is a (clock segment, track) pair; a record without such a span belongs
+/// to the latest preamble (the first, before any). Every request is judged
+/// against its own run's targets, each metric prints one block per
+/// distinct target in first-seen order, and no burn window spans two runs.
 fn slo_digest(records: &[TraceRecord]) -> String {
-    let Some((ttft_target, tpot_target)) = records.iter().find_map(|r| match r.event {
-        Event::SloTargets {
-            ttft_secs,
-            tpot_secs,
-        } => Some((ttft_secs, tpot_secs)),
-        _ => None,
-    }) else {
-        return String::new();
-    };
-    let mut ttft: Vec<(f64, f64)> = Vec::new();
-    let mut tpot: Vec<(f64, f64)> = Vec::new();
-    for r in records {
-        if let Event::RequestFinished {
-            generated,
-            mean_tpot_secs,
-            ttft_secs,
-            ..
-        } = r.event
-        {
-            ttft.push((secs(r.at), ttft_secs));
-            if generated > 0 {
-                tpot.push((secs(r.at), mean_tpot_secs));
-            }
+    let mut runs: Vec<(RunKey, [f64; 2])> = Vec::new();
+    let mut ttft: Vec<(usize, f64, f64)> = Vec::new();
+    let mut tpot: Vec<(usize, f64, f64)> = Vec::new();
+    let mut segment = 0;
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 && r.at < records[i - 1].at {
+            segment += 1;
         }
+        match r.event {
+            Event::SloTargets {
+                ttft_secs,
+                tpot_secs,
+            } => {
+                let first = SpanId::derive(SpanKind::ControllerInterval, 0);
+                let key = next_span_track(records, i, first).map(|t| (segment, t));
+                runs.push((key, [ttft_secs, tpot_secs]));
+            }
+            Event::RequestFinished {
+                id,
+                generated,
+                mean_tpot_secs,
+                ttft_secs,
+            } => {
+                let lifecycle = SpanId::derive(SpanKind::RequestLifecycle, id);
+                let key = next_span_track(records, i, lifecycle).map(|t| (segment, t));
+                let run = runs
+                    .iter()
+                    .rposition(|run| key.is_some() && run.0 == key)
+                    .unwrap_or(runs.len().saturating_sub(1));
+                ttft.push((run, secs(r.at), ttft_secs));
+                if generated > 0 {
+                    tpot.push((run, secs(r.at), mean_tpot_secs));
+                }
+            }
+            _ => {}
+        }
+    }
+    if runs.is_empty() {
+        return String::new();
     }
     let mut out = format!(
         "\nSLO burn-rate digest (error budget {:.1}% of requests):\n",
@@ -299,26 +347,38 @@ fn slo_digest(records: &[TraceRecord]) -> String {
         return out;
     }
     let mut alerts = Vec::new();
-    for (name, target, samples) in [
-        ("TTFT", ttft_target, &ttft),
-        ("TPOT (per-request mean)", tpot_target, &tpot),
-    ] {
-        if samples.is_empty() {
-            let _ = writeln!(out, "  {name} (target {target:.3}s): no samples");
-            continue;
+    for (m, name, samples) in [(0, "TTFT", &ttft), (1, "TPOT (per-request mean)", &tpot)] {
+        let mut distinct: Vec<u64> = Vec::new();
+        for (_, targets) in &runs {
+            if !distinct.contains(&targets[m].to_bits()) {
+                distinct.push(targets[m].to_bits());
+            }
         }
-        let hist: LogHistogram = samples.iter().map(|&(_, v)| v).collect();
-        let bad = samples.iter().filter(|&&(_, v)| v > target).count();
-        let _ = writeln!(
-            out,
-            "  {name} (target {target:.3}s): {} requests, p50 {:.3}s p99 {:.3}s, \
-             violations {bad} ({:.1}%)",
-            hist.count(),
-            hist.quantile(0.5),
-            hist.quantile(0.99),
-            bad as f64 / samples.len() as f64 * 100.0
-        );
-        if burn_lines(&mut out, samples, target) {
+        let mut burning = false;
+        for target in distinct.into_iter().map(f64::from_bits) {
+            let samples: Vec<(usize, f64, f64)> = samples
+                .iter()
+                .copied()
+                .filter(|s| runs[s.0].1[m].to_bits() == target.to_bits())
+                .collect();
+            if samples.is_empty() {
+                let _ = writeln!(out, "  {name} (target {target:.3}s): no samples");
+                continue;
+            }
+            let hist: LogHistogram = samples.iter().map(|s| s.2).collect();
+            let bad = samples.iter().filter(|s| s.2 > target).count();
+            let _ = writeln!(
+                out,
+                "  {name} (target {target:.3}s): {} requests, p50 {:.3}s p99 {:.3}s, \
+                 violations {bad} ({:.1}%)",
+                hist.count(),
+                hist.quantile(0.5),
+                hist.quantile(0.99),
+                bad as f64 / samples.len() as f64 * 100.0
+            );
+            burning |= burn_lines(&mut out, &samples, target);
+        }
+        if burning {
             alerts.push(name);
         }
     }
@@ -903,6 +963,101 @@ mod tests {
         assert!(s.contains("60s windows:"), "{s}");
         assert!(s.contains("alert: PAGE"), "{s}");
         assert!(s.contains("TTFT burning in both"), "{s}");
+    }
+
+    #[test]
+    fn slo_digest_judges_each_run_against_its_own_targets() {
+        // Two runs behind their own targets: chatbot (TTFT 0.25 s) and
+        // summarization (TTFT 1.5 s), both with a 0.1 s TPOT target and
+        // the same request ids. Every summarization TTFT (1.0 s) meets its
+        // own target and would miss chatbot's; one chatbot request misses
+        // TPOT. Each run carries the spans the engine emits: its first
+        // interval opens after the preamble, and a request's lifecycle
+        // closes after it finishes.
+        let run = |track: &str, ttft_target: f64, ttft: f64, late: Option<u64>| {
+            let track: std::sync::Arc<str> = track.into();
+            let mut records = vec![
+                rec(
+                    0.0,
+                    Event::SloTargets {
+                        ttft_secs: ttft_target,
+                        tpot_secs: 0.1,
+                    },
+                ),
+                rec(
+                    0.0,
+                    Event::SpanOpen {
+                        id: SpanId::derive(SpanKind::ControllerInterval, 0).0,
+                        parent: None,
+                        kind: SpanKind::ControllerInterval,
+                        track: track.clone(),
+                        label: "interval 0".into(),
+                    },
+                ),
+            ];
+            for id in 0..5u64 {
+                let at = 1.0 + id as f64;
+                let mean_tpot_secs = if late == Some(id) { 0.2 } else { 0.05 };
+                records.push(rec(
+                    at,
+                    Event::RequestFinished {
+                        id,
+                        generated: 10,
+                        mean_tpot_secs,
+                        ttft_secs: ttft,
+                    },
+                ));
+                records.push(rec(
+                    at,
+                    Event::SpanClose {
+                        id: SpanId::derive(SpanKind::RequestLifecycle, id).0,
+                        kind: SpanKind::RequestLifecycle,
+                        track: track.clone(),
+                    },
+                ));
+            }
+            records
+        };
+        // One run after the other, each restarting the clock, as runs
+        // flushed in turn leave them.
+        let mut sequential = run("AUM/cb", 0.25, 0.2, Some(2));
+        sequential.extend(run("AUM/sm", 1.5, 1.0, None));
+        // Interleaved in sim-time order, as a sweep merges its runs.
+        let mut interleaved = sequential.clone();
+        interleaved.sort_by_key(|r| r.at);
+        let digest = |records: &[TraceRecord]| {
+            let s = summarize(records);
+            let at = s.find("SLO burn-rate digest").expect("digest");
+            let end = s[at..].find("\n\n").map_or(s.len(), |n| at + n);
+            s[at..end].to_string()
+        };
+        let digest_sequential = digest(&sequential);
+        assert_eq!(digest(&interleaved), digest_sequential);
+        let digest = digest_sequential;
+        // One block per distinct target, in first-seen order, each with
+        // its own run's five requests and no violation.
+        let block = |target: &str| {
+            let at = digest.find(&format!("TTFT (target {target}s): 5 requests"));
+            let at = at.expect(&digest);
+            let line = digest[at..].lines().next().expect("block line");
+            assert!(line.ends_with("violations 0 (0.0%)"), "{line}");
+            at
+        };
+        assert!(block("0.250") < block("1.500"), "{digest}");
+        assert!(
+            digest.contains("TPOT (per-request mean) (target 0.100s): 10 requests"),
+            "{digest}"
+        );
+        assert!(digest.contains("violations 1 (10.0%)"), "{digest}");
+        // The shared TPOT target's windows stay per run: 1 of 2 burns.
+        assert!(
+            digest.contains("10s windows: 1/2 burning, peak 20.0x at t=0s"),
+            "{digest}"
+        );
+        assert!(
+            digest.contains("alert: PAGE — TPOT (per-request mean) burning in both"),
+            "{digest}"
+        );
     }
 
     #[test]
