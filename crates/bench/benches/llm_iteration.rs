@@ -3,7 +3,10 @@
 //! engine's pricer on a decode iteration that keeps the last iteration's
 //! batch and resources (`decode_bs16_repeat`: only the two attention
 //! operators are re-priced) and on one whose resources changed
-//! (`decode_bs16_new_resources`: every operator is re-priced).
+//! (`decode_bs16_new_resources`: every operator is re-priced). One
+//! control interval's serving work closes the file: a 500 ms
+//! `run_interval` on a warm chatbot engine, then the sensing readout
+//! (`interval_sense`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -12,9 +15,13 @@ use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::config::ModelConfig;
 use aum_llm::cost::{iteration_cost, AuKernels, IterationPricer};
+use aum_llm::engine::{EngineConfig, EngineMode, EngineResources, LlmEngine, RegionResources};
 use aum_llm::ops::Phase;
+use aum_llm::traces::{Scenario, TraceGenerator};
 use aum_platform::spec::PlatformSpec;
 use aum_platform::units::GbPerSec;
+use aum_sim::rng::DetRng;
+use aum_sim::time::{SimDuration, SimTime};
 
 fn bench(c: &mut Criterion) {
     let spec = PlatformSpec::gen_a();
@@ -71,6 +78,34 @@ fn bench(c: &mut Criterion) {
                 &prefill_ctx,
                 &mut pmu,
             )
+        })
+    });
+    // A chatbot engine one minute into its trace on AUM-style partitioned
+    // regions. The bench restarts from that state every ten simulated
+    // minutes, so the load stays steady however many iterations it runs.
+    let scenario = Scenario::Chatbot;
+    let trace = TraceGenerator::new(scenario, scenario.default_rate())
+        .generate(&DetRng::from_seed(7), SimDuration::from_secs(720));
+    let mut warm = LlmEngine::new(EngineConfig::paper_default(scenario), &spec, trace);
+    let res = EngineResources {
+        prefill: RegionResources::new(48, 2.5, GbPerSec(60.0)),
+        decode: RegionResources::new(32, 3.1, GbPerSec(170.0)),
+        mode: EngineMode::Partitioned,
+    };
+    let dt = SimDuration::from_millis(500);
+    let (warm_steps, restart_steps) = (120u64, 1320u64);
+    for step in 1..=warm_steps {
+        let _ = warm.run_interval(SimTime::ZERO + dt * step, &res);
+    }
+    let (mut engine, mut step) = (warm.clone(), warm_steps);
+    c.bench_function("llm_iteration/interval_sense", |b| {
+        b.iter(|| {
+            if step == restart_steps {
+                (engine, step) = (warm.clone(), warm_steps);
+            }
+            step += 1;
+            let stats = engine.run_interval(SimTime::ZERO + dt * step, &res);
+            (stats, engine.recent_latency_quantiles())
         })
     });
 }
