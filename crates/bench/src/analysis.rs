@@ -34,7 +34,7 @@ pub fn sens(ctx: &RunCtx) -> String {
         let (aum, smt) = if prices == Prices::paper_default() {
             let [aum, smt] = [Scheme::Aum, Scheme::SmtAu].map(|scheme| {
                 let cell = Cell::new(scheme, &spec, scenario, be);
-                ctx.cache.outcome_untraced(&cell, &ctx.tracer).efficiency
+                ctx.cache.outcome(&cell, &ctx.tracer).efficiency
             });
             (aum, smt)
         } else {

@@ -13,7 +13,7 @@ use aum::manager::ResourceManager;
 use aum::profiler::{build_model_traced, AuvModel, ProfilerConfig};
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
-use aum_sim::telemetry::{MemorySink, TraceRecord, Tracer};
+use aum_sim::telemetry::Tracer;
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -153,13 +153,6 @@ impl Cell {
     }
 }
 
-/// A latched cell run: its outcome and, when the invocation traces an AUM
-/// cell, the records the run emitted.
-struct CellRun {
-    outcome: Arc<Outcome>,
-    records: Vec<TraceRecord>,
-}
-
 /// Build-once latches found by linear scan (see [`latched`]).
 type Latches<K, V> = Mutex<Vec<(K, Arc<OnceLock<V>>)>>;
 
@@ -202,11 +195,11 @@ fn latched<K, V: Clone>(
 /// Concurrency-safe: lookups take `&self` and every key builds once under
 /// its own latch, so parallel sweeps stay deterministic. Models and
 /// outcomes are handed out as `Arc` clones (pointer bumps), never deep
-/// copies. The cost is memory: every distinct cell's [`Outcome`] (and, when
-/// tracing, its records) lives as long as the cache.
+/// copies. The cost is memory: every distinct cell's [`Outcome`] lives as
+/// long as the cache.
 pub struct ModelCache {
     models: Latches<(String, Scenario, BeKind), Arc<AuvModel>>,
-    cells: Latches<Cell, Arc<CellRun>>,
+    cells: Latches<Cell, Arc<Outcome>>,
     /// Builds the profiling sweep for a key — `paper_default` in studies;
     /// tests substitute `ProfilerConfig::smoke` to keep runtimes sane while
     /// exercising the identical cache/executor code path.
@@ -342,49 +335,14 @@ impl ModelCache {
     }
 
     /// The outcome of `cell`, simulated by the first request for its key
-    /// and latched for every later one; an AUM cell's records stream into
-    /// `tracer` on every request, the first included.
+    /// and latched for every later one.
     ///
-    /// `tracer` is the invocation's (or, inside a sweep, the cell's
-    /// capture of it), and it decides whether the run captures its records
-    /// for replay. A replay re-emits them in order and then flushes
-    /// `tracer`, as the run itself ends, so the stream is byte-identical to
-    /// running the cell again. Baseline schemes stay untraced.
+    /// An AUM cell's run streams into the `tracer` of that first request
+    /// (the invocation's, or inside a sweep the cell's capture of it), as a
+    /// model build streams into its first requester's; a hit emits nothing.
+    /// Baseline schemes stay untraced.
     pub fn outcome(&self, cell: &Cell, tracer: &Tracer) -> Arc<Outcome> {
-        self.request(cell, tracer, true)
-    }
-
-    /// [`Self::outcome`] without emitting the cell's records. The run still
-    /// captures them when `tracer` is enabled, so a later traced request
-    /// for the same cell replays them.
-    pub fn outcome_untraced(&self, cell: &Cell, tracer: &Tracer) -> Arc<Outcome> {
-        self.request(cell, tracer, false)
-    }
-
-    /// The outcomes of `cells`, in order, fanned out through the parallel
-    /// sweep executor. The AUV models the AUM cells need are built serially
-    /// first, in cell order ([`Self::warm`]), so the profiler trace keeps
-    /// its deterministic position ahead of the per-cell streams that
-    /// [`aum_sim::exec::sweep_traced`] merges in cell order.
-    pub fn outcomes(&self, cells: Vec<Cell>, tracer: &Tracer) -> Vec<Arc<Outcome>> {
-        self.warm(
-            cells.iter().filter(|c| c.scheme == Scheme::Aum).map(|c| {
-                (
-                    &c.cfg.platform,
-                    c.cfg.scenario,
-                    c.cfg.be.unwrap_or(BeKind::SpecJbb),
-                )
-            }),
-            tracer,
-        );
-        aum_sim::exec::sweep_traced(tracer, cells, |_, cell, tracer| {
-            self.outcome(&cell, &tracer)
-        })
-    }
-
-    fn request(&self, cell: &Cell, tracer: &Tracer, replay: bool) -> Arc<Outcome> {
-        let traced = cell.scheme == Scheme::Aum && tracer.is_enabled();
-        let run = latched(
+        latched(
             &self.cells,
             |c| c == cell,
             || cell.clone(),
@@ -398,24 +356,39 @@ impl ModelCache {
                     self,
                     tracer,
                 );
-                let (capture, sink) = Tracer::shared(MemorySink::new());
-                let run_tracer = if traced { capture } else { Tracer::disabled() };
-                let outcome = try_run_experiment_traced(cfg, mgr.as_mut(), run_tracer)
-                    .expect("a study cell runs a paper-default config under a covering manager");
-                let records = std::mem::take(&mut *sink.lock().expect("cell sink lock"));
-                Arc::new(CellRun {
-                    outcome: Arc::new(outcome),
-                    records: records.into_records(),
-                })
+                let run_tracer = match cell.scheme {
+                    Scheme::Aum => tracer.clone(),
+                    _ => Tracer::disabled(),
+                };
+                let outcome = try_run_experiment_traced(cfg, mgr.as_mut(), run_tracer);
+                Arc::new(outcome.expect("a paper-default cell runs under a covering manager"))
             },
+        )
+    }
+
+    /// The outcomes of `cells`, in order, fanned out through the parallel
+    /// sweep executor. The AUV models the AUM cells need are built serially
+    /// first, in cell order ([`Self::warm`]), so the profiler trace keeps
+    /// its deterministic position ahead of the per-cell streams that
+    /// [`aum_sim::exec::sweep_traced`] merges in cell order.
+    ///
+    /// `cells` must not repeat an AUM cell: the worker that won the latch
+    /// would decide where that run's records land. No study's grid repeats
+    /// one (debug builds check).
+    pub fn outcomes(&self, cells: Vec<Cell>, tracer: &Tracer) -> Vec<Arc<Outcome>> {
+        let aum: Vec<&Cell> = cells.iter().filter(|c| c.scheme == Scheme::Aum).collect();
+        debug_assert!(
+            aum.iter().enumerate().all(|(i, c)| !aum[..i].contains(c)),
+            "an AUM cell repeats in one outcomes() list"
         );
-        if traced && replay {
-            for r in &run.records {
-                tracer.emit(r.at, || r.event.clone());
-            }
-            tracer.flush();
-        }
-        Arc::clone(&run.outcome)
+        let be = |c: &Cell| c.cfg.be.unwrap_or(BeKind::SpecJbb);
+        self.warm(
+            aum.iter().map(|c| (&c.cfg.platform, c.cfg.scenario, be(c))),
+            tracer,
+        );
+        aum_sim::exec::sweep_traced(tracer, cells, |_, cell, tracer| {
+            self.outcome(&cell, &tracer)
+        })
     }
 }
 
@@ -458,7 +431,7 @@ pub fn platform_scaled_rate(spec: &PlatformSpec, scenario: Scenario) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aum_sim::telemetry::OrderingSink;
+    use aum_sim::telemetry::{MemorySink, OrderingSink};
 
     /// A 30 s GenA cell, short enough for a debug-build test.
     fn cell(scheme: Scheme, scenario: Scenario, be: BeKind) -> Cell {
@@ -528,50 +501,24 @@ mod tests {
     }
 
     #[test]
-    fn a_hit_replays_exactly_the_records_the_first_request_emitted() {
-        let (cache, _) = warm_cache();
+    fn a_traced_miss_emits_what_the_run_emits_and_a_hit_emits_nothing() {
         let aum = cell(Scheme::Aum, Scenario::Chatbot, BeKind::SpecJbb);
+        let (_, model) = warm_cache();
+        let expected = captured(|t| {
+            let mut mgr = AumController::new(model);
+            try_run_experiment_traced(&aum.cfg, &mut mgr, t.clone()).expect("smoke cell runs");
+        });
+        assert!(!expected.is_empty(), "an AUM run emits records");
+        let (cache, _) = warm_cache();
         let mut outcomes = Vec::new();
-        let first = captured(|t| outcomes.push(cache.outcome(&aum, t)));
+        let miss = captured(|t| outcomes.push(cache.outcome(&aum, t)));
+        assert_eq!(miss, expected, "a traced miss emits what the run emits");
         let hit = captured(|t| outcomes.push(cache.outcome(&aum, t)));
         assert!(
             Arc::ptr_eq(&outcomes[0], &outcomes[1]),
             "the second request hits"
         );
-        assert!(!first.is_empty(), "an AUM run emits records");
-        assert_eq!(first, hit);
-    }
-
-    #[test]
-    fn an_untraced_first_request_still_captures_for_a_later_traced_one() {
-        // `longer` runs right after `aum` replays: a replay that skipped the
-        // run's closing flush would let their records sort into one segment.
-        let aum = cell(Scheme::Aum, Scenario::Chatbot, BeKind::SpecJbb);
-        let longer = aum.clone().with_duration(SimDuration::from_secs(40));
-        let (_, model) = warm_cache();
-        let expected = captured(|t| {
-            for c in [&aum, &longer] {
-                let mut mgr = AumController::new(Arc::clone(&model));
-                try_run_experiment_traced(&c.cfg, &mut mgr, t.clone()).expect("smoke cell runs");
-            }
-        });
-        let (fresh, _) = warm_cache();
-        let traced = captured(|t| {
-            fresh.outcome(&aum, t);
-            fresh.outcome(&longer, t);
-        });
-        assert_eq!(traced, expected, "a traced miss emits what the run emits");
-
-        let (cache, _) = warm_cache();
-        let untraced = captured(|t| {
-            cache.outcome_untraced(&aum, t);
-        });
-        assert!(untraced.is_empty(), "an untraced request emits nothing");
-        let replayed = captured(|t| {
-            cache.outcome(&aum, t);
-            cache.outcome(&longer, t);
-        });
-        assert_eq!(replayed, expected);
+        assert!(hit.is_empty(), "a hit emits nothing: {hit:?}");
     }
 
     /// Hand-counted cache accounting: 6 lookups over 2 distinct keys must

@@ -180,20 +180,10 @@ pub fn fig15(ctx: &RunCtx) -> String {
             &ctx.tracer,
         )
         .efficiency;
-    // Offered load scales with platform serving capacity: the paper
-    // exercises every platform near its own operating point.
     let presets = PlatformSpec::presets();
-    let cells = presets
-        .iter()
-        .flat_map(|spec| Scenario::ALL.map(|sc| (spec, sc)))
-        .flat_map(|(spec, sc)| {
-            [Scheme::AllAu, Scheme::Aum].map(|scheme| {
-                Cell::new(scheme, spec, sc, BeKind::SpecJbb)
-                    .with_rate(platform_scaled_rate(spec, sc))
-            })
-        })
-        .collect();
-    let grid = ctx.cache.outcomes(cells, &ctx.tracer);
+    let grid = ctx
+        .cache
+        .outcomes(fig15_cells(&presets, &Scenario::ALL), &ctx.tracer);
     let mut out =
         String::from("Fig 15: efficiency on evolving platforms (norm. to ALL-AU on GenA)\n");
     let mut grid_iter = grid.iter();
@@ -212,6 +202,22 @@ pub fn fig15(ctx: &RunCtx) -> String {
         out.push_str(&format!("\n[{}]\n{}", spec.name, t.render()));
     }
     out
+}
+
+/// Fig 15's grid: ALL-AU then AUM beside SPECjbb, platform major, then
+/// scenario. Offered load scales with platform serving capacity: the paper
+/// exercises every platform near its own operating point.
+fn fig15_cells(presets: &[PlatformSpec], scenarios: &[Scenario]) -> Vec<Cell> {
+    presets
+        .iter()
+        .flat_map(|spec| scenarios.iter().map(move |&sc| (spec, sc)))
+        .flat_map(|(spec, sc)| {
+            [Scheme::AllAu, Scheme::Aum].map(|scheme| {
+                Cell::new(scheme, spec, sc, BeKind::SpecJbb)
+                    .with_rate(platform_scaled_rate(spec, sc))
+            })
+        })
+        .collect()
 }
 
 /// Fig 16: decomposed AU and shared-application performance per scheme,
@@ -282,7 +288,7 @@ pub fn fig17(ctx: &RunCtx) -> String {
 pub fn fig18(ctx: &RunCtx) -> String {
     let spec = PlatformSpec::gen_a();
     let cell = |scheme| Cell::new(scheme, &spec, Scenario::Chatbot, BeKind::SpecJbb);
-    let aum = ctx.cache.outcome_untraced(&cell(Scheme::Aum), &ctx.tracer);
+    let aum = ctx.cache.outcome(&cell(Scheme::Aum), &ctx.tracer);
     let rp = ctx.cache.outcome(&cell(Scheme::RpAu), &ctx.tracer);
     let mut out =
         String::from("Fig 18: shared-class resource allocation CDFs (chatbot + SPECjbb)\n");
@@ -316,4 +322,42 @@ pub fn fig18(ctx: &RunCtx) -> String {
         rp.shared_llc_samples.quantile(0.9),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aum_sim::span::{collect_spans, SpanKind};
+    use aum_sim::telemetry::{MemorySink, OrderingSink, Tracer};
+
+    /// GenA and GenB have the same cores and, at fig 15's scaled rates, the
+    /// same rate, so only the platform tells their AUM runs apart.
+    #[test]
+    fn fig15_runs_get_distinct_tracks_and_a_trace_that_exports() {
+        let presets = PlatformSpec::presets();
+        let cells: Vec<Cell> = fig15_cells(&presets, &[Scenario::Chatbot])
+            .into_iter()
+            .map(|c| c.with_duration(SimDuration::from_secs(30)))
+            .collect();
+        let cache = ModelCache::with_profile(ProfilerConfig::smoke);
+        let (tracer, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
+        cache.outcomes(cells, &tracer);
+        tracer.flush();
+        let sink = sink.lock().expect("capture sink lock");
+        let records = sink.inner().records();
+
+        let forest = collect_spans(records).expect("a fig15-shaped trace is span-balanced");
+        let mut tracks: Vec<&str> = forest
+            .of_kind(SpanKind::ControllerInterval)
+            .map(|n| &*n.track)
+            .collect();
+        tracks.dedup();
+        let named =
+            |(spec, track): (&PlatformSpec, &&str)| track.contains(&format!(" {} ", spec.name));
+        assert!(
+            tracks.len() == presets.len() && presets.iter().zip(&tracks).all(named),
+            "one track per AUM run, each naming its platform: {tracks:?}"
+        );
+        crate::perfetto::export(records).expect("a fig15-shaped trace exports");
+    }
 }

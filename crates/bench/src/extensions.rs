@@ -145,7 +145,7 @@ pub fn ablate(ctx: &RunCtx) -> String {
     let cfg = ExperimentConfig::paper_default(spec.clone(), scenario, Some(be));
     for (divs, cfgs) in [(2usize, 2usize), (3, 3), (6, 5)] {
         let (runs, out) = if divs >= full_divs.len() && cfgs >= full_cfgs.len() {
-            let out = ctx.cache.outcome_untraced(&cell(Scheme::Aum), &ctx.tracer);
+            let out = ctx.cache.outcome(&cell(Scheme::Aum), &ctx.tracer);
             (full_model.profiling_runs, out)
         } else {
             let mut pc = ProfilerConfig::paper_default(spec.clone(), scenario, be);
@@ -166,7 +166,7 @@ pub fn ablate(ctx: &RunCtx) -> String {
     // Value of runtime adaptation: freeze the best bucket of the full
     // model and compare against the adaptive controller.
     let static_out = run_experiment(&cfg, &mut aum::baselines::StaticBest::new(&full_model));
-    let aum_out = ctx.cache.outcome_untraced(&cell(Scheme::Aum), &ctx.tracer);
+    let aum_out = ctx.cache.outcome(&cell(Scheme::Aum), &ctx.tracer);
     let mut t2 = TextTable::new(["manager", "efficiency gain", "TPOT guarantee"]);
     t2.row([
         "STATIC-BEST (frozen bucket)".to_string(),

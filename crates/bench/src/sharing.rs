@@ -109,9 +109,9 @@ pub fn fig10(_ctx: &RunCtx) -> String {
         ),
         ("unpartitioned", RdtAllocation::unpartitioned(&spec)),
     ];
-    let run = |alloc: RdtAllocation| {
-        let cfg =
-            ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
+    let cfg =
+        ExperimentConfig::paper_default(spec.clone(), Scenario::Chatbot, Some(BeKind::SpecJbb));
+    let outcomes = aum_sim::exec::sweep(variants.iter().map(|v| v.1).collect(), |_, alloc| {
         let mut mgr = StaticManager::new(
             "rp",
             Decision {
@@ -122,16 +122,15 @@ pub fn fig10(_ctx: &RunCtx) -> String {
             },
         );
         run_experiment(&cfg, &mut mgr)
-    };
-    let base = run(variants[3].1);
+    });
+    let base = &outcomes[3]; // inclusive-all
     let mut t = TextTable::new([
         "partitioning",
         "LLM latency perf (vs inclusive)",
         "TPOT guarantee",
         "BE rate (vs inclusive)",
     ]);
-    for (name, alloc) in &variants {
-        let o = run(*alloc);
+    for ((name, _), o) in variants.iter().zip(&outcomes) {
         t.row([
             (*name).to_string(),
             // Latency-side serving performance: inverse tail TPOT.

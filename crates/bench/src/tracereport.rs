@@ -261,24 +261,17 @@ fn burn_lines(out: &mut String, samples: &[(usize, f64, f64)], target: f64) -> b
     all_burning
 }
 
-/// A run's clock segment and span track; `None` when no span names it.
-type RunKey<'a> = Option<(usize, &'a str)>;
-
-/// The track of the span record that follows `records[i]` at its
-/// timestamp and carries span id `id`.
-fn next_span_track(records: &[TraceRecord], i: usize, id: SpanId) -> Option<&str> {
-    let at = records[i].at;
-    records[i + 1..]
-        .iter()
-        .take_while(|r| r.at == at)
-        .find_map(|r| match &r.event {
-            Event::SpanOpen { id: s, track, .. } | Event::SpanClose { id: s, track, .. }
-                if *s == id.0 =>
-            {
-                Some(&**track)
-            }
-            _ => None,
-        })
+/// Tags each record with its run: the latest [`Event::SloTargets`]
+/// preamble at or before it, counted from 0 (records before the first
+/// preamble belong to the first run). Every run opens with its preamble
+/// and reaches the trace as one sorted segment, so a run's records are
+/// contiguous and its clock restarts with it.
+fn with_runs(records: &[TraceRecord]) -> impl Iterator<Item = (usize, &TraceRecord)> {
+    let mut preambles = 0usize;
+    records.iter().map(move |r| {
+        preambles += usize::from(matches!(r.event, Event::SloTargets { .. }));
+        (preambles.saturating_sub(1), r)
+    })
 }
 
 /// The SLO burn-rate digest: per-metric percentiles (from the same
@@ -286,47 +279,26 @@ fn next_span_track(records: &[TraceRecord], i: usize, id: SpanId) -> Option<&str
 /// trace's recorded targets, and multi-window burn rates. Absent when the
 /// trace carries no [`Event::SloTargets`] (pre-span traces).
 ///
-/// A trace may hold several runs, each opening with its own
-/// [`Event::SloTargets`] preamble. Runs flushed one after another restart
-/// the sim clock, while the runs of one sweep interleave in sim-time order;
-/// either way, one run's records that share a timestamp stay together in
-/// emission order. So the preamble's run is named by the track of its
-/// first interval span, opened next at t=0, and a finished request's run
-/// by the track of its lifecycle span, closed next at the same time. A run
-/// is a (clock segment, track) pair; a record without such a span belongs
-/// to the latest preamble (the first, before any). Every request is judged
-/// against its own run's targets, each metric prints one block per
-/// distinct target in first-seen order, and no burn window spans two runs.
+/// A trace may hold several runs ([`with_runs`]), each opening with its
+/// own [`Event::SloTargets`] preamble. Every request is judged against its
+/// own run's targets, each metric prints one block per distinct target in
+/// first-seen order, and no burn window spans two runs.
 fn slo_digest(records: &[TraceRecord]) -> String {
-    let mut runs: Vec<(RunKey, [f64; 2])> = Vec::new();
+    let mut runs: Vec<[f64; 2]> = Vec::new();
     let mut ttft: Vec<(usize, f64, f64)> = Vec::new();
     let mut tpot: Vec<(usize, f64, f64)> = Vec::new();
-    let mut segment = 0;
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 && r.at < records[i - 1].at {
-            segment += 1;
-        }
+    for (run, r) in with_runs(records) {
         match r.event {
             Event::SloTargets {
                 ttft_secs,
                 tpot_secs,
-            } => {
-                let first = SpanId::derive(SpanKind::ControllerInterval, 0);
-                let key = next_span_track(records, i, first).map(|t| (segment, t));
-                runs.push((key, [ttft_secs, tpot_secs]));
-            }
+            } => runs.push([ttft_secs, tpot_secs]),
             Event::RequestFinished {
-                id,
                 generated,
                 mean_tpot_secs,
                 ttft_secs,
+                ..
             } => {
-                let lifecycle = SpanId::derive(SpanKind::RequestLifecycle, id);
-                let key = next_span_track(records, i, lifecycle).map(|t| (segment, t));
-                let run = runs
-                    .iter()
-                    .rposition(|run| key.is_some() && run.0 == key)
-                    .unwrap_or(runs.len().saturating_sub(1));
                 ttft.push((run, secs(r.at), ttft_secs));
                 if generated > 0 {
                     tpot.push((run, secs(r.at), mean_tpot_secs));
@@ -349,7 +321,7 @@ fn slo_digest(records: &[TraceRecord]) -> String {
     let mut alerts = Vec::new();
     for (m, name, samples) in [(0, "TTFT", &ttft), (1, "TPOT (per-request mean)", &tpot)] {
         let mut distinct: Vec<u64> = Vec::new();
-        for (_, targets) in &runs {
+        for targets in &runs {
             if !distinct.contains(&targets[m].to_bits()) {
                 distinct.push(targets[m].to_bits());
             }
@@ -359,7 +331,7 @@ fn slo_digest(records: &[TraceRecord]) -> String {
             let samples: Vec<(usize, f64, f64)> = samples
                 .iter()
                 .copied()
-                .filter(|s| runs[s.0].1[m].to_bits() == target.to_bits())
+                .filter(|s| runs[s.0][m].to_bits() == target.to_bits())
                 .collect();
             if samples.is_empty() {
                 let _ = writeln!(out, "  {name} (target {target:.3}s): no samples");
@@ -398,22 +370,26 @@ fn slo_digest(records: &[TraceRecord]) -> String {
 /// How many child spans the drill-down prints before eliding.
 const DRILLDOWN_CHILD_CAP: usize = 6;
 
-/// Finds the worst-TTFT request in the trace and walks its lifecycle span:
-/// open/close interval, nested prefill steps, and the decode iterations
-/// that overlapped it on the same track. Absent when the trace carries no
-/// spans for the worst request (pre-span traces).
+/// Finds the worst-TTFT request in the trace and walks its lifecycle span
+/// in the request's own run ([`with_runs`]; request ids repeat across
+/// runs): open/close interval, nested prefill steps, and the decode
+/// iterations that overlapped it on the same track. Absent when the run
+/// carries no spans for the worst request (pre-span traces).
 fn worst_request_drilldown(records: &[TraceRecord]) -> String {
-    let worst = records
-        .iter()
-        .filter_map(|r| match r.event {
-            Event::RequestFinished { id, ttft_secs, .. } => Some((id, ttft_secs)),
+    let worst = with_runs(records)
+        .filter_map(|(run, r)| match r.event {
+            Event::RequestFinished { id, ttft_secs, .. } => Some((id, ttft_secs, run)),
             _ => None,
         })
         .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-    let Some((id, ttft)) = worst else {
+    let Some((id, ttft, run)) = worst else {
         return String::new();
     };
-    let Ok(forest) = collect_spans(records) else {
+    let start = with_runs(records).position(|(r, _)| r == run).unwrap_or(0);
+    let end = with_runs(records)
+        .position(|(r, _)| r > run)
+        .unwrap_or(records.len());
+    let Ok(forest) = collect_spans(&records[start..end]) else {
         return String::new();
     };
     let span_id = SpanId::derive(SpanKind::RequestLifecycle, id).0;
@@ -618,37 +594,27 @@ fn timeline(records: &[TraceRecord]) -> String {
         }
     }
 
-    // Breach timestamps drive the "recovered" annotations.
-    let breaches: Vec<(SimTime, SloMetric, f64, f64)> = records
-        .iter()
-        .filter_map(|r| match r.event {
-            Event::SloBreach {
-                metric,
-                observed_secs,
-                budget_secs,
-            } => Some((r.at, metric, observed_secs, budget_secs)),
-            _ => None,
-        })
-        .collect();
+    // Breach and decision times, each with its run, drive the pressure and
+    // "recovered" annotations; both stay within the decision's run.
+    let of_kind = |is: fn(&Event) -> bool| -> Vec<(usize, SimTime)> {
+        with_runs(records)
+            .filter(|(_, r)| is(&r.event))
+            .map(|(run, r)| (run, r.at))
+            .collect()
+    };
+    let breaches = of_kind(|e| matches!(e, Event::SloBreach { .. }));
+    let decisions = of_kind(|e| matches!(e, Event::ControllerDecision { .. }));
 
-    let mut prev_decision_at = SimTime::ZERO;
-    for r in records {
-        match &r.event {
+    let mut prev_decision = (0, SimTime::ZERO);
+    for (run, r) in with_runs(records) {
+        let body = match &r.event {
             Event::FreqTransition {
                 region,
                 from_ghz,
                 to_ghz,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("freq[{region:?}] {from_ghz:.2} \u{2192} {to_ghz:.2} GHz"),
-                ));
-            }
+            } => format!("freq[{region:?}] {from_ghz:.2} \u{2192} {to_ghz:.2} GHz"),
             Event::ThermalThrottle { region, drop_ghz } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("thermal throttle[{region:?}] -{drop_ghz:.2} GHz"),
-                ));
+                format!("thermal throttle[{region:?}] -{drop_ghz:.2} GHz")
             }
             Event::RdtReallocation {
                 llc_ways_from,
@@ -656,39 +622,22 @@ fn timeline(records: &[TraceRecord]) -> String {
                 mem_bw_from,
                 mem_bw_to,
                 ..
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!(
-                        "RDT move: LLC {llc_ways_from}\u{2192}{llc_ways_to} ways, \
-                         mem-bw {:.0}%\u{2192}{:.0}%",
-                        mem_bw_from * 100.0,
-                        mem_bw_to * 100.0
-                    ),
-                ));
-            }
-            Event::FaultInjected { kind, detail } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("FAULT injected: {kind} ({detail})"),
-                ));
-            }
-            Event::FaultRecovered { kind } => {
-                entries.push(entry_line(r.at, &format!("FAULT recovered: {kind}")));
-            }
+            } => format!(
+                "RDT move: LLC {llc_ways_from}\u{2192}{llc_ways_to} ways, \
+                 mem-bw {:.0}%\u{2192}{:.0}%",
+                mem_bw_from * 100.0,
+                mem_bw_to * 100.0
+            ),
+            Event::FaultInjected { kind, detail } => format!("FAULT injected: {kind} ({detail})"),
+            Event::FaultRecovered { kind } => format!("FAULT recovered: {kind}"),
             Event::FaultOutsideWindow {
                 kind,
                 at_secs,
                 duration_secs,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!(
-                        "WARNING: fault {kind} scheduled at t={at_secs:.1}s \
-                         never fires (run ends at {duration_secs:.1}s)"
-                    ),
-                ));
-            }
+            } => format!(
+                "WARNING: fault {kind} scheduled at t={at_secs:.1}s \
+                 never fires (run ends at {duration_secs:.1}s)"
+            ),
             Event::NodeFault {
                 node,
                 kind,
@@ -696,65 +645,39 @@ fn timeline(records: &[TraceRecord]) -> String {
                 active,
             } => {
                 let verb = if *active { "struck" } else { "recovered" };
-                entries.push(entry_line(
-                    r.at,
-                    &format!("NODE FAULT {verb}: node {node} {kind} ({detail})"),
-                ));
+                format!("NODE FAULT {verb}: node {node} {kind} ({detail})")
             }
             Event::NodeHealthTransition {
                 node,
                 from,
                 to,
                 reason,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("node {node} health {from:?} \u{2192} {to:?}: {reason}"),
-                ));
-            }
+            } => format!("node {node} health {from:?} \u{2192} {to:?}: {reason}"),
             Event::RequestRedispatch {
                 node,
                 count,
                 attempt,
                 backoff_epochs,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!(
-                        "re-dispatch: {count} stranded on node {node}, \
-                         attempt {attempt} after {backoff_epochs}-epoch backoff"
-                    ),
-                ));
-            }
+            } => format!(
+                "re-dispatch: {count} stranded on node {node}, \
+                 attempt {attempt} after {backoff_epochs}-epoch backoff"
+            ),
             Event::LoadShed {
                 class,
                 count,
                 epoch,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("load shed: {count} {class} request(s) at epoch {epoch}"),
-                ));
-            }
+            } => format!("load shed: {count} {class} request(s) at epoch {epoch}"),
             Event::SensorRejected {
                 sensor,
                 observed,
                 substituted,
                 reason,
-            } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!(
-                        "sensor distrust[{sensor}]: {observed:.4} rejected ({reason}), \
-                         using {substituted:.4}"
-                    ),
-                ));
-            }
+            } => format!(
+                "sensor distrust[{sensor}]: {observed:.4} rejected ({reason}), \
+                 using {substituted:.4}"
+            ),
             Event::SafeModeTransition { from, to, reason } => {
-                entries.push(entry_line(
-                    r.at,
-                    &format!("resilience {from:?} \u{2192} {to:?}: {reason}"),
-                ));
+                format!("resilience {from:?} \u{2192} {to:?}: {reason}")
             }
             Event::ControllerDecision {
                 action,
@@ -762,24 +685,43 @@ fn timeline(records: &[TraceRecord]) -> String {
                 reason,
                 ..
             } => {
-                let since_prev = breaches
-                    .iter()
-                    .filter(|(t, ..)| *t > prev_decision_at && *t <= r.at)
-                    .count();
-                let pressure = if since_prev > 0 {
-                    format!(" [{since_prev} breach intervals led here]")
+                let since = if prev_decision.0 == run {
+                    prev_decision.1
                 } else {
-                    String::new()
+                    SimTime::ZERO
                 };
-                let mut body = format!("{reason} \u{2192} {action}{pressure}");
-                if *verdict == SlackVerdict::Violating {
-                    body.push_str(&recovery_note(&breaches, r.at, records));
+                prev_decision = (run, r.at);
+                let led_here = breaches
+                    .iter()
+                    .filter(|&&(b_run, t)| b_run == run && t > since && t <= r.at)
+                    .count();
+                let mut body = format!("{reason} \u{2192} {action}");
+                if led_here > 0 {
+                    let _ = write!(body, " [{led_here} breach intervals led here]");
                 }
-                entries.push(entry_line(r.at, &body));
-                prev_decision_at = r.at;
+                if *verdict == SlackVerdict::Violating {
+                    // How long breaches persisted, up to the run's next decision.
+                    let next = decisions
+                        .iter()
+                        .find(|&&(d_run, t)| d_run == run && t > r.at);
+                    let end = next.map_or(SimTime::MAX, |d| d.1);
+                    let last = breaches
+                        .iter()
+                        .rfind(|&&(b_run, t)| b_run == run && t > r.at && t <= end);
+                    let _ = match last {
+                        None => write!(body, " \u{2014} no further breaches before next decision"),
+                        Some((_, t)) => write!(
+                            body,
+                            " \u{2014} breaches persisted {:.1}s after the action",
+                            secs(*t) - secs(r.at)
+                        ),
+                    };
+                }
+                body
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        entries.push(entry_line(r.at, &body));
     }
 
     let mut out = String::from("\ncausal timeline:\n");
@@ -809,27 +751,6 @@ fn timeline(records: &[TraceRecord]) -> String {
     out
 }
 
-/// How long SLO breaches persisted after a violating decision at `at`.
-fn recovery_note(
-    breaches: &[(SimTime, SloMetric, f64, f64)],
-    at: SimTime,
-    records: &[TraceRecord],
-) -> String {
-    let next_decision_at = records
-        .iter()
-        .find(|r| r.at > at && matches!(r.event, Event::ControllerDecision { .. }))
-        .map(|r| r.at);
-    let window_end = next_decision_at.unwrap_or(SimTime::MAX);
-    let last_breach_in_window = breaches.iter().rfind(|(t, ..)| *t > at && *t <= window_end);
-    match last_breach_in_window {
-        None => " \u{2014} no further breaches before next decision".to_owned(),
-        Some((t, ..)) => format!(
-            " \u{2014} breaches persisted {:.1}s after the action",
-            secs(*t) - secs(at)
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,49 +763,95 @@ mod tests {
         }
     }
 
+    /// A run's `SloTargets` preamble.
+    fn targets(ttft_secs: f64, tpot_secs: f64) -> TraceRecord {
+        rec(
+            0.0,
+            Event::SloTargets {
+                ttft_secs,
+                tpot_secs,
+            },
+        )
+    }
+
+    /// Request `id` finishing at `at` after ten tokens.
+    fn finished(at: f64, id: u64, ttft_secs: f64, mean_tpot_secs: f64) -> TraceRecord {
+        rec(
+            at,
+            Event::RequestFinished {
+                id,
+                generated: 10,
+                mean_tpot_secs,
+                ttft_secs,
+            },
+        )
+    }
+
+    fn breach(at: f64, metric: SloMetric, observed_secs: f64) -> TraceRecord {
+        rec(
+            at,
+            Event::SloBreach {
+                metric,
+                observed_secs,
+                budget_secs: 0.12,
+            },
+        )
+    }
+
+    /// A decision of `kind`; a switch is a collision.
+    fn decision(at: f64, kind: DecisionKind, verdict: SlackVerdict, reason: &str) -> TraceRecord {
+        rec(
+            at,
+            Event::ControllerDecision {
+                kind,
+                action: format!("{kind:?}(cfg 1\u{2192}0)"),
+                verdict,
+                lag_secs: -0.1,
+                deviation: 1.0,
+                collision: kind == DecisionKind::Switch,
+                reason: reason.into(),
+            },
+        )
+    }
+
+    fn span_open(at: f64, id: SpanId, parent: Option<SpanId>, track: &str) -> TraceRecord {
+        let kind = id.kind().expect("derived id");
+        rec(
+            at,
+            Event::SpanOpen {
+                id: id.0,
+                parent: parent.map(|p| p.0),
+                kind,
+                track: track.into(),
+                label: format!("{} {}", kind.label(), id.payload()),
+            },
+        )
+    }
+
+    fn span_close(at: f64, id: SpanId, track: &str) -> TraceRecord {
+        let kind = id.kind().expect("derived id");
+        rec(
+            at,
+            Event::SpanClose {
+                id: id.0,
+                kind,
+                track: track.into(),
+            },
+        )
+    }
+
     #[test]
     fn summary_contains_counts_stats_and_timeline() {
         let records = vec![
-            rec(
-                0.5,
-                Event::SloBreach {
-                    metric: SloMetric::Tpot,
-                    observed_secs: 0.142,
-                    budget_secs: 0.120,
-                },
-            ),
-            rec(
+            breach(0.5, SloMetric::Tpot, 0.142),
+            decision(
                 1.0,
-                Event::ControllerDecision {
-                    kind: DecisionKind::Return,
-                    action: "Return(cfg 3\u{2192}2)".into(),
-                    verdict: SlackVerdict::Violating,
-                    lag_secs: -0.02,
-                    deviation: 1.1,
-                    collision: false,
-                    reason: "TPOT p50 0.142s > SLO_L 0.120s".into(),
-                },
+                DecisionKind::Return,
+                SlackVerdict::Violating,
+                "TPOT p50 0.142s > SLO_L 0.120s",
             ),
-            rec(
-                1.5,
-                Event::SloBreach {
-                    metric: SloMetric::Tpot,
-                    observed_secs: 0.131,
-                    budget_secs: 0.120,
-                },
-            ),
-            rec(
-                3.0,
-                Event::ControllerDecision {
-                    kind: DecisionKind::Harvest,
-                    action: "Harvest(cfg 2\u{2192}3)".into(),
-                    verdict: SlackVerdict::Meeting,
-                    lag_secs: 0.4,
-                    deviation: 0.3,
-                    collision: false,
-                    reason: "slack positive".into(),
-                },
-            ),
+            breach(1.5, SloMetric::Tpot, 0.131),
+            decision(3.0, DecisionKind::Harvest, SlackVerdict::Meeting, "slack"),
         ];
         let s = summarize(&records);
         assert!(s.contains("event counts"), "{s}");
@@ -921,39 +888,17 @@ mod tests {
         assert!(s.contains("compute 60.0%"), "{s}");
         assert!(s.contains("dominant loss: mem-dram (40.0%"), "{s}");
         // Traces without samples omit the section entirely.
-        assert!(!summarize(&[rec(
-            1.0,
-            Event::RequestFinished {
-                id: 1,
-                generated: 1,
-                mean_tpot_secs: 0.01,
-                ttft_secs: 0.2,
-            }
-        )])
-        .contains("attribution"));
+        assert!(!summarize(&[finished(1.0, 1, 0.2, 0.01)]).contains("attribution"));
     }
 
     #[test]
     fn slo_digest_reports_burn_rates_and_page_alert() {
-        let mut records = vec![rec(
-            0.0,
-            Event::SloTargets {
-                ttft_secs: 0.5,
-                tpot_secs: 0.1,
-            },
-        )];
+        let mut records = vec![targets(0.5, 0.1)];
         // 20 requests over 100 s; every fifth TTFT violates (20% ≫ the 1%
         // budget, so every occupied window burns in both lengths).
         for i in 0..20u64 {
-            records.push(rec(
-                i as f64 * 5.0,
-                Event::RequestFinished {
-                    id: i,
-                    generated: 10,
-                    mean_tpot_secs: 0.05,
-                    ttft_secs: if i % 5 == 0 { 1.2 } else { 0.2 },
-                },
-            ));
+            let ttft = if i % 5 == 0 { 1.2 } else { 0.2 };
+            records.push(finished(i as f64 * 5.0, i, ttft, 0.05));
         }
         let s = summarize(&records);
         assert!(s.contains("SLO burn-rate digest"), "{s}");
@@ -971,74 +916,28 @@ mod tests {
         // summarization (TTFT 1.5 s), both with a 0.1 s TPOT target and
         // the same request ids. Every summarization TTFT (1.0 s) meets its
         // own target and would miss chatbot's; one chatbot request misses
-        // TPOT. Each run carries the spans the engine emits: its first
-        // interval opens after the preamble, and a request's lifecycle
-        // closes after it finishes.
-        let run = |track: &str, ttft_target: f64, ttft: f64, late: Option<u64>| {
-            let track: std::sync::Arc<str> = track.into();
-            let mut records = vec![
-                rec(
-                    0.0,
-                    Event::SloTargets {
-                        ttft_secs: ttft_target,
-                        tpot_secs: 0.1,
-                    },
-                ),
-                rec(
-                    0.0,
-                    Event::SpanOpen {
-                        id: SpanId::derive(SpanKind::ControllerInterval, 0).0,
-                        parent: None,
-                        kind: SpanKind::ControllerInterval,
-                        track: track.clone(),
-                        label: "interval 0".into(),
-                    },
-                ),
-            ];
+        // TPOT.
+        let run = |ttft_target: f64, ttft: f64, late: Option<u64>| {
+            let mut records = vec![targets(ttft_target, 0.1)];
             for id in 0..5u64 {
-                let at = 1.0 + id as f64;
-                let mean_tpot_secs = if late == Some(id) { 0.2 } else { 0.05 };
-                records.push(rec(
-                    at,
-                    Event::RequestFinished {
-                        id,
-                        generated: 10,
-                        mean_tpot_secs,
-                        ttft_secs: ttft,
-                    },
-                ));
-                records.push(rec(
-                    at,
-                    Event::SpanClose {
-                        id: SpanId::derive(SpanKind::RequestLifecycle, id).0,
-                        kind: SpanKind::RequestLifecycle,
-                        track: track.clone(),
-                    },
-                ));
+                let tpot = if late == Some(id) { 0.2 } else { 0.05 };
+                records.push(finished(1.0 + id as f64, id, ttft, tpot));
             }
             records
         };
-        // One run after the other, each restarting the clock, as runs
-        // flushed in turn leave them.
-        let mut sequential = run("AUM/cb", 0.25, 0.2, Some(2));
-        sequential.extend(run("AUM/sm", 1.5, 1.0, None));
-        // Interleaved in sim-time order, as a sweep merges its runs.
-        let mut interleaved = sequential.clone();
-        interleaved.sort_by_key(|r| r.at);
-        let digest = |records: &[TraceRecord]| {
-            let s = summarize(records);
-            let at = s.find("SLO burn-rate digest").expect("digest");
-            let end = s[at..].find("\n\n").map_or(s.len(), |n| at + n);
-            s[at..end].to_string()
-        };
-        let digest_sequential = digest(&sequential);
-        assert_eq!(digest(&interleaved), digest_sequential);
-        let digest = digest_sequential;
+        // One run after the other, each restarting the clock, as every
+        // multi-run trace holds them.
+        let mut records = run(0.25, 0.2, Some(2));
+        records.extend(run(1.5, 1.0, None));
+        let s = summarize(&records);
+        let at = s.find("SLO burn-rate digest").expect("digest");
+        let end = s[at..].find("\n\n").map_or(s.len(), |n| at + n);
+        let digest = &s[at..end];
         // One block per distinct target, in first-seen order, each with
         // its own run's five requests and no violation.
         let block = |target: &str| {
             let at = digest.find(&format!("TTFT (target {target}s): 5 requests"));
-            let at = at.expect(&digest);
+            let at = at.expect(digest);
             let line = digest[at..].lines().next().expect("block line");
             assert!(line.ends_with("violations 0 (0.0%)"), "{line}");
             at
@@ -1063,35 +962,10 @@ mod tests {
     #[test]
     fn digest_without_targets_or_violations_stays_quiet() {
         // No SloTargets event → no digest section at all.
-        let s = summarize(&[rec(
-            1.0,
-            Event::RequestFinished {
-                id: 1,
-                generated: 5,
-                mean_tpot_secs: 0.01,
-                ttft_secs: 0.1,
-            },
-        )]);
+        let s = summarize(&[finished(1.0, 1, 0.1, 0.01)]);
         assert!(!s.contains("burn-rate digest"), "{s}");
         // Targets present, nothing violating → digest renders, alert none.
-        let s = summarize(&[
-            rec(
-                0.0,
-                Event::SloTargets {
-                    ttft_secs: 3.0,
-                    tpot_secs: 0.12,
-                },
-            ),
-            rec(
-                1.0,
-                Event::RequestFinished {
-                    id: 1,
-                    generated: 5,
-                    mean_tpot_secs: 0.01,
-                    ttft_secs: 0.1,
-                },
-            ),
-        ]);
+        let s = summarize(&[targets(3.0, 0.12), finished(1.0, 1, 0.1, 0.01)]);
         assert!(s.contains("burn-rate digest"), "{s}");
         assert!(s.contains("violations 0 (0.0%)"), "{s}");
         assert!(s.contains("alert: none"), "{s}");
@@ -1101,56 +975,15 @@ mod tests {
     fn worst_ttft_request_gets_a_span_drilldown() {
         let req = |id: u64| SpanId::derive(SpanKind::RequestLifecycle, id);
         let pre = SpanId::derive(SpanKind::Prefill, 0);
-        let span_open = |id: SpanId, parent: Option<SpanId>, kind: SpanKind, at: f64| {
-            rec(
-                at,
-                Event::SpanOpen {
-                    id: id.0,
-                    parent: parent.map(|p| p.0),
-                    kind,
-                    track: "cell".into(),
-                    label: match kind {
-                        SpanKind::Prefill => "prefill 0".to_string(),
-                        _ => format!("req {}", id.payload()),
-                    },
-                },
-            )
-        };
-        let span_close = |id: SpanId, kind: SpanKind, at: f64| {
-            rec(
-                at,
-                Event::SpanClose {
-                    id: id.0,
-                    kind,
-                    track: "cell".into(),
-                },
-            )
-        };
         let records = vec![
-            span_open(req(3), None, SpanKind::RequestLifecycle, 0.0),
-            span_open(req(9), None, SpanKind::RequestLifecycle, 0.5),
-            span_open(pre, Some(req(9)), SpanKind::Prefill, 1.0),
-            span_close(pre, SpanKind::Prefill, 1.4),
-            rec(
-                2.0,
-                Event::RequestFinished {
-                    id: 3,
-                    generated: 4,
-                    mean_tpot_secs: 0.02,
-                    ttft_secs: 0.3,
-                },
-            ),
-            span_close(req(3), SpanKind::RequestLifecycle, 2.0),
-            rec(
-                4.0,
-                Event::RequestFinished {
-                    id: 9,
-                    generated: 4,
-                    mean_tpot_secs: 0.02,
-                    ttft_secs: 0.9,
-                },
-            ),
-            span_close(req(9), SpanKind::RequestLifecycle, 4.0),
+            span_open(0.0, req(3), None, "cell"),
+            span_open(0.5, req(9), None, "cell"),
+            span_open(1.0, pre, Some(req(9)), "cell"),
+            span_close(1.4, pre, "cell"),
+            finished(2.0, 3, 0.3, 0.02),
+            span_close(2.0, req(3), "cell"),
+            finished(4.0, 9, 0.9, 0.02),
+            span_close(4.0, req(9), "cell"),
         ];
         let s = summarize(&records);
         assert!(
@@ -1159,6 +992,68 @@ mod tests {
         );
         assert!(s.contains("lifecycle t=0.500s .. t=4.000s"), "{s}");
         assert!(s.contains("prefill 0 t=1.000s"), "{s}");
+    }
+
+    #[test]
+    fn drilldown_walks_the_worst_request_in_its_own_run() {
+        // Both runs finish a request 2; the second run's is the worst.
+        let run = |track: &str, open: f64, close: f64, ttft: f64| {
+            let span = SpanId::derive(SpanKind::RequestLifecycle, 2);
+            vec![
+                targets(0.25, 0.1),
+                span_open(open, span, None, track),
+                finished(close, 2, ttft, 0.02),
+                span_close(close, span, track),
+            ]
+        };
+        let mut records = run("AUM/cb", 0.5, 3.0, 0.4);
+        records.extend(run("AUM/sm", 1.0, 12.0, 2.9));
+        let s = summarize(&records);
+        assert!(
+            s.contains("drill-down (request 2, TTFT 2.900s, track \"AUM/sm\")"),
+            "{s}"
+        );
+        assert!(s.contains("lifecycle t=1.000s .. t=12.000s"), "{s}");
+    }
+
+    #[test]
+    fn timeline_annotations_stay_within_the_decisions_run() {
+        let breach = |at: f64| breach(at, SloMetric::Ttft, 0.3);
+        let (violating, meeting) = (SlackVerdict::Violating, SlackVerdict::Meeting);
+        let decision =
+            |at: f64, reason: &str, verdict| decision(at, DecisionKind::Return, verdict, reason);
+        // Run B's decisions fall between run A's in sim time.
+        let records = vec![
+            targets(0.25, 0.1),
+            breach(0.5),
+            breach(1.0),
+            decision(1.5, "a1", violating),
+            breach(2.0),
+            decision(4.0, "a2", meeting),
+            targets(0.25, 0.1),
+            breach(1.0),
+            decision(2.0, "b1", violating),
+            decision(3.0, "b2", meeting),
+        ];
+        let s = summarize(&records);
+        let line = |reason: &str| {
+            let at = s.find(&format!("{reason} \u{2192}")).expect(&s);
+            s[at..].lines().next().expect("timeline line").to_string()
+        };
+        assert!(
+            line("a1").ends_with(
+                "[2 breach intervals led here] \u{2014} breaches persisted 0.5s after the action"
+            ),
+            "{s}"
+        );
+        assert!(line("a2").ends_with("[1 breach intervals led here]"), "{s}");
+        assert!(
+            line("b1").ends_with(
+                "[1 breach intervals led here] \u{2014} no further breaches before next decision"
+            ),
+            "{s}"
+        );
+        assert!(line("b2").ends_with("Return(cfg 1\u{2192}0)"), "{s}");
     }
 
     #[test]
@@ -1247,42 +1142,20 @@ mod tests {
             "{s}"
         );
         // Traces without fleet events omit the section entirely.
-        let plain = summarize(&[rec(
-            1.0,
-            Event::RequestFinished {
-                id: 1,
-                generated: 1,
-                mean_tpot_secs: 0.01,
-                ttft_secs: 0.1,
-            },
-        )]);
+        let plain = summarize(&[finished(1.0, 1, 0.1, 0.01)]);
         assert!(!plain.contains("fleet health digest"), "{plain}");
     }
 
     #[test]
     fn violating_decision_with_clean_aftermath_notes_recovery() {
         let records = vec![
-            rec(
+            decision(
                 1.0,
-                Event::ControllerDecision {
-                    kind: DecisionKind::Switch,
-                    action: "Switch(div 0\u{2192}1)".into(),
-                    verdict: SlackVerdict::Violating,
-                    lag_secs: -0.1,
-                    deviation: 2.5,
-                    collision: true,
-                    reason: "collision: tuning deemed insufficient".into(),
-                },
+                DecisionKind::Switch,
+                SlackVerdict::Violating,
+                "collision: tuning deemed insufficient",
             ),
-            rec(
-                2.0,
-                Event::RequestFinished {
-                    id: 7,
-                    generated: 12,
-                    mean_tpot_secs: 0.05,
-                    ttft_secs: 0.3,
-                },
-            ),
+            finished(2.0, 7, 0.3, 0.05),
         ];
         let s = summarize(&records);
         assert!(s.contains("no further breaches"), "{s}");

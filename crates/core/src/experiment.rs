@@ -41,6 +41,7 @@ use aum_llm::config::ModelConfig;
 use aum_llm::engine::{
     EngineConfig, EngineMode, EngineResources, IntervalStats, LlmEngine, RegionResources, PRECISION,
 };
+use aum_llm::kv::KvBudget;
 use aum_llm::slo::SloReport;
 use aum_llm::traces::{RateProfile, Scenario, TraceGenerator};
 use aum_platform::power::ActivityClass;
@@ -222,7 +223,8 @@ pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager)
 /// # Errors
 ///
 /// - [`AumError::Config`] for a zero control interval, a duration shorter
-///   than one interval, or a request rate that is not positive and finite;
+///   than one interval, a request rate that is not positive and finite, or
+///   an unusable model or platform field;
 /// - [`AumError::FaultPlan`] when the fault plan fails validation (e.g. a
 ///   bandwidth fraction outside `(0, 1]`);
 /// - [`AumError::Division`] when the manager returns a division that does
@@ -244,9 +246,10 @@ pub fn try_run_experiment_traced(
     let engine_cfg = EngineConfig {
         model: cfg.model.clone(),
         scenario: cfg.scenario,
-        kv_budget: Some(aum_llm::kv::KvBudget::for_platform(
-            spec, &cfg.model, PRECISION,
-        )),
+        kv_budget: Some(
+            KvBudget::for_platform(spec, &cfg.model, PRECISION)
+                .expect("validate checked that the weights fit"),
+        ),
         prefill_chunk: None,
     };
     let mut engine = LlmEngine::new(engine_cfg, spec, trace);
@@ -361,15 +364,17 @@ pub fn try_run_experiment_traced(
 /// this is 8 s of simulated dead air — far beyond any healthy pause.
 const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
-/// The span track that names a run. Every distinguishing knob is folded in
-/// so concurrent cells sharing one sink never collide on span ids (ids are
-/// unique per track only). Built once per run; every span record shares it.
+/// The span track that names a run: scheme, scenario, co-runner, platform,
+/// cores, rate, seed, duration and fault count, so the runs a study grid
+/// traces never share a track (span ids are unique per track only). Built
+/// once per run; every span record shares it.
 fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> Arc<str> {
     format!(
-        "{}/{}+{} c{} r{} s{} d{} f{}",
+        "{}/{}+{} {} c{} r{} s{} d{} f{}",
         scheme,
         cfg.scenario.code(),
         cfg.be.map_or_else(|| "none".to_string(), |b| b.to_string()),
+        cfg.platform.name,
         cfg.platform.total_cores(),
         rate,
         cfg.seed,
@@ -1073,9 +1078,17 @@ fn apply_core_offline(div: ProcessorDivision, count: usize) -> ProcessorDivision
 }
 
 /// Rejects a config that would hang or panic a run: a zero control
-/// interval, a duration with no whole interval in it, or a request rate
-/// that is not positive and finite.
+/// interval, a duration with no whole interval in it, a request rate that
+/// is not positive and finite, an unusable model or platform field
+/// ([`ModelConfig::validate`], [`PlatformSpec::validate`]), or a platform
+/// whose memory cannot hold the model's weights.
 pub(crate) fn validate(cfg: &ExperimentConfig) -> Result<(), String> {
+    cfg.model.validate().map_err(|e| format!("model.{e}"))?;
+    cfg.platform
+        .validate()
+        .map_err(|e| format!("platform.{e}"))?;
+    KvBudget::for_platform(&cfg.platform, &cfg.model, PRECISION)
+        .map_err(|e| format!("platform.memory_gb: {e}"))?;
     let (interval, duration) = (cfg.control_interval, cfg.duration);
     let problem = if interval == SimDuration::ZERO {
         "control interval is zero".to_string()

@@ -160,6 +160,45 @@ impl ModelConfig {
         ]
     }
 
+    /// Rejects a model no run can serve, naming the field: a zero layer,
+    /// width, head, FFN or vocabulary count, more query heads than the
+    /// width (a zero head dimension), more key/value heads than query
+    /// heads, or an expert block with a zero count or width or more
+    /// active experts than routed ones.
+    ///
+    /// # Errors
+    ///
+    /// The first unusable field, described by name.
+    pub fn validate(&self) -> Result<(), String> {
+        let moe = self
+            .moe
+            .map_or([1; 3], |m| [m.experts, m.active_experts, m.expert_ffn_dim]);
+        let counts = [
+            ("layers", self.layers),
+            ("d_model", self.d_model),
+            ("n_heads", self.n_heads),
+            ("n_kv_heads", self.n_kv_heads),
+            ("ffn_dim", self.ffn_dim),
+            ("vocab", self.vocab),
+            ("moe.experts", moe[0]),
+            ("moe.active_experts", moe[1]),
+            ("moe.expert_ffn_dim", moe[2]),
+        ];
+        if let Some((field, _)) = counts.iter().find(|(_, n)| *n == 0) {
+            return Err(format!("{field} must be at least 1, got 0"));
+        }
+        for (field, n, limit, max) in [
+            ("n_heads", self.n_heads, "d_model", self.d_model),
+            ("n_kv_heads", self.n_kv_heads, "n_heads", self.n_heads),
+            ("moe.active_experts", moe[1], "moe.experts", moe[0]),
+        ] {
+            if n > max {
+                return Err(format!("{field} {n} exceeds {limit} {max}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Attention head dimension.
     #[must_use]
     pub fn head_dim(&self) -> usize {

@@ -1161,9 +1161,8 @@ mod tests {
         };
         let budgeted = {
             let mut cfg = EngineConfig::paper_default(Scenario::Chatbot);
-            cfg.kv_budget = Some(crate::kv::KvBudget::for_platform(
-                &spec, &cfg.model, PRECISION,
-            ));
+            let budget = crate::kv::KvBudget::for_platform(&spec, &cfg.model, PRECISION);
+            cfg.kv_budget = Some(budget.expect("llama2-7b fits GenA"));
             let mut e = LlmEngine::new(cfg, &spec, trace());
             for step in 1..=60 {
                 let _ = e.run_interval(SimTime::from_secs(step), &exclusive_resources(&spec));

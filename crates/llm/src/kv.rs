@@ -30,9 +30,10 @@ const USABLE_MEMORY_FRAC: f64 = 0.9;
 /// use aum_platform::spec::PlatformSpec;
 ///
 /// let model = ModelConfig::llama2_7b();
-/// let b = KvBudget::for_platform(&PlatformSpec::gen_b(), &model, Precision::Bf16);
+/// let b = KvBudget::for_platform(&PlatformSpec::gen_b(), &model, Precision::Bf16)?;
 /// // 128 GB HBM minus ≈13 GB of weights leaves roughly 100 GB of cache.
 /// assert!(b.capacity_bytes() > 50e9);
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KvBudget {
@@ -59,22 +60,25 @@ impl KvBudget {
     /// The budget a platform leaves for KV after resident weights and a
     /// 10% runtime overhead.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the model's weights do not even fit the platform.
-    #[must_use]
-    pub fn for_platform(spec: &PlatformSpec, model: &ModelConfig, prec: Precision) -> Self {
+    /// When the model's weights do not even fit the platform.
+    pub fn for_platform(
+        spec: &PlatformSpec,
+        model: &ModelConfig,
+        prec: Precision,
+    ) -> Result<Self, String> {
         let memory = spec.memory_gb as f64 * 1e9 * USABLE_MEMORY_FRAC;
         let weights = model.weight_bytes(prec);
-        assert!(
-            memory > weights,
-            "{} ({} GB) cannot hold {}'s weights",
-            spec.name,
-            spec.memory_gb,
-            model.name
-        );
-        KvBudget {
-            capacity_bytes: memory - weights,
+        if memory > weights {
+            Ok(KvBudget {
+                capacity_bytes: memory - weights,
+            })
+        } else {
+            Err(format!(
+                "{} ({} GB) cannot hold {}'s weights",
+                spec.name, spec.memory_gb, model.name
+            ))
         }
     }
 
@@ -111,7 +115,7 @@ mod tests {
     #[test]
     fn gen_b_budget_is_memory_minus_weights() {
         let model = ModelConfig::llama2_7b();
-        let b = KvBudget::for_platform(&PlatformSpec::gen_b(), &model, Precision::Bf16);
+        let b = KvBudget::for_platform(&PlatformSpec::gen_b(), &model, Precision::Bf16).unwrap();
         let expect = 128e9 * 0.9 - model.weight_bytes(Precision::Bf16);
         assert!((b.capacity_bytes() - expect).abs() < 1.0);
     }
@@ -138,8 +142,8 @@ mod tests {
         let qwen = ModelConfig::qwen3_30b_a3b();
         let llama = ModelConfig::llama2_7b();
         let spec = PlatformSpec::gen_b();
-        let q = KvBudget::for_platform(&spec, &qwen, Precision::Bf16);
-        let l = KvBudget::for_platform(&spec, &llama, Precision::Bf16);
+        let q = KvBudget::for_platform(&spec, &qwen, Precision::Bf16).unwrap();
+        let l = KvBudget::for_platform(&spec, &llama, Precision::Bf16).unwrap();
         assert!(q.capacity_bytes() < l.capacity_bytes() * 0.6);
     }
 

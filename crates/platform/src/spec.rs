@@ -197,6 +197,35 @@ impl PlatformSpec {
         vec![Self::gen_a(), Self::gen_b(), Self::gen_c()]
     }
 
+    /// Rejects a platform no run can simulate, naming the field: a core,
+    /// socket, way or memory count, compute peak, frequency, cache size,
+    /// memory bandwidth or TDP that is not positive and finite.
+    ///
+    /// # Errors
+    ///
+    /// The first unusable field, described by name.
+    pub fn validate(&self) -> Result<(), String> {
+        let fields = [
+            ("cores_per_socket", self.cores_per_socket as f64),
+            ("sockets", self.sockets as f64),
+            ("llc_ways", f64::from(self.llc_ways)),
+            ("l2_ways", f64::from(self.l2_ways)),
+            ("memory_gb", self.memory_gb as f64),
+            ("avx_peak", self.avx_peak.value()),
+            ("amx_peak", self.amx_peak.value()),
+            ("base_freq", self.base_freq.value()),
+            ("allcore_turbo", self.allcore_turbo.value()),
+            ("l2_mb_per_core", self.l2_mb_per_core),
+            ("llc_mb_per_socket", self.llc_mb_per_socket),
+            ("mem_bw", self.mem_bw.value()),
+            ("tdp", self.tdp.value()),
+        ];
+        match fields.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            Some((field, v)) => Err(format!("{field} must be positive and finite, got {v}")),
+            None => Ok(()),
+        }
+    }
+
     /// Total physical cores across sockets.
     #[must_use]
     pub fn total_cores(&self) -> usize {

@@ -19,10 +19,10 @@
 //!
 //! [`sweep_traced`] extends the guarantee to telemetry: each cell traces
 //! into a private in-memory sink, and the per-cell streams are merged into
-//! the parent [`Tracer`] in cell order after the sweep — so the serialized
-//! event stream is byte-identical to a serial run's (the determinism
-//! argument is: per-cell seeds ⇒ identical per-cell streams; ordered merge
-//! ⇒ identical concatenation).
+//! the parent [`Tracer`] in cell order after the sweep, one flushed segment
+//! per cell — so the serialized event stream is byte-identical to a serial
+//! run's (the determinism argument is: per-cell seeds ⇒ identical per-cell
+//! streams; ordered merge ⇒ identical concatenation).
 //!
 //! The worker count is [`set_jobs`] (the `repro --jobs` flag) when set,
 //! else [`std::thread::available_parallelism`]. `jobs = 1` degrades to a plain
@@ -109,7 +109,8 @@ pub struct ExecStats {
     /// Time pool workers spent claiming cells (cursor bump + slot take).
     pub claim: Duration,
     /// Time spent re-emitting per-cell trace records into the parent
-    /// tracer after a [`sweep_traced`] sweep (the ordered merge).
+    /// tracer, and flushing it after each cell, after a [`sweep_traced`]
+    /// sweep (the ordered merge).
     pub merge: Duration,
     /// Pool-worker wall time not accounted to compute or claiming —
     /// result sends plus waiting out the sweep's straggler cells.
@@ -312,8 +313,12 @@ where
 
 /// [`sweep`] with per-cell telemetry capture: each cell receives a private
 /// [`Tracer`], and after the sweep every cell's records are re-emitted
-/// into `parent` **in cell order**, so the merged stream is byte-identical
-/// to what a serial sweep over the same cells would have emitted.
+/// into `parent` **in cell order**, each cell's followed by a flush of
+/// `parent`. A cell's own flushes land on its private sink, so this flush
+/// stands in for them: under an [`crate::telemetry::OrderingSink`] each
+/// cell (one run, in the harness) is one sorted segment, and the merged
+/// stream is byte-identical to what a serial sweep over the same cells
+/// would have emitted.
 ///
 /// When `parent` is disabled the cells get disabled tracers and the merge
 /// is skipped entirely — tracing stays zero-cost when off.
@@ -341,6 +346,7 @@ where
                 for TraceRecord { at, event } in records {
                     parent.emit(at, || event);
                 }
+                parent.flush();
                 r
             })
             .collect()
@@ -425,6 +431,40 @@ mod tests {
         let parallel = run(8);
         assert_eq!(serial.len(), 12);
         assert_eq!(serial, parallel, "merged trace must be order-identical");
+    }
+
+    #[test]
+    fn each_cell_is_its_own_sorted_segment() {
+        use crate::telemetry::OrderingSink;
+        let _globals = lock_globals();
+        let record = |division: usize, secs: u64| TraceRecord {
+            at: SimTime::from_secs(secs),
+            event: Event::ProfilerProgress {
+                completed: 0,
+                total: 0,
+                division,
+                config: 0,
+            },
+        };
+        for jobs in [1, 2] {
+            set_jobs(jobs);
+            let (parent, sink) = Tracer::shared(OrderingSink::new(MemorySink::new()));
+            sweep_traced(&parent, (0..3).collect(), |_, cell: usize, tracer| {
+                // Out of time order, then the run's own closing flush.
+                for secs in [3, 1, 2] {
+                    tracer.emit(SimTime::from_secs(secs), || record(cell, secs).event);
+                }
+                tracer.flush();
+            });
+            set_jobs(0);
+            // The invocation's own closing flush.
+            parent.flush();
+            let expected: Vec<TraceRecord> = (0..3)
+                .flat_map(|cell| [1, 2, 3].map(|secs| record(cell, secs)))
+                .collect();
+            let sink = sink.lock().expect("sink lock");
+            assert_eq!(sink.inner().records(), expected, "jobs {jobs}");
+        }
     }
 
     #[test]

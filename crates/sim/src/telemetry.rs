@@ -556,8 +556,11 @@ impl Drop for JsonlSink {
 /// windows — e.g. a decode iteration that completes just past an interval
 /// boundary is emitted before the next interval's platform events. Wrapping
 /// a file-backed sink in `OrderingSink` yields a stream that is monotonic
-/// in sim time within each flushed segment; the experiment harness flushes
-/// once per run, so a single-run trace is globally monotonic.
+/// in sim time within each flushed segment. The experiment harness flushes
+/// once per run, and [`crate::exec::sweep_traced`] flushes after each
+/// cell's records, so every run is one sorted segment: a single-run trace
+/// is globally monotonic, and a multi-run trace restarts its clock only
+/// where a new run begins.
 ///
 /// **Stability guarantee**: records with equal [`SimTime`] are forwarded in
 /// emission order. The flush sorts `(at, index)` keys, where the index is

@@ -3,15 +3,19 @@
 //! (profile once on a dedicated node, ship to thousands of servers,
 //! §VII-D).
 
+use aum::baselines::RpAu;
 use aum::cluster::{ClusterConfig, RoutingPolicy};
 use aum::error::AumError;
-use aum::experiment::ExperimentConfig;
+use aum::experiment::{try_run_experiment_traced, ExperimentConfig};
 use aum::fault::{Fault, FaultEvent, FaultPlan};
 use aum::fleet::{FleetParams, NodeFault, NodeFaultEvent, NodeFaultPlan};
 use aum::profiler::{build_model, AuvModel, ProfilerConfig};
+use aum_llm::config::ModelConfig;
 use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::AuUsageLevel;
+use aum_sim::telemetry::Tracer;
+use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
 #[test]
@@ -288,6 +292,68 @@ fn a_model_without_divisions_is_a_config_error() {
 fn a_model_whose_grid_outruns_its_buckets_is_a_config_error() {
     let msg = load_error_after("short_grid", |m| m.cfg_count = 9);
     assert!(msg.contains("div_count x cfg_count"), "{msg}");
+}
+
+#[test]
+fn unusable_model_and_platform_fields_are_config_errors() {
+    let gen_a = PlatformSpec::gen_a();
+    let json = serde_json::to_string(&ExperimentConfig::paper_default(
+        gen_a.clone(),
+        Scenario::Chatbot,
+        Some(BeKind::SpecJbb),
+    ))
+    .expect("config encodes");
+    // Each edit used to panic the run or return a meaningless efficiency.
+    for (from, to, field) in [
+        ("\"n_heads\":32", "\"n_heads\":0", "model.n_heads"),
+        ("\"layers\":32", "\"layers\":0", "model.layers"),
+        ("\"d_model\":4096", "\"d_model\":0", "model.d_model"),
+        ("\"sockets\":2", "\"sockets\":0", "platform.sockets"),
+        (
+            "\"cores_per_socket\":48",
+            "\"cores_per_socket\":0",
+            "platform.cores_per_socket",
+        ),
+        ("\"mem_bw\":233.8", "\"mem_bw\":0.0", "platform.mem_bw"),
+        (
+            "\"memory_gb\":1024",
+            "\"memory_gb\":8",
+            "platform.memory_gb",
+        ),
+    ] {
+        assert!(json.contains(from), "{from} not in {json}");
+        let mut cfg: ExperimentConfig =
+            serde_json::from_str(&json.replace(from, to)).expect("edited config decodes");
+        cfg.duration = SimDuration::from_secs(5);
+        let run = std::panic::catch_unwind(|| {
+            try_run_experiment_traced(&cfg, &mut RpAu::new(&gen_a), Tracer::disabled())
+        });
+        match run {
+            Ok(Err(AumError::Config(msg))) => assert!(msg.starts_with(field), "{field}: {msg}"),
+            Ok(other) => panic!(
+                "{field}: expected a config error, got {:?}",
+                other.map(|o| o.efficiency)
+            ),
+            Err(_) => panic!("{field}: the run panicked"),
+        }
+    }
+    // Every platform preset serves every Table II model.
+    for platform in PlatformSpec::presets() {
+        for model in ModelConfig::table2_models() {
+            let mut cfg = ExperimentConfig::paper_default(
+                platform.clone(),
+                Scenario::Chatbot,
+                Some(BeKind::SpecJbb),
+            );
+            cfg.model = model;
+            cfg.duration = SimDuration::from_millis(500);
+            if let Err(e) =
+                try_run_experiment_traced(&cfg, &mut RpAu::new(&platform), Tracer::disabled())
+            {
+                panic!("{} on {}: {e}", cfg.model.name, platform.name);
+            }
+        }
+    }
 }
 
 #[test]
