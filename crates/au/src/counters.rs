@@ -80,17 +80,6 @@ impl PmuCounters {
         }
     }
 
-    /// Records `secs` of non-kernel activity (framework glue, attention
-    /// softmax, sampling) on `cores` cores at `freq_ghz`, of which a
-    /// fraction of µops are AVX.
-    pub fn record_other(&mut self, secs: f64, cores: usize, freq_ghz: f64, avx_uop_frac: f64) {
-        let cycles = secs.max(0.0) * freq_ghz * 1e9 * cores as f64;
-        self.cycles += cycles;
-        let uops = cycles * UOPS_PER_CYCLE;
-        self.total_uops += uops;
-        self.avx_fp_uops += uops * avx_uop_frac.clamp(0.0, 1.0);
-    }
-
     /// `tma_amx_busy`: AMX-busy cycle fraction.
     #[must_use]
     pub fn amx_cycle_ratio(&self) -> f64 {
@@ -180,15 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn record_other_adds_avx_glue() {
-        let mut c = PmuCounters::new();
-        c.record_other(0.010, 48, 3.1, 0.2);
-        assert!(c.cycles > 0.0);
-        assert!((c.avx_inst_ratio() - 0.2).abs() < 1e-9);
-        assert_eq!(c.amx_cycle_ratio(), 0.0);
-    }
-
-    #[test]
     fn merge_sums_fields() {
         let a = run(GemmShape::new(16, 4096, 22016), AuKind::Amx, 3.1);
         let mut b = run(GemmShape::new(16, 4096, 22016), AuKind::Amx, 3.1);
@@ -203,15 +183,5 @@ mod tests {
         assert_eq!(c.amx_cycle_ratio(), 0.0);
         assert_eq!(c.amx_uop_ratio(), 0.0);
         assert_eq!(c.avx_inst_ratio(), 0.0);
-    }
-
-    #[test]
-    fn decode_mixed_workload_has_more_avx_than_prefill() {
-        // Decode = small AMX GEMMs + lots of AVX attention/elementwise glue.
-        let mut decode = run(GemmShape::new(16, 4096, 22016), AuKind::Amx, 3.1);
-        decode.record_other(0.002, 96, 3.1, 0.35);
-        let mut prefill = run(GemmShape::new(8192, 4096, 22016), AuKind::Amx, 2.5);
-        prefill.record_other(0.002, 96, 2.5, 0.10);
-        assert!(decode.avx_inst_ratio() > prefill.avx_inst_ratio());
     }
 }

@@ -4,8 +4,10 @@
 //! `/dev/null`. The disabled and `NullSink` rows must be indistinguishable
 //! from each other — `Tracer::emit` short-circuits before constructing the
 //! event — while the sink-backed rows price construction, cloning, and
-//! serialization. `ordering_sink` and `flight_ordering` price the chain
-//! that `repro --flight --trace` installs, minus the file at its end.
+//! serialization. `ordering_sink` prices the chain `repro --trace` installs
+//! and `flight_ordering` the one perfbench's chaos-traced workload installs
+//! (the recorder outside the ordering sink), each minus the file at its
+//! end.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

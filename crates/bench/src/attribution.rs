@@ -22,7 +22,7 @@ use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::attrib::{self, Cause, CauseVec, Ledger, Region};
 use aum_sim::prom;
-use aum_sim::telemetry::{Event, MemorySink, OrderingSink, SloMetric, TraceRecord, Tracer};
+use aum_sim::telemetry::{runs, Event, MemorySink, OrderingSink, SloMetric, TraceRecord, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
 
@@ -328,26 +328,25 @@ fn render_breach_blame(out: &mut String, ledger: &Ledger, records: &[TraceRecord
     }
 }
 
-/// Sums every `AttributionSample` time vector per `(segment, time)` key
-/// (across regions), in trace order. A trace of several runs restarts its
-/// sim clock at each run, so a new segment starts wherever the time goes
-/// backwards, and the keys rise through the whole trace.
+/// Sums every `AttributionSample` time vector per `(run, time)` key
+/// (across regions), in trace order, numbering only the [`runs`] that carry
+/// samples: a sweep without them (a profiler build one trace has and the
+/// other lacks) shifts no key.
 fn attribution_by_time(records: &[TraceRecord]) -> Vec<((usize, SimTime), CauseVec)> {
     let mut out: Vec<((usize, SimTime), CauseVec)> = Vec::new();
-    let mut segment = 0;
-    for r in records {
-        if let Event::AttributionSample { time, .. } = &r.event {
-            match out.last_mut() {
-                Some(((_, at), vec)) if *at == r.at => {
-                    vec.accumulate(time);
-                    continue;
+    for run in runs(records) {
+        let i = out.last().map_or(0, |((last, _), _)| last + 1);
+        for r in run {
+            if let Event::AttributionSample { time, .. } = &r.event {
+                match out.last_mut() {
+                    Some((key, vec)) if *key == (i, r.at) => vec.accumulate(time),
+                    _ => {
+                        let mut vec = CauseVec::zero();
+                        vec.accumulate(time);
+                        out.push(((i, r.at), vec));
+                    }
                 }
-                Some(((_, at), _)) if r.at < *at => segment += 1,
-                _ => {}
             }
-            let mut vec = CauseVec::zero();
-            vec.accumulate(time);
-            out.push(((segment, r.at), vec));
         }
     }
     out
@@ -355,7 +354,7 @@ fn attribution_by_time(records: &[TraceRecord]) -> Vec<((usize, SimTime), CauseV
 
 /// Diffs the attribution content of two traces.
 ///
-/// Intervals are aligned on simulation time within each run segment (only
+/// Intervals are aligned on simulation time within each run (only
 /// keys present in both traces are compared); each trace's aligned time
 /// vectors are summed and normalized to shares, and the per-cause share
 /// deltas are reported in percentage points, largest magnitude first.

@@ -489,11 +489,11 @@ fn load_trace(path: &Path, allow_empty: bool) -> Result<Vec<TraceRecord>, String
     Ok(records)
 }
 
-/// The installed harness sink: either the plain ordered JSONL chain or
-/// the flight recorder wrapping it (with the JSONL leg optional).
+/// The installed harness sink: the ordering sink over either the JSONL
+/// file or the flight recorder (with the JSONL leg optional inside it).
 enum SinkHandle {
     Plain(Arc<Mutex<OrderingSink<JsonlSink>>>),
-    Flight(Arc<Mutex<FlightRecorder<OrderingSink<JsonlSink>>>>),
+    Flight(Arc<Mutex<OrderingSink<FlightRecorder<JsonlSink>>>>),
 }
 
 /// One invocation past the parse stage: its flags, the run context every
@@ -530,25 +530,23 @@ impl Driver {
         for dir in cli.out_dir.iter().chain(cli.flight.iter().map(|f| &f.dir)) {
             create(dir, std::fs::create_dir_all)?;
         }
-        // OrderingSink re-sorts each run's records by sim time: components
-        // are simulated sequentially over overlapping interval windows, so
-        // raw emission order is not globally monotonic.
         let jsonl = match &cli.trace {
-            Some(path) => Some(OrderingSink::new(create(path, JsonlSink::create)?)),
+            Some(path) => Some(create(path, JsonlSink::create)?),
             None => None,
         };
-        // With `--flight` the recorder is the outermost sink so it observes
-        // records live, in the deterministic emission order of the
-        // canonical cell merge; the ordered JSONL chain (the `--trace` leg)
-        // rides inside it unchanged.
+        // The ordering sink is outermost and the only sink that sees
+        // emission order: components are simulated sequentially over
+        // overlapping interval windows, so it re-sorts each run by sim
+        // time. Behind it, the flight recorder (with the `--trace` leg
+        // inside) reads each run whole, in time order, then its flush.
         let (tracer, sinks) = match (&cli.flight, jsonl) {
             (Some(fcfg), jsonl) => {
                 let recorder = FlightRecorder::with_inner_opt(fcfg.clone(), jsonl);
-                let (tracer, handle) = Tracer::shared(recorder);
+                let (tracer, handle) = Tracer::shared(OrderingSink::new(recorder));
                 (tracer, Some(SinkHandle::Flight(handle)))
             }
             (None, Some(jsonl)) => {
-                let (tracer, handle) = Tracer::shared(jsonl);
+                let (tracer, handle) = Tracer::shared(OrderingSink::new(jsonl));
                 (tracer, Some(SinkHandle::Plain(handle)))
             }
             (None, None) => (Tracer::disabled(), None),
@@ -572,8 +570,8 @@ impl Driver {
                 server.addr()
             ));
             if let Some(SinkHandle::Flight(handle)) = &self.sinks {
-                let flight = handle.clone();
-                state.set_flight_source(move || flight.lock().expect("flight lock").stats());
+                let sink = handle.clone();
+                state.set_flight_source(move || sink.lock().expect("flight lock").inner().stats());
             }
             self.live = Some((state, server));
         }
@@ -753,9 +751,9 @@ impl Driver {
                 (Some(lines), None)
             }
             Some(SinkHandle::Flight(handle)) => {
-                let recorder = handle.lock().expect("flight lock");
-                let lines = recorder.inner().map(|o| o.inner().lines_written());
-                (lines, Some(recorder))
+                let ordered = handle.lock().expect("flight lock");
+                let lines = ordered.inner().inner().map(JsonlSink::lines_written);
+                (lines, Some(ordered))
             }
         };
         if let (Some(path), Some(lines)) = (&self.cli.trace, lines) {
@@ -764,7 +762,8 @@ impl Driver {
                 path.display()
             ));
         }
-        if let (Some(recorder), Some(fcfg)) = (recorder, &self.cli.flight) {
+        if let (Some(ordered), Some(fcfg)) = (recorder, &self.cli.flight) {
+            let recorder = ordered.inner();
             let stats = recorder.stats();
             note(&format!(
                 "flight: {} trigger(s), {} incident dump(s) \u{2192} {}\n",

@@ -11,7 +11,7 @@ use aum_sim::flight::{BURN_WINDOW_SECS, ERROR_BUDGET};
 use aum_sim::hist::LogHistogram;
 use aum_sim::span::{collect_spans, SpanId, SpanKind};
 use aum_sim::telemetry::{
-    DecisionKind, Event, MetricsSnapshot, NodeHealth, SlackVerdict, SloMetric, TraceRecord,
+    runs, DecisionKind, Event, MetricsSnapshot, NodeHealth, SlackVerdict, SloMetric, TraceRecord,
 };
 use aum_sim::SimTime;
 
@@ -261,53 +261,48 @@ fn burn_lines(out: &mut String, samples: &[(usize, f64, f64)], target: f64) -> b
     all_burning
 }
 
-/// Tags each record with its run: the latest [`Event::SloTargets`]
-/// preamble at or before it, counted from 0 (records before the first
-/// preamble belong to the first run). Every run opens with its preamble
-/// and reaches the trace as one sorted segment, so a run's records are
-/// contiguous and its clock restarts with it.
-fn with_runs(records: &[TraceRecord]) -> impl Iterator<Item = (usize, &TraceRecord)> {
-    let mut preambles = 0usize;
-    records.iter().map(move |r| {
-        preambles += usize::from(matches!(r.event, Event::SloTargets { .. }));
-        (preambles.saturating_sub(1), r)
-    })
-}
-
 /// The SLO burn-rate digest: per-metric percentiles (from the same
 /// log-linear histograms the reports use), total violations against the
 /// trace's recorded targets, and multi-window burn rates. Absent when the
 /// trace carries no [`Event::SloTargets`] (pre-span traces).
 ///
-/// A trace may hold several runs ([`with_runs`]), each opening with its
-/// own [`Event::SloTargets`] preamble. Every request is judged against its
-/// own run's targets, each metric prints one block per distinct target in
-/// first-seen order, and no burn window spans two runs.
+/// A trace may hold several [`runs`], each with its own
+/// [`Event::SloTargets`] preamble. Every request is judged against its own
+/// run's targets (a run without them is not judged), each metric prints
+/// one block per distinct target in first-seen order, and no burn window
+/// spans two runs.
 fn slo_digest(records: &[TraceRecord]) -> String {
-    let mut runs: Vec<[f64; 2]> = Vec::new();
+    // Samples are `(index into run_targets, sim secs, value)`.
+    let mut run_targets: Vec<[f64; 2]> = Vec::new();
     let mut ttft: Vec<(usize, f64, f64)> = Vec::new();
     let mut tpot: Vec<(usize, f64, f64)> = Vec::new();
-    for (run, r) in with_runs(records) {
-        match r.event {
+    for run in runs(records) {
+        let targets = run.iter().find_map(|r| match r.event {
             Event::SloTargets {
                 ttft_secs,
                 tpot_secs,
-            } => runs.push([ttft_secs, tpot_secs]),
-            Event::RequestFinished {
+            } => Some([ttft_secs, tpot_secs]),
+            _ => None,
+        });
+        let Some(targets) = targets else { continue };
+        let i = run_targets.len();
+        run_targets.push(targets);
+        for r in run {
+            if let Event::RequestFinished {
                 generated,
                 mean_tpot_secs,
                 ttft_secs,
                 ..
-            } => {
-                ttft.push((run, secs(r.at), ttft_secs));
+            } = r.event
+            {
+                ttft.push((i, secs(r.at), ttft_secs));
                 if generated > 0 {
-                    tpot.push((run, secs(r.at), mean_tpot_secs));
+                    tpot.push((i, secs(r.at), mean_tpot_secs));
                 }
             }
-            _ => {}
         }
     }
-    if runs.is_empty() {
+    if run_targets.is_empty() {
         return String::new();
     }
     let mut out = format!(
@@ -321,7 +316,7 @@ fn slo_digest(records: &[TraceRecord]) -> String {
     let mut alerts = Vec::new();
     for (m, name, samples) in [(0, "TTFT", &ttft), (1, "TPOT (per-request mean)", &tpot)] {
         let mut distinct: Vec<u64> = Vec::new();
-        for targets in &runs {
+        for targets in &run_targets {
             if !distinct.contains(&targets[m].to_bits()) {
                 distinct.push(targets[m].to_bits());
             }
@@ -331,7 +326,7 @@ fn slo_digest(records: &[TraceRecord]) -> String {
             let samples: Vec<(usize, f64, f64)> = samples
                 .iter()
                 .copied()
-                .filter(|s| runs[s.0][m].to_bits() == target.to_bits())
+                .filter(|s| run_targets[s.0][m].to_bits() == target.to_bits())
                 .collect();
             if samples.is_empty() {
                 let _ = writeln!(out, "  {name} (target {target:.3}s): no samples");
@@ -371,25 +366,23 @@ fn slo_digest(records: &[TraceRecord]) -> String {
 const DRILLDOWN_CHILD_CAP: usize = 6;
 
 /// Finds the worst-TTFT request in the trace and walks its lifecycle span
-/// in the request's own run ([`with_runs`]; request ids repeat across
-/// runs): open/close interval, nested prefill steps, and the decode
-/// iterations that overlapped it on the same track. Absent when the run
-/// carries no spans for the worst request (pre-span traces).
+/// in the request's own run ([`runs`]; request ids repeat across runs):
+/// open/close interval, nested prefill steps, and the decode iterations
+/// that overlapped it on the same track. Absent when the run carries no
+/// spans for the worst request (pre-span traces).
 fn worst_request_drilldown(records: &[TraceRecord]) -> String {
-    let worst = with_runs(records)
-        .filter_map(|(run, r)| match r.event {
-            Event::RequestFinished { id, ttft_secs, .. } => Some((id, ttft_secs, run)),
-            _ => None,
+    let worst = runs(records)
+        .flat_map(|run| {
+            run.iter().filter_map(move |r| match r.event {
+                Event::RequestFinished { id, ttft_secs, .. } => Some((id, ttft_secs, run)),
+                _ => None,
+            })
         })
         .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
     let Some((id, ttft, run)) = worst else {
         return String::new();
     };
-    let start = with_runs(records).position(|(r, _)| r == run).unwrap_or(0);
-    let end = with_runs(records)
-        .position(|(r, _)| r > run)
-        .unwrap_or(records.len());
-    let Ok(forest) = collect_spans(&records[start..end]) else {
+    let Ok(forest) = collect_spans(run) else {
         return String::new();
     };
     let span_id = SpanId::derive(SpanKind::RequestLifecycle, id).0;
@@ -570,10 +563,24 @@ fn entry_line(at: SimTime, body: &str) -> String {
     format!("  t={:8.1}s  {body}\n", secs(at))
 }
 
+/// The line that opens a run's first entry in a timeline of several runs:
+/// the run's number and its span track (its first span's).
+fn run_line(n: usize, run: &[TraceRecord]) -> String {
+    let track = run.iter().find_map(|r| match &r.event {
+        Event::SpanOpen { track, .. } => Some(format!("track {track:?}")),
+        _ => None,
+    });
+    format!(
+        "  -- run {n}, {} --\n",
+        track.as_deref().unwrap_or("no span track")
+    )
+}
+
 /// The causal timeline: controller decisions annotated with the breach
 /// pressure that preceded them and how long breaches persisted afterwards,
 /// interleaved with platform events (frequency, thermal, RDT moves) and a
-/// collapsed profiler line.
+/// collapsed profiler line. In a trace of several [`runs`], a line naming
+/// the run opens its first entry, and the annotations stay within it.
 fn timeline(records: &[TraceRecord]) -> String {
     let mut entries: Vec<String> = Vec::new();
 
@@ -594,19 +601,50 @@ fn timeline(records: &[TraceRecord]) -> String {
         }
     }
 
-    // Breach and decision times, each with its run, drive the pressure and
-    // "recovered" annotations; both stay within the decision's run.
-    let of_kind = |is: fn(&Event) -> bool| -> Vec<(usize, SimTime)> {
-        with_runs(records)
-            .filter(|(_, r)| is(&r.event))
-            .map(|(run, r)| (run, r.at))
-            .collect()
+    let runs: Vec<&[TraceRecord]> = runs(records).collect();
+    for (i, run) in runs.iter().enumerate() {
+        let opener = (runs.len() > 1).then(|| run_line(i + 1, run));
+        push_run_entries(run, opener, &mut entries);
+    }
+
+    let mut out = String::from("\ncausal timeline:\n");
+    if entries.is_empty() {
+        out.push_str("  no controller or platform events recorded\n");
+        return out;
+    }
+    if entries.len() > TIMELINE_CAP {
+        let head = TIMELINE_CAP * 2 / 3;
+        let tail = TIMELINE_CAP - head;
+        for e in &entries[..head] {
+            out.push_str(e);
+        }
+        let _ = writeln!(
+            out,
+            "  ... ({} entries elided) ...",
+            entries.len() - TIMELINE_CAP
+        );
+        for e in &entries[entries.len() - tail..] {
+            out.push_str(e);
+        }
+    } else {
+        for e in &entries {
+            out.push_str(e);
+        }
+    }
+    out
+}
+
+/// Pushes one run's timeline entries, the first led by `opener`. A
+/// decision's pressure and "recovered" annotations look only at the run's
+/// own breaches and decisions.
+fn push_run_entries(run: &[TraceRecord], mut opener: Option<String>, entries: &mut Vec<String>) {
+    let of_kind = |is: fn(&Event) -> bool| -> Vec<SimTime> {
+        run.iter().filter(|r| is(&r.event)).map(|r| r.at).collect()
     };
     let breaches = of_kind(|e| matches!(e, Event::SloBreach { .. }));
     let decisions = of_kind(|e| matches!(e, Event::ControllerDecision { .. }));
-
-    let mut prev_decision = (0, SimTime::ZERO);
-    for (run, r) in with_runs(records) {
+    let mut prev_decision = SimTime::ZERO;
+    for r in run {
         let body = match &r.event {
             Event::FreqTransition {
                 region,
@@ -685,32 +723,20 @@ fn timeline(records: &[TraceRecord]) -> String {
                 reason,
                 ..
             } => {
-                let since = if prev_decision.0 == run {
-                    prev_decision.1
-                } else {
-                    SimTime::ZERO
-                };
-                prev_decision = (run, r.at);
-                let led_here = breaches
-                    .iter()
-                    .filter(|&&(b_run, t)| b_run == run && t > since && t <= r.at)
-                    .count();
+                let since = std::mem::replace(&mut prev_decision, r.at);
+                let led_here = breaches.iter().filter(|&&t| t > since && t <= r.at).count();
                 let mut body = format!("{reason} \u{2192} {action}");
                 if led_here > 0 {
                     let _ = write!(body, " [{led_here} breach intervals led here]");
                 }
                 if *verdict == SlackVerdict::Violating {
-                    // How long breaches persisted, up to the run's next decision.
-                    let next = decisions
-                        .iter()
-                        .find(|&&(d_run, t)| d_run == run && t > r.at);
-                    let end = next.map_or(SimTime::MAX, |d| d.1);
-                    let last = breaches
-                        .iter()
-                        .rfind(|&&(b_run, t)| b_run == run && t > r.at && t <= end);
+                    // How long breaches persisted, up to the next decision.
+                    let next = decisions.iter().find(|&&t| t > r.at);
+                    let end = next.copied().unwrap_or(SimTime::MAX);
+                    let last = breaches.iter().rfind(|&&t| t > r.at && t <= end);
                     let _ = match last {
                         None => write!(body, " \u{2014} no further breaches before next decision"),
-                        Some((_, t)) => write!(
+                        Some(t) => write!(
                             body,
                             " \u{2014} breaches persisted {:.1}s after the action",
                             secs(*t) - secs(r.at)
@@ -721,34 +747,9 @@ fn timeline(records: &[TraceRecord]) -> String {
             }
             _ => continue,
         };
-        entries.push(entry_line(r.at, &body));
+        let opener = opener.take().unwrap_or_default();
+        entries.push(opener + &entry_line(r.at, &body));
     }
-
-    let mut out = String::from("\ncausal timeline:\n");
-    if entries.is_empty() {
-        out.push_str("  no controller or platform events recorded\n");
-        return out;
-    }
-    if entries.len() > TIMELINE_CAP {
-        let head = TIMELINE_CAP * 2 / 3;
-        let tail = TIMELINE_CAP - head;
-        for e in &entries[..head] {
-            out.push_str(e);
-        }
-        let _ = writeln!(
-            out,
-            "  ... ({} entries elided) ...",
-            entries.len() - TIMELINE_CAP
-        );
-        for e in &entries[entries.len() - tail..] {
-            out.push_str(e);
-        }
-    } else {
-        for e in &entries {
-            out.push_str(e);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1054,6 +1055,45 @@ mod tests {
             "{s}"
         );
         assert!(line("b2").ends_with("Return(cfg 1\u{2192}0)"), "{s}");
+    }
+
+    #[test]
+    fn timeline_marks_where_each_run_starts() {
+        let interval = SpanId::derive(SpanKind::ControllerInterval, 1);
+        let run = |track: &str| {
+            let decision = decision(1.0, DecisionKind::Harvest, SlackVerdict::Meeting, track);
+            let span = [
+                span_open(0.5, interval, None, track),
+                span_close(1.5, interval, track),
+            ];
+            vec![
+                targets(0.25, 0.1),
+                span[0].clone(),
+                decision,
+                span[1].clone(),
+            ]
+        };
+        let timeline = |records: &[TraceRecord]| {
+            let s = summarize(records);
+            s[s.find("causal timeline:").expect(&s)..].to_owned()
+        };
+        let entry =
+            |track: &str| format!("  t=     1.0s  {track} \u{2192} Harvest(cfg 1\u{2192}0)\n");
+        let mut records = run("a");
+        records.extend(run("b"));
+        let expected = format!("  -- run 1, track \"a\" --\n{}", entry("a"))
+            + &format!("  -- run 2, track \"b\" --\n{}", entry("b"));
+        assert_eq!(timeline(&records), format!("causal timeline:\n{expected}"));
+        // A single run prints as it always has.
+        assert_eq!(
+            timeline(&run("a")),
+            format!("causal timeline:\n{}", entry("a"))
+        );
+        // A run line rides with its entry: 70 one-entry runs show 60 entries,
+        // each under its run line, and elide 10.
+        let s = timeline(&(0..70).flat_map(|_| run("a")).collect::<Vec<_>>());
+        assert_eq!(s.matches("  -- run ").count(), 60, "{s}");
+        assert!(s.contains("  ... (10 entries elided) ...\n"), "{s}");
     }
 
     #[test]

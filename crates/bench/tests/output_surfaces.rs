@@ -14,6 +14,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use aum_bench::perfetto;
+use aum_sim::telemetry::parse_jsonl;
+
 /// 64-bit FNV-1a over raw bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -149,6 +152,17 @@ fn every_output_surface_matches_its_golden() {
         );
         texts.push((golden, stdout));
         for (name, bytes) in incidents(&dir.join(&flight)) {
+            // Each dump is one stretch of one run: time-sorted, and
+            // accepted by the strict Perfetto exporter.
+            let text = std::str::from_utf8(&bytes).expect("utf-8 dump");
+            let records = parse_jsonl(text).expect("dump parses");
+            assert!(
+                records.windows(2).all(|w| w[0].at <= w[1].at),
+                "{study} {name} is not time-sorted"
+            );
+            if let Err(e) = perfetto::export(&records) {
+                panic!("{study} {name}: the Perfetto exporter rejects it: {e}");
+            }
             digests.push((format!("{study}_quick/{name}"), fnv1a(&bytes)));
         }
     }

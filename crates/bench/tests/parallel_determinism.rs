@@ -248,24 +248,25 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
 
     // --- Flight recorder under chaos: the bounded ring's retained suffix,
     // the trigger count, and every incident dump (filenames and bytes)
-    // must be identical at jobs 1 vs 8. The recorder is the outermost sink
-    // so it observes the canonical cell-merge emission order live — the
-    // same chain `repro --flight` installs. ---
+    // must be identical at jobs 1 vs 8. The ordering sink is outermost, so
+    // the recorder reads each run of the canonical cell merge whole and in
+    // time order — the same chain `repro --flight` installs. ---
     let flight = |jobs: usize| {
         exec::set_jobs(jobs);
         let dir =
             std::env::temp_dir().join(format!("aum-flight-det-{}-j{jobs}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (tracer, handle) = Tracer::shared(FlightRecorder::with_inner(
+        let (tracer, handle) = Tracer::shared(OrderingSink::new(FlightRecorder::with_inner(
             FlightConfig::new(&dir),
-            OrderingSink::new(MemorySink::new()),
-        ));
+            MemorySink::new(),
+        )));
         let ctx = smoke_ctx(tracer);
         let run = aum_bench::chaos::run(&ctx);
         ctx.tracer.flush();
         exec::set_jobs(0);
         assert!(!run.degenerate, "{}", run.text);
-        let recorder = handle.lock().expect("flight lock");
+        let ordered = handle.lock().expect("flight lock");
+        let recorder = ordered.inner();
         assert!(
             recorder.errors().is_empty(),
             "incident writes failed: {:?}",
@@ -292,7 +293,7 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
                 )
             })
             .collect();
-        drop(recorder);
+        drop(ordered);
         std::fs::remove_dir_all(&dir).ok();
         (stats, ring, dumps)
     };

@@ -59,14 +59,6 @@ pub struct SmtImpact {
     pub be_slowdown: f64,
 }
 
-impl SmtImpact {
-    /// Combined worst-case AU slowdown (for coarse comparisons).
-    #[must_use]
-    pub fn au_slowdown(&self) -> f64 {
-        self.au_compute_slowdown.max(self.au_memory_slowdown)
-    }
-}
-
 /// Weight of port contention in AU slowdown.
 const W_PORT: f64 = 0.35;
 /// Weight of cache pollution in AU slowdown.
@@ -160,23 +152,25 @@ mod tests {
     #[test]
     fn no_sharing_no_impact() {
         let i = smt_impact(olap(), AuUsageLevel::Low, 0.0);
-        assert_eq!(i.au_slowdown(), 1.0);
+        assert_eq!(i.au_compute_slowdown, 1.0);
+        assert_eq!(i.au_memory_slowdown, 1.0);
         assert_eq!(i.be_slowdown, 1.0);
     }
 
     #[test]
     fn none_level_is_untouched() {
         let i = smt_impact(olap(), AuUsageLevel::None, 1.0);
-        assert_eq!(i.au_slowdown(), 1.0);
+        assert_eq!(i.au_compute_slowdown, 1.0);
+        assert_eq!(i.au_memory_slowdown, 1.0);
     }
 
     #[test]
     fn impact_scales_with_sharing_pressure() {
-        let mut last = 1.0;
+        let mut last = (1.0, 1.0);
         for frac in [0.25, 0.5, 0.75, 1.0] {
             let i = smt_impact(olap(), AuUsageLevel::Low, frac);
-            assert!(i.au_slowdown() > last);
-            last = i.au_slowdown();
+            assert!(i.au_compute_slowdown > last.0 && i.au_memory_slowdown > last.1);
+            last = (i.au_compute_slowdown, i.au_memory_slowdown);
         }
     }
 

@@ -16,11 +16,16 @@
 //!   dual-window SLO burn-rate PAGE (the online mirror of the
 //!   `trace-summary` digest), [`Event::SafeModeTransition`] into a
 //!   degraded state, [`Event::FaultInjected`], an attribution-conservation
-//!   near-miss, and [`Event::WatchdogStall`]. When one fires, the buffered
-//!   records from the last 30 s of sim time are dumped to
+//!   near-miss, and [`Event::WatchdogStall`]. When one fires, the current
+//!   run's records from the last 30 s of sim time are dumped to
 //!   `incident-NNNN-<trigger>.jsonl` in [`FlightConfig::dir`] —
 //!   filenames carry a sequence number, never a wall-clock timestamp, so a
 //!   rerun produces byte-identical incident files.
+//! - **A flush ends a run**: a dump holds only records since the last
+//!   [`TraceSink::flush_sink`], and each run starts with a fresh cooldown,
+//!   pins and burn tracker. `repro` puts a
+//!   [`crate::telemetry::OrderingSink`] outside the recorder, so a run
+//!   arrives whole, in time order, when it ends (and so do its dumps).
 //! - Dumps are **span-balanced**: a window sliced out of the stream would
 //!   contain closes whose opens fell outside it (and vice versa), which
 //!   the strict `trace-export --perfetto` path rejects. The dumper drops
@@ -162,12 +167,6 @@ pub const ERROR_BUDGET: f64 = 0.01;
 /// burning at once is the page-worthy condition.
 pub const BURN_WINDOW_SECS: [u64; 2] = [10, 60];
 
-/// How far a timestamp may rise above the window walk's running minimum
-/// before it is treated as the previous cell's tail rather than
-/// within-cell clock jitter. Comfortably above one controller interval
-/// (1 s), comfortably below any cell duration.
-const RESTART_JITTER_SECS: u64 = 2;
-
 /// One tumbling window length's online breach accounting for both SLO
 /// metrics (index 0 = TTFT, 1 = TPOT).
 #[derive(Debug, Clone, Default)]
@@ -187,7 +186,8 @@ impl BurnWindow {
         }
     }
 
-    /// Finalizes the previous window when `at` crosses into a new one.
+    /// Finalizes the previous window when `at` crosses into a new one
+    /// (finished requests arrive in time order within a run).
     fn roll(&mut self, at: SimTime) {
         let idx = at.as_nanos() / (self.width_secs * 1_000_000_000);
         match self.idx {
@@ -199,7 +199,7 @@ impl BurnWindow {
                             Some(self.breach[m] as f64 / self.count[m] as f64 / ERROR_BUDGET);
                     }
                     // Windows with no traffic at all are not burning.
-                    if idx > prev + 1 || idx < prev {
+                    if idx > prev + 1 {
                         self.last_burn[m] = Some(0.0);
                     }
                 }
@@ -230,22 +230,20 @@ struct BurnTracker {
     paging: bool,
 }
 
-impl BurnTracker {
-    fn new() -> Self {
+impl Default for BurnTracker {
+    fn default() -> Self {
         BurnTracker {
             targets: None,
-            windows: [
-                BurnWindow::new(BURN_WINDOW_SECS[0]),
-                BurnWindow::new(BURN_WINDOW_SECS[1]),
-            ],
+            windows: BURN_WINDOW_SECS.map(BurnWindow::new),
             paging: false,
         }
     }
+}
 
-    /// A new run's targets reset all windowed state (merged multi-run
-    /// streams restart the clock at each cell boundary).
+impl BurnTracker {
+    /// A run's targets reset all windowed state.
     fn arm(&mut self, ttft_secs: f64, tpot_secs: f64) {
-        *self = BurnTracker::new();
+        *self = BurnTracker::default();
         self.targets = Some((ttft_secs, tpot_secs));
     }
 
@@ -281,8 +279,7 @@ const CAPACITY: usize = 4096;
 /// How much trailing sim time a dump covers.
 const WINDOW: SimDuration = SimDuration::from_secs(30);
 
-/// Minimum sim time between dumps within one run (a clock restart — the
-/// next cell in a merged stream — always re-arms).
+/// Minimum sim time between dumps within one run (each run starts armed).
 const COOLDOWN: SimDuration = SimDuration::from_secs(10);
 
 /// Hard cap on incident files per recorder lifetime; triggers beyond it
@@ -338,12 +335,12 @@ pub struct FlightStats {
     pub incidents: usize,
 }
 
-/// The flight recorder: ring + triggers + incident dumps, optionally
-/// forwarding every record to an inner sink.
-#[derive(Debug)]
-pub struct FlightRecorder<S: TraceSink = NullSink> {
-    cfg: FlightConfig,
-    ring: RingSink,
+/// What the recorder knows of the current run: everything since the last
+/// flush, which a flush resets.
+#[derive(Debug, Default)]
+struct RunState {
+    /// Records of the run so far; the ring's newest `len` are the run's.
+    len: usize,
     burn: BurnTracker,
     pinned_targets: Option<TraceRecord>,
     /// Latest [`Event::NodeMetricsSnapshot`] seen per node, pinned into
@@ -351,18 +348,19 @@ pub struct FlightRecorder<S: TraceSink = NullSink> {
     /// metric state even when the snapshot aged out of the window.
     pinned_node_metrics: std::collections::BTreeMap<usize, TraceRecord>,
     last_dump_at: Option<SimTime>,
+}
+
+/// The flight recorder: ring + triggers + incident dumps, optionally
+/// forwarding every record to an inner sink.
+#[derive(Debug)]
+pub struct FlightRecorder<S: TraceSink = NullSink> {
+    cfg: FlightConfig,
+    ring: RingSink,
+    run: RunState,
     triggers: u64,
     incidents: Vec<Incident>,
     errors: Vec<String>,
     inner: Option<S>,
-}
-
-impl FlightRecorder<NullSink> {
-    /// A recorder with no inner sink.
-    #[must_use]
-    pub fn new(cfg: FlightConfig) -> Self {
-        Self::with_inner_opt(cfg, None)
-    }
 }
 
 impl<S: TraceSink> FlightRecorder<S> {
@@ -378,10 +376,7 @@ impl<S: TraceSink> FlightRecorder<S> {
         FlightRecorder {
             cfg,
             ring: RingSink::new(CAPACITY),
-            burn: BurnTracker::new(),
-            pinned_targets: None,
-            pinned_node_metrics: std::collections::BTreeMap::new(),
-            last_dump_at: None,
+            run: RunState::default(),
             triggers: 0,
             incidents: Vec::new(),
             errors: Vec::new(),
@@ -449,6 +444,7 @@ impl<S: TraceSink> FlightRecorder<S> {
                 ttft_secs,
                 ..
             } => self
+                .run
                 .burn
                 .on_finished(record.at, *ttft_secs, *generated, *mean_tpot_secs)
                 .then_some(TriggerKind::SloBurnPage),
@@ -456,40 +452,24 @@ impl<S: TraceSink> FlightRecorder<S> {
         }
     }
 
-    /// Cooldown gate: a dump is allowed on the first trigger, after
-    /// [`COOLDOWN`] of sim time, or whenever the clock restarted (a new
-    /// cell in a merged stream).
+    /// Cooldown gate: a dump is allowed on a run's first trigger, and after
+    /// [`COOLDOWN`] of sim time since the run's last dump.
     fn dump_allowed(&self, at: SimTime) -> bool {
-        if self.incidents.len() >= MAX_INCIDENTS {
-            return false;
-        }
-        match self.last_dump_at {
-            None => true,
-            Some(last) => at < last || at.saturating_since(last) >= COOLDOWN,
-        }
+        self.incidents.len() < MAX_INCIDENTS
+            && self
+                .run
+                .last_dump_at
+                .is_none_or(|last| at.saturating_since(last) >= COOLDOWN)
     }
 
-    /// The ring suffix covering the trailing dump window before `at`.
-    ///
-    /// The recorder sees records in **emission order**, where timestamps
-    /// are non-decreasing only up to a small jitter (the engine's prefill
-    /// and decode clocks interleave within a controller interval). Walking
-    /// backward therefore tracks the minimum timestamp seen so far and
-    /// stops at the first record jumping *up* past it by more than
-    /// [`RESTART_JITTER_SECS`] — that jump is the tail of the previous
-    /// cell in a merged stream, so a slice never crosses a cell boundary.
-    /// It also stops once records age out of `[at - WINDOW, at]`.
+    /// The current run's records within [`WINDOW`] before `at`, oldest
+    /// first.
     fn window_slice(&self, at: SimTime) -> Vec<TraceRecord> {
-        let jitter = SimDuration::from_secs(RESTART_JITTER_SECS);
-        let mut slice: Vec<TraceRecord> = Vec::new();
-        let mut floor = at;
-        for r in self.ring.buf.iter().rev() {
-            if r.at > floor + jitter || at.saturating_since(r.at) > WINDOW {
-                break;
-            }
-            floor = floor.min(r.at);
-            slice.push(r.clone());
-        }
+        let run = self.ring.buf.iter().rev().take(self.run.len);
+        let mut slice: Vec<TraceRecord> = run
+            .take_while(|r| at.saturating_since(r.at) <= WINDOW)
+            .cloned()
+            .collect();
         slice.reverse();
         slice
     }
@@ -500,7 +480,7 @@ impl<S: TraceSink> FlightRecorder<S> {
         // incident carries the node's counters even when the snapshot aged
         // out of the window.
         if let Some(node) = node {
-            if let Some(pinned) = self.pinned_node_metrics.get(&node) {
+            if let Some(pinned) = self.run.pinned_node_metrics.get(&node) {
                 if !slice.iter().any(|r| {
                     matches!(&r.event, Event::NodeMetricsSnapshot { node: n, .. } if *n == node)
                 }) {
@@ -510,7 +490,7 @@ impl<S: TraceSink> FlightRecorder<S> {
         }
         // Pin the run's SLO targets so the incident is self-contained for
         // burn-rate analysis even when the preamble aged out of the window.
-        if let Some(pinned) = &self.pinned_targets {
+        if let Some(pinned) = &self.run.pinned_targets {
             if !slice
                 .iter()
                 .any(|r| matches!(r.event, Event::SloTargets { .. }))
@@ -529,7 +509,7 @@ impl<S: TraceSink> FlightRecorder<S> {
             .join(format!("incident-{seq:04}-{}.jsonl", trigger.label()));
         match write_jsonl(&path, &balanced) {
             Ok(()) => {
-                self.last_dump_at = Some(at);
+                self.run.last_dump_at = Some(at);
                 self.incidents.push(Incident {
                     seq,
                     trigger,
@@ -553,13 +533,14 @@ impl<S: TraceSink> TraceSink for FlightRecorder<S> {
             tpot_secs,
         } = record.event
         {
-            self.burn.arm(ttft_secs, tpot_secs);
-            self.pinned_targets = Some(record.clone());
+            self.run.burn.arm(ttft_secs, tpot_secs);
+            self.run.pinned_targets = Some(record.clone());
         }
         if let Event::NodeMetricsSnapshot { node, .. } = &record.event {
-            self.pinned_node_metrics.insert(*node, record.clone());
+            self.run.pinned_node_metrics.insert(*node, record.clone());
         }
         self.ring.record(record);
+        self.run.len += 1;
         if let Some(trigger) = self.trigger_for(record) {
             self.triggers += 1;
             if self.dump_allowed(record.at) {
@@ -572,7 +553,9 @@ impl<S: TraceSink> TraceSink for FlightRecorder<S> {
         }
     }
 
+    /// Ends the current run.
     fn flush_sink(&mut self) {
+        self.run = RunState::default();
         if let Some(inner) = &mut self.inner {
             inner.flush_sink();
         }
@@ -652,6 +635,22 @@ mod tests {
         }
     }
 
+    fn fault() -> Event {
+        Event::FaultInjected {
+            kind: "BeSurge".to_string(),
+            detail: "x3".to_string(),
+        }
+    }
+
+    fn node_down(node: usize) -> Event {
+        Event::NodeHealthTransition {
+            node,
+            from: NodeHealth::Suspect,
+            to: NodeHealth::Down,
+            reason: "3 missed heartbeats".to_string(),
+        }
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("aum-flight-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -673,7 +672,7 @@ mod tests {
     #[test]
     fn fault_trigger_dumps_a_window_that_round_trips() {
         let dir = temp_dir("fault");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         fr.record(&rec(
             0.0,
             Event::SloTargets {
@@ -684,13 +683,7 @@ mod tests {
         for i in 0..50u64 {
             fr.record(&rec(i as f64, finished(i, 0.2)));
         }
-        fr.record(&rec(
-            50.0,
-            Event::FaultInjected {
-                kind: "BandwidthDegrade".to_string(),
-                detail: "frac 0.60".to_string(),
-            },
-        ));
+        fr.record(&rec(50.0, fault()));
         assert_eq!(fr.incidents().len(), 1);
         assert!(fr.errors().is_empty());
         let inc = &fr.incidents()[0];
@@ -714,7 +707,7 @@ mod tests {
     #[test]
     fn node_down_transition_triggers_a_dump_and_other_transitions_do_not() {
         let dir = temp_dir("node-down");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         for i in 0..20u64 {
             fr.record(&rec(i as f64, finished(i, 0.2)));
         }
@@ -729,15 +722,7 @@ mod tests {
             },
         ));
         assert_eq!(fr.incidents().len(), 0);
-        fr.record(&rec(
-            22.0,
-            Event::NodeHealthTransition {
-                node: 1,
-                from: NodeHealth::Suspect,
-                to: NodeHealth::Down,
-                reason: "3 missed heartbeats".to_string(),
-            },
-        ));
+        fr.record(&rec(22.0, node_down(1)));
         assert_eq!(fr.incidents().len(), 1);
         let inc = &fr.incidents()[0];
         assert_eq!(inc.trigger, TriggerKind::NodeDown);
@@ -759,7 +744,7 @@ mod tests {
         use crate::telemetry::MetricsSnapshot;
 
         let dir = temp_dir("node-down-snap");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         let snapshot_for = |at: f64, completed: u64| MetricsSnapshot {
             at: SimTime::from_secs_f64(at),
             counters: Arc::new([("completed".to_string(), completed)].into_iter().collect()),
@@ -786,15 +771,7 @@ mod tests {
         for i in 31..40u64 {
             fr.record(&rec(i as f64, finished(i, 0.2)));
         }
-        fr.record(&rec(
-            40.0,
-            Event::NodeHealthTransition {
-                node: 1,
-                from: NodeHealth::Suspect,
-                to: NodeHealth::Down,
-                reason: "3 missed heartbeats".to_string(),
-            },
-        ));
+        fr.record(&rec(40.0, node_down(1)));
         assert_eq!(fr.incidents().len(), 1);
         let text = std::fs::read_to_string(&fr.incidents()[0].path).expect("read dump");
         let parsed = parse_jsonl(&text).expect("dump parses");
@@ -816,7 +793,7 @@ mod tests {
     #[test]
     fn dumps_are_span_balanced_for_strict_consumers() {
         let dir = temp_dir("spans");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         let track: Arc<str> = "aum/test".into();
         let outer = SpanId::derive(SpanKind::ControllerInterval, 1).0;
         let inner = SpanId::derive(SpanKind::ControllerInterval, 2).0;
@@ -884,28 +861,47 @@ mod tests {
     }
 
     #[test]
-    fn cooldown_suppresses_but_clock_restart_rearms() {
+    fn cooldown_suppresses_within_a_run_and_rearms_at_each_flush() {
         let dir = temp_dir("cooldown");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
-        let fault = || Event::FaultInjected {
-            kind: "BeSurge".to_string(),
-            detail: "x3".to_string(),
-        };
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         fr.record(&rec(30.0, fault()));
         fr.record(&rec(31.0, fault())); // within 10 s cooldown → suppressed
         assert_eq!(fr.incidents().len(), 1);
         assert_eq!(fr.stats().triggers, 2);
         fr.record(&rec(45.0, fault())); // past cooldown → dumps
         assert_eq!(fr.incidents().len(), 2);
-        fr.record(&rec(2.0, fault())); // clock restart (next cell) → dumps
-        assert_eq!(fr.incidents().len(), 3);
+        // Two more runs, each losing a node at t=32 s: neither run's
+        // trigger falls in another run's cooldown.
+        for _ in 0..2 {
+            fr.flush_sink();
+            fr.record(&rec(32.0, node_down(0)));
+        }
+        assert_eq!(fr.incidents().len(), 4);
+        assert_eq!(fr.incidents()[3].trigger, TriggerKind::NodeDown);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dump_holds_only_the_current_runs_records() {
+        let dir = temp_dir("runs");
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
+        // Run 1 ends at t=1.5 s, and run 2 restarts the clock.
+        (0..4).for_each(|i| fr.record(&rec(f64::from(i) * 0.5, finished(0, 0.2))));
+        fr.flush_sink();
+        (0..10).for_each(|i| fr.record(&rec(f64::from(i), finished(1, 0.2))));
+        fr.record(&rec(10.0, fault()));
+        let text = std::fs::read_to_string(&fr.incidents()[0].path).expect("read dump");
+        let dump = parse_jsonl(&text).expect("dump parses");
+        let run_1 = |r: &TraceRecord| matches!(r.event, Event::RequestFinished { id: 0, .. });
+        assert_eq!(dump.len(), 11, "run 2's ten requests and its fault");
+        assert!(!dump.iter().any(run_1), "no record of run 1");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn burn_page_fires_on_sustained_dual_window_breach() {
         let dir = temp_dir("burn");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         fr.record(&rec(
             0.0,
             Event::SloTargets {
@@ -929,7 +925,7 @@ mod tests {
         assert_eq!(fr.incidents()[0].trigger, TriggerKind::SloBurnPage);
         // Healthy traffic never pages.
         let dir2 = temp_dir("burn-ok");
-        let mut ok = FlightRecorder::new(FlightConfig::new(&dir2));
+        let mut ok = FlightRecorder::with_inner(FlightConfig::new(&dir2), NullSink);
         ok.record(&rec(
             0.0,
             Event::SloTargets {
@@ -949,7 +945,7 @@ mod tests {
     #[test]
     fn attrib_near_miss_triggers_inside_the_band() {
         let dir = temp_dir("attrib");
-        let mut fr = FlightRecorder::new(FlightConfig::new(&dir));
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         let sample = |err: f64| {
             let dt = 0.5;
             let mut time = attrib::CauseVec::zero();

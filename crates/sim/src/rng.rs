@@ -74,16 +74,6 @@ impl DetRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Uniform integer draw in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn next_index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "next_index requires n > 0");
-        self.inner.gen_range(0..n)
-    }
-
     /// Exponentially distributed draw with the given mean (inter-arrival
     /// sampling for Poisson processes).
     ///

@@ -554,13 +554,14 @@ impl Drop for JsonlSink {
 /// The instrumented stack simulates one component at a time over each
 /// control interval, so raw emission order interleaves overlapping time
 /// windows — e.g. a decode iteration that completes just past an interval
-/// boundary is emitted before the next interval's platform events. Wrapping
-/// a file-backed sink in `OrderingSink` yields a stream that is monotonic
-/// in sim time within each flushed segment. The experiment harness flushes
-/// once per run, and [`crate::exec::sweep_traced`] flushes after each
-/// cell's records, so every run is one sorted segment: a single-run trace
-/// is globally monotonic, and a multi-run trace restarts its clock only
-/// where a new run begins.
+/// boundary is emitted before the next interval's platform events. An
+/// `OrderingSink` forwards a stream that is monotonic in sim time within
+/// each flushed segment. The experiment harness flushes once per run, and
+/// [`crate::exec::sweep_traced`] flushes after each cell's records, so
+/// every run is one sorted segment, and a multi-run trace restarts its
+/// clock only where a new run begins ([`runs`]). `repro` installs it as
+/// the **outermost** sink, the only code that sees emission order: every
+/// sink behind it, the flight recorder included, reads each run whole.
 ///
 /// **Stability guarantee**: records with equal [`SimTime`] are forwarded in
 /// emission order. The flush sorts `(at, index)` keys, where the index is
@@ -624,6 +625,14 @@ impl<S: TraceSink> Drop for OrderingSink<S> {
     fn drop(&mut self) {
         self.forward();
     }
+}
+
+/// Splits a trace into its runs, in order: each run is one time-sorted
+/// segment ([`OrderingSink`]) that restarts the sim clock, so a run ends
+/// where the clock goes back. A run that ends no later than the next one
+/// starts (a lone record at t=0) reads as part of it.
+pub fn runs(records: &[TraceRecord]) -> impl Iterator<Item = &[TraceRecord]> {
+    records.chunk_by(|a, b| a.at <= b.at)
 }
 
 /// A malformed line in a JSONL trace, with its 1-based line number.

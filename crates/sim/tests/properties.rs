@@ -493,3 +493,38 @@ proptest! {
         prop_assert_eq!(sink.inner().records(), &expected[..]);
     }
 }
+
+proptest! {
+    /// `telemetry::runs` splits a trace where the clock goes back: sorted
+    /// runs that each start at t=0 and end later, concatenated, split back
+    /// into exactly those runs.
+    #[test]
+    fn runs_split_concatenated_sorted_runs_back_apart(
+        shapes in prop::collection::vec(
+            (prop::collection::vec(0u64..1_000, 0..30), 1_000u64..2_000),
+            0..8,
+        ),
+    ) {
+        use aum_sim::telemetry::{runs, Event, TraceRecord};
+
+        let built: Vec<Vec<TraceRecord>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, (inner, end))| {
+                let mut times = inner.clone();
+                times.sort_unstable();
+                std::iter::once(0)
+                    .chain(times)
+                    .chain([*end])
+                    .map(|ms| TraceRecord {
+                        at: SimTime::from_millis(ms),
+                        event: Event::RequestAdmitted { id: i as u64, input_len: 16, output_len: 4 },
+                    })
+                    .collect()
+            })
+            .collect();
+        let trace: Vec<TraceRecord> = built.concat();
+        let split: Vec<Vec<TraceRecord>> = runs(&trace).map(<[TraceRecord]>::to_vec).collect();
+        prop_assert_eq!(split, built);
+    }
+}
