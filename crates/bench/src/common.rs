@@ -431,7 +431,7 @@ pub fn platform_scaled_rate(spec: &PlatformSpec, scenario: Scenario) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aum_sim::telemetry::{MemorySink, OrderingSink};
+    use aum_sim::telemetry::{MemorySink, OrderingSink, TraceRecord};
 
     /// A 30 s GenA cell, short enough for a debug-build test.
     fn cell(scheme: Scheme, scenario: Scenario, be: BeKind) -> Cell {
@@ -462,7 +462,7 @@ mod tests {
         sink.inner()
             .records()
             .iter()
-            .map(|r| serde_json::to_string(r).expect("record serializes"))
+            .map(TraceRecord::to_jsonl)
             .collect()
     }
 

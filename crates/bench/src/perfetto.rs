@@ -202,7 +202,7 @@ mod tests {
                 parent: parent.map(|p| p.0),
                 kind,
                 track: "run".into(),
-                label: format!("{} {}", kind.label(), id.payload()),
+                label: Some(format!("{} {}", kind.label(), id.payload())),
             },
         )
     }
@@ -317,7 +317,7 @@ mod tests {
                         parent: None,
                         kind,
                         track: track.into(),
-                        label: label.to_string(),
+                        label: Some(label.to_string()),
                     },
                 ),
                 rec(
@@ -392,7 +392,7 @@ mod tests {
                     parent: None,
                     kind: SpanKind::FaultWindow,
                     track: "t\"q\"\\w".into(),
-                    label: "line\nbreak".to_string(),
+                    label: Some("line\nbreak".to_string()),
                 },
             ),
             rec(

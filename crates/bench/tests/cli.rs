@@ -223,7 +223,7 @@ fn trace_tools_reject_unreadable_malformed_and_empty_traces() {
             track: "cell".into(),
         },
     };
-    let line = serde_json::to_string(&record).expect("record serializes");
+    let line = record.to_jsonl();
     std::fs::write(dir.join("bad.jsonl"), format!("{line}\n{{\"at\":\n")).expect("write");
     std::fs::write(dir.join("empty.jsonl"), "").expect("write");
     let tools = |file: &'static str| -> [Vec<&'static str>; 3] {

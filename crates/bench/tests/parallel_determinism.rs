@@ -19,7 +19,7 @@ use aum_llm::traces::Scenario;
 use aum_platform::spec::PlatformSpec;
 use aum_sim::exec;
 use aum_sim::flight::{FlightConfig, FlightRecorder};
-use aum_sim::telemetry::{MemorySink, OrderingSink, Tracer};
+use aum_sim::telemetry::{MemorySink, OrderingSink, TraceRecord, Tracer};
 use aum_sim::time::SimDuration;
 use aum_workloads::be::BeKind;
 
@@ -46,7 +46,7 @@ fn with_captured_trace<R>(f: impl FnOnce(&RunCtx) -> R) -> (R, Vec<String>) {
         .inner()
         .records()
         .iter()
-        .map(|r| serde_json::to_string(r).expect("record serializes"))
+        .map(TraceRecord::to_jsonl)
         .collect();
     (result, lines)
 }
@@ -276,7 +276,7 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
         let ring: Vec<String> = recorder
             .ring()
             .records()
-            .map(|r| serde_json::to_string(r).expect("record serializes"))
+            .map(TraceRecord::to_jsonl)
             .collect();
         let dumps: Vec<(String, String)> = recorder
             .incidents()

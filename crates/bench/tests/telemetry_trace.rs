@@ -83,12 +83,9 @@ fn short_colocation_trace_is_consistent_and_lossless() {
     }
 
     // Lossless round-trip: serialize the parsed records again and compare.
-    let rewritten: String = records
-        .iter()
-        .map(|r| serde_json::to_string(r).expect("serialize") + "\n")
-        .collect();
+    let rewritten: String = records.iter().map(|r| r.to_jsonl() + "\n").collect();
     let reparsed = parse_jsonl(&rewritten).expect("re-serialized trace parses");
-    assert_eq!(records, reparsed, "serde round-trip must be lossless");
+    assert_eq!(records, reparsed, "the JSONL round trip must be lossless");
 
     // The registry is snapshotted once, at the end of the run, and agrees
     // exactly with the outcome's own accounting.

@@ -22,7 +22,7 @@ fn open(id: u64, parent: Option<u64>, kind: SpanKind, label: &str, t: f64) -> Tr
             parent,
             kind,
             track: "cell".into(),
-            label: label.to_string(),
+            label: Some(label.to_string()),
         },
     }
 }
@@ -57,7 +57,7 @@ fn span_trace() -> Vec<TraceRecord> {
 fn to_jsonl(records: &[TraceRecord]) -> String {
     records
         .iter()
-        .map(|r| serde_json::to_string(r).expect("record serializes"))
+        .map(TraceRecord::to_jsonl)
         .collect::<Vec<_>>()
         .join("\n")
 }

@@ -512,7 +512,7 @@ impl FaultPlane<'_, FaultEvent> {
                     parent: None,
                     kind: SpanKind::FaultWindow,
                     track: track.clone(),
-                    label: format!("fault {kind}"),
+                    label: Some(format!("fault {kind}")),
                 });
             } else {
                 tracer.emit(now, || Event::FaultRecovered {

@@ -729,7 +729,7 @@ impl<'a> Fleet<'a> {
             parent: None,
             kind: SpanKind::FleetEpoch,
             track: self.track.clone(),
-            label: format!("epoch {e}"),
+            label: None,
         });
         self.tracer.emit(self.at_of(e + 1), || Event::SpanClose {
             id,
@@ -789,7 +789,7 @@ impl<'a> Fleet<'a> {
                     parent: None,
                     kind: SpanKind::NodeHealthEpisode,
                     track: node.track.clone(),
-                    label: format!("{next:?}"),
+                    label: Some(format!("{next:?}")),
                 });
             }
             // Snapshot unconditionally (registry state must not depend on
@@ -988,7 +988,7 @@ impl<'a> Fleet<'a> {
             parent: None,
             kind: SpanKind::RedispatchHop,
             track: node.track.clone(),
-            label: format!("batch r{ready_epoch}a{} x{count}", attempt + 1),
+            label: Some(format!("batch r{ready_epoch}a{} x{count}", attempt + 1)),
         });
         self.tracer.emit(close, || Event::SpanClose {
             id,

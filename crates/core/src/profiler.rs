@@ -418,7 +418,7 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
             parent: None,
             kind: aum_sim::span::SpanKind::ProfilerCell,
             track: span_track.clone(),
-            label: format!("cell d{div_idx} c{cfg_idx}"),
+            label: Some(format!("cell d{div_idx} c{cfg_idx}")),
         });
         let decision = Decision {
             division,

@@ -292,7 +292,7 @@ impl LlmEngine {
                         parent: None,
                         kind: SpanKind::RequestLifecycle,
                         track,
-                        label: format!("req {}", r.id.0),
+                        label: None,
                     });
                     self.open_request_spans.insert(r.id.0);
                 }
@@ -402,7 +402,7 @@ impl LlmEngine {
             parent,
             kind,
             track,
-            label: format!("{} {step}", kind.label()),
+            label: None,
         });
         let track = self.span_track.clone();
         self.tracer.emit(end, || Event::SpanClose {

@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use std::sync::{MutexGuard, PoisonError};
 
-    use crate::telemetry::{Event, MemorySink, Tracer};
+    use crate::telemetry::{Event, MemorySink, TraceRecord, Tracer};
     use crate::time::SimTime;
 
     /// Held by every test that runs a sweep or sets the worker count: both
@@ -423,7 +423,7 @@ mod tests {
                 .expect("sink lock")
                 .records()
                 .iter()
-                .map(|r| serde_json::to_string(r).expect("serialize"))
+                .map(TraceRecord::to_jsonl)
                 .collect();
             lines
         };

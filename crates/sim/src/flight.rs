@@ -26,14 +26,14 @@
 //!   pins and burn tracker. `repro` puts a
 //!   [`crate::telemetry::OrderingSink`] outside the recorder, so a run
 //!   arrives whole, in time order, when it ends (and so do its dumps).
-//! - Dumps are **span-balanced**: a window sliced out of the stream would
-//!   contain closes whose opens fell outside it (and vice versa), which
-//!   the strict `trace-export --perfetto` path rejects. The dumper drops
-//!   orphan closes and synthesizes closes at the dump end for spans still
-//!   open, and pins the run's [`Event::SloTargets`] preamble so the
-//!   incident file is self-contained for burn-rate analysis. The result is
-//!   consumable by `repro trace-summary` and `repro trace-export
-//!   --perfetto` unchanged.
+//! - Dumps are **span-balanced**: a window of the stream would contain
+//!   closes whose opens fell outside it (and vice versa), which the strict
+//!   `trace-export --perfetto` path rejects. The dumper drops orphan
+//!   closes and synthesizes closes at the dump end for spans still open,
+//!   and pins the run's [`Event::SloTargets`] preamble so the incident
+//!   file is self-contained for burn-rate analysis. It writes in one pass
+//!   over the ring, copying no record. The result is consumable by `repro
+//!   trace-summary` and `repro trace-export --perfetto` unchanged.
 //!
 //! The recorder can optionally forward every record to an inner sink
 //! (e.g. a [`crate::telemetry::JsonlSink`] when full tracing is also
@@ -361,6 +361,8 @@ pub struct FlightRecorder<S: TraceSink = NullSink> {
     incidents: Vec<Incident>,
     errors: Vec<String>,
     inner: Option<S>,
+    /// The line a dump is writing, reused from record to record.
+    line: String,
 }
 
 impl<S: TraceSink> FlightRecorder<S> {
@@ -381,6 +383,7 @@ impl<S: TraceSink> FlightRecorder<S> {
             incidents: Vec::new(),
             errors: Vec::new(),
             inner,
+            line: String::new(),
         }
     }
 
@@ -462,60 +465,50 @@ impl<S: TraceSink> FlightRecorder<S> {
                 .is_none_or(|last| at.saturating_since(last) >= COOLDOWN)
     }
 
-    /// The current run's records within [`WINDOW`] before `at`, oldest
-    /// first.
-    fn window_slice(&self, at: SimTime) -> Vec<TraceRecord> {
-        let run = self.ring.buf.iter().rev().take(self.run.len);
-        let mut slice: Vec<TraceRecord> = run
-            .take_while(|r| at.saturating_since(r.at) <= WINDOW)
-            .cloned()
-            .collect();
-        slice.reverse();
-        slice
-    }
-
+    /// Writes an incident file straight from the ring: the pins, then
+    /// the current run's records within [`WINDOW`] before `at`, then closes
+    /// for the spans still open (see [`write_dump`]). The triggering record
+    /// is the newest in the ring, so no window is empty.
     fn dump(&mut self, trigger: TriggerKind, at: SimTime, node: Option<usize>) {
-        let mut slice = self.window_slice(at);
-        // Pin the offending node's latest metric snapshot so a `node-down`
-        // incident carries the node's counters even when the snapshot aged
-        // out of the window.
-        if let Some(node) = node {
-            if let Some(pinned) = self.run.pinned_node_metrics.get(&node) {
-                if !slice.iter().any(|r| {
-                    matches!(&r.event, Event::NodeMetricsSnapshot { node: n, .. } if *n == node)
-                }) {
-                    slice.insert(0, pinned.clone());
-                }
-            }
-        }
-        // Pin the run's SLO targets so the incident is self-contained for
-        // burn-rate analysis even when the preamble aged out of the window.
-        if let Some(pinned) = &self.run.pinned_targets {
-            if !slice
-                .iter()
+        let ring = &self.ring.buf;
+        let in_window = ring
+            .iter()
+            .rev()
+            .take(self.run.len)
+            .take_while(|r| at.saturating_since(r.at) <= WINDOW)
+            .count();
+        let window = ring.range(ring.len() - in_window..);
+        // Pin the run's SLO targets, so the incident is self-contained for
+        // burn-rate analysis, and for a `node-down` the node's latest metric
+        // snapshot, so it carries the node's counters: each only when the
+        // window does not hold one already.
+        let targets = self.run.pinned_targets.as_ref().filter(|_| {
+            !window
+                .clone()
                 .any(|r| matches!(r.event, Event::SloTargets { .. }))
-            {
-                slice.insert(0, pinned.clone());
-            }
-        }
-        let balanced = balance_spans(slice, at);
-        if balanced.is_empty() {
-            return;
-        }
+        });
+        let snapshot = node.and_then(|node| {
+            self.run.pinned_node_metrics.get(&node).filter(|_| {
+                !window.clone().any(|r| {
+                    matches!(&r.event, Event::NodeMetricsSnapshot { node: n, .. } if *n == node)
+                })
+            })
+        });
+        let records = targets.into_iter().chain(snapshot).chain(window);
         let seq = self.incidents.len() + 1;
         let path = self
             .cfg
             .dir
             .join(format!("incident-{seq:04}-{}.jsonl", trigger.label()));
-        match write_jsonl(&path, &balanced) {
-            Ok(()) => {
+        match write_dump(&path, records, at, &mut self.line) {
+            Ok(events) => {
                 self.run.last_dump_at = Some(at);
                 self.incidents.push(Incident {
                     seq,
                     trigger,
                     at,
                     path,
-                    events: balanced.len(),
+                    events,
                 });
             }
             Err(e) => self.errors.push(format!("{}: {e}", path.display())),
@@ -562,55 +555,61 @@ impl<S: TraceSink> TraceSink for FlightRecorder<S> {
     }
 }
 
-/// Makes a window slice span-balanced: closes whose opens fell outside
-/// the window are dropped, and spans still open at the end get a
-/// synthesized close at `end` in LIFO order — exactly the shape
-/// [`crate::span::collect_spans`] and the Perfetto exporter require.
-/// Unresolved *parents* need no fixup: `collect_spans` degrades those
-/// spans to roots by design.
-fn balance_spans(records: Vec<TraceRecord>, end: SimTime) -> Vec<TraceRecord> {
-    let mut open: Vec<(Arc<str>, u64, SpanKind)> = Vec::new();
-    let mut kept: Vec<TraceRecord> = Vec::with_capacity(records.len());
-    for r in records {
-        match &r.event {
-            Event::SpanOpen {
-                id, kind, track, ..
-            } => {
-                open.push((track.clone(), *id, *kind));
-                kept.push(r);
-            }
-            Event::SpanClose { id, track, .. } => {
-                // Drop orphan closes whose open predates the window.
-                if let Some(pos) = open.iter().rposition(|(t, i, _)| t == track && *i == *id) {
-                    open.remove(pos);
-                    kept.push(r);
-                }
-            }
-            _ => kept.push(r),
-        }
-    }
-    for (track, id, kind) in open.into_iter().rev() {
-        kept.push(TraceRecord {
-            at: end,
-            event: Event::SpanClose { id, kind, track },
-        });
-    }
-    kept
-}
-
-/// Writes `records` as one JSON object per line, creating the parent
-/// directory on demand.
-fn write_jsonl(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
+/// Writes `records` to `path` as JSON Lines, creating the parent
+/// directory on demand, and returns the number of lines. The dump is
+/// span-balanced, the shape [`crate::span::collect_spans`] and the Perfetto
+/// exporter require: a close whose open is not among the records before it
+/// is dropped, and each span still open at the end gets a close at `end`,
+/// innermost first. Unresolved *parents* need no fixup: `collect_spans`
+/// degrades those spans to roots by design.
+fn write_dump<'a>(
+    path: &Path,
+    records: impl Iterator<Item = &'a TraceRecord>,
+    end: SimTime,
+    line: &mut String,
+) -> std::io::Result<usize> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let mut out = BufWriter::new(File::create(path)?);
+    let mut lines = 0;
+    let mut write = |record: &TraceRecord| {
+        line.clear();
+        record.write_jsonl(line);
+        line.push('\n');
+        lines += 1;
+        out.write_all(line.as_bytes())
+    };
+    let mut open: Vec<(&Arc<str>, u64, SpanKind)> = Vec::new();
     for r in records {
-        let line = serde_json::to_string(r).expect("trace records always serialize");
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+        match &r.event {
+            Event::SpanOpen {
+                id, kind, track, ..
+            } => open.push((track, *id, *kind)),
+            Event::SpanClose { id, track, .. } => {
+                match open.iter().rposition(|&(t, i, _)| t == track && i == *id) {
+                    Some(pos) => {
+                        open.remove(pos);
+                    }
+                    None => continue,
+                }
+            }
+            _ => {}
+        }
+        write(r)?;
     }
-    out.flush()
+    for (track, id, kind) in open.into_iter().rev() {
+        write(&TraceRecord {
+            at: end,
+            event: Event::SpanClose {
+                id,
+                kind,
+                track: track.clone(),
+            },
+        })?;
+    }
+    out.flush()?;
+    Ok(lines)
 }
 
 #[cfg(test)]
@@ -807,7 +806,7 @@ mod tests {
                 parent: None,
                 kind: SpanKind::ControllerInterval,
                 track: track.clone(),
-                label: "interval 0".to_string(),
+                label: None,
             },
         ));
         fr.record(&rec(
@@ -827,7 +826,7 @@ mod tests {
                 parent: None,
                 kind: SpanKind::ControllerInterval,
                 track: track.clone(),
-                label: "interval 1".to_string(),
+                label: None,
             },
         ));
         fr.record(&rec(
@@ -837,7 +836,7 @@ mod tests {
                 parent: Some(outer),
                 kind: SpanKind::ControllerInterval,
                 track: track.clone(),
-                label: "interval 2".to_string(),
+                label: None,
             },
         ));
         fr.record(&rec(
@@ -857,6 +856,88 @@ mod tests {
             .filter(|r| matches!(r.event, Event::SpanClose { .. }))
             .count();
         assert_eq!(closes, 2, "orphan close dropped, two synthesized");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dump_that_opens_mid_span_is_pinned_and_balanced() {
+        use crate::telemetry::MetricsSnapshot;
+
+        let dir = temp_dir("mid-span");
+        let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
+        let track: Arc<str> = "aum/t".into();
+        let open = |kind, payload, parent: Option<u64>, label: Option<&str>| Event::SpanOpen {
+            id: SpanId::derive(kind, payload).0,
+            parent,
+            kind,
+            track: track.clone(),
+            label: label.map(str::to_string),
+        };
+        let close = |kind, payload| Event::SpanClose {
+            id: SpanId::derive(kind, payload).0,
+            kind,
+            track: track.clone(),
+        };
+        let interval = |n| SpanId::derive(SpanKind::ControllerInterval, n).0;
+        let records = [
+            (
+                0.0,
+                Event::SloTargets {
+                    ttft_secs: 3.0,
+                    tpot_secs: 0.12,
+                },
+            ),
+            (1.0, open(SpanKind::ControllerInterval, 0, None, None)),
+            (
+                5.0,
+                Event::NodeMetricsSnapshot {
+                    node: 1,
+                    label: "node1/GenB".to_string(),
+                    snapshot: MetricsSnapshot {
+                        at: SimTime::from_secs(5),
+                        counters: Arc::new([("completed".to_string(), 3)].into_iter().collect()),
+                        gauges: Arc::default(),
+                    },
+                },
+            ),
+            (9.5, finished(1, 0.2)),
+            // The window of the trigger at t=40 starts here.
+            (10.0, finished(2, 0.2)),
+            (31.0, open(SpanKind::ControllerInterval, 1, None, None)),
+            (
+                32.0,
+                open(SpanKind::FaultWindow, 0, None, Some("fault BeSurge")),
+            ),
+            (
+                33.0,
+                open(SpanKind::RequestLifecycle, 7, Some(interval(1)), None),
+            ),
+            (34.0, close(SpanKind::RequestLifecycle, 7)),
+            (35.0, close(SpanKind::ControllerInterval, 0)),
+            (36.0, open(SpanKind::Prefill, 2, None, None)),
+            (40.0, node_down(1)),
+        ];
+        for (at, event) in records {
+            fr.record(&rec(at, event));
+        }
+        let inc = &fr.incidents()[0];
+        let text = std::fs::read_to_string(&inc.path).expect("read dump");
+        let expected = [
+            r#"{"at":0,"event":{"SloTargets":{"ttft_secs":3.0,"tpot_secs":0.12}}}"#,
+            r#"{"at":5000000000,"event":{"NodeMetricsSnapshot":{"node":1,"label":"node1/GenB","snapshot":{"at":5000000000,"counters":{"completed":3},"gauges":{}}}}}"#,
+            r#"{"at":10000000000,"event":{"RequestFinished":{"id":2,"generated":10,"mean_tpot_secs":0.05,"ttft_secs":0.2}}}"#,
+            r#"{"at":31000000000,"event":{"SpanOpen":{"id":288230376151711745,"parent":null,"kind":"ControllerInterval","track":"aum/t","label":"interval 1"}}}"#,
+            r#"{"at":32000000000,"event":{"SpanOpen":{"id":432345564227567616,"parent":null,"kind":"FaultWindow","track":"aum/t","label":"fault BeSurge"}}}"#,
+            r#"{"at":33000000000,"event":{"SpanOpen":{"id":72057594037927943,"parent":288230376151711745,"kind":"RequestLifecycle","track":"aum/t","label":"req 7"}}}"#,
+            r#"{"at":34000000000,"event":{"SpanClose":{"id":72057594037927943,"kind":"RequestLifecycle","track":"aum/t"}}}"#,
+            r#"{"at":36000000000,"event":{"SpanOpen":{"id":144115188075855874,"parent":null,"kind":"Prefill","track":"aum/t","label":"prefill 2"}}}"#,
+            r#"{"at":40000000000,"event":{"NodeHealthTransition":{"node":1,"from":"Suspect","to":"Down","reason":"3 missed heartbeats"}}}"#,
+            r#"{"at":40000000000,"event":{"SpanClose":{"id":144115188075855874,"kind":"Prefill","track":"aum/t"}}}"#,
+            r#"{"at":40000000000,"event":{"SpanClose":{"id":432345564227567616,"kind":"FaultWindow","track":"aum/t"}}}"#,
+            r#"{"at":40000000000,"event":{"SpanClose":{"id":288230376151711745,"kind":"ControllerInterval","track":"aum/t"}}}"#,
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert_eq!(inc.events, expected.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

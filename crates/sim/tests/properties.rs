@@ -528,3 +528,246 @@ proptest! {
         prop_assert_eq!(split, built);
     }
 }
+
+/// Draws trace records of every `Event` variant: random ids and times,
+/// text that needs escaping, integral, tiny and huge floats, counted spans
+/// with derived labels, and, unless `finite`, NaN and infinities.
+struct AnyRecord {
+    finite: bool,
+}
+
+impl Strategy for AnyRecord {
+    type Value = aum_sim::telemetry::TraceRecord;
+
+    fn sample(&self, rng: &mut proptest::test_runner::TestRng) -> Self::Value {
+        use aum_sim::attrib::{Cause, CauseVec, Region};
+        use aum_sim::span::{SpanId, SpanKind};
+        use aum_sim::telemetry::{
+            DecisionKind, Event, MetricsSnapshot, NodeHealth, PhaseKind, RegionClass,
+            ResilienceMode, SlackVerdict, SloMetric, TraceRecord,
+        };
+        use proptest::test_runner::TestRng;
+        use std::sync::Arc;
+
+        fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+            items[rng.index(items.len())]
+        }
+        fn float(rng: &mut TestRng, finite: bool) -> f64 {
+            match rng.index(6) {
+                0 => rng.index(1000) as f64,
+                1 => (rng.unit_f64() - 0.5) * 1e-9,
+                2 => (rng.unit_f64() - 0.5) * 1e300,
+                3 if !finite => pick(rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+                _ => (rng.unit_f64() - 0.5) * 1e4,
+            }
+        }
+        // No digits, so no text equals a counted span's derived label.
+        fn text(rng: &mut TestRng) -> String {
+            let chars = [
+                'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{7f}', 'é', '→',
+            ];
+            (0..rng.index(12)).map(|_| pick(rng, &chars)).collect()
+        }
+        let n = |rng: &mut TestRng| rng.next_u64() >> rng.index(64);
+        let f = |rng: &mut TestRng| float(rng, self.finite);
+        let causes = |rng: &mut TestRng| {
+            let mut v = CauseVec::zero();
+            Cause::ALL.iter().for_each(|&c| v.add(c, f(rng)));
+            v
+        };
+        let regions = [RegionClass::High, RegionClass::Low, RegionClass::None];
+        let modes = [
+            ResilienceMode::Normal,
+            ResilienceMode::Degraded,
+            ResilienceMode::SafeMode,
+            ResilienceMode::Recovering,
+        ];
+        let health = [
+            NodeHealth::Healthy,
+            NodeHealth::Suspect,
+            NodeHealth::Down,
+            NodeHealth::Draining,
+            NodeHealth::Recovering,
+        ];
+        let event = match rng.index(24) {
+            0 => Event::RequestAdmitted {
+                id: n(rng),
+                input_len: n(rng) as usize,
+                output_len: n(rng) as usize,
+            },
+            1 => Event::RequestFinished {
+                id: n(rng),
+                generated: n(rng) as usize,
+                mean_tpot_secs: f(rng),
+                ttft_secs: f(rng),
+            },
+            2 => Event::IterationCompleted {
+                phase: pick(rng, &[PhaseKind::Prefill, PhaseKind::Decode]),
+                batch: n(rng) as usize,
+                tokens: n(rng) as usize,
+                duration_secs: f(rng),
+            },
+            3 => Event::SloBreach {
+                metric: pick(rng, &[SloMetric::Ttft, SloMetric::Tpot]),
+                observed_secs: f(rng),
+                budget_secs: f(rng),
+            },
+            4 => Event::FreqTransition {
+                region: pick(rng, &regions),
+                from_ghz: f(rng),
+                to_ghz: f(rng),
+            },
+            5 => Event::ThermalThrottle {
+                region: pick(rng, &regions),
+                drop_ghz: f(rng),
+            },
+            6 => Event::RdtReallocation {
+                llc_ways_from: n(rng) as u32,
+                llc_ways_to: n(rng) as u32,
+                l2_ways_from: n(rng) as u32,
+                l2_ways_to: n(rng) as u32,
+                mem_bw_from: f(rng),
+                mem_bw_to: f(rng),
+            },
+            7 => Event::ControllerDecision {
+                kind: pick(
+                    rng,
+                    &[
+                        DecisionKind::Harvest,
+                        DecisionKind::Return,
+                        DecisionKind::Switch,
+                    ],
+                ),
+                action: text(rng),
+                verdict: pick(rng, &[SlackVerdict::Meeting, SlackVerdict::Violating]),
+                lag_secs: f(rng),
+                deviation: f(rng),
+                collision: rng.index(2) == 1,
+                reason: text(rng),
+            },
+            8 => Event::ProfilerProgress {
+                completed: n(rng) as usize,
+                total: n(rng) as usize,
+                division: n(rng) as usize,
+                config: n(rng) as usize,
+            },
+            9 => Event::FaultInjected {
+                kind: text(rng),
+                detail: text(rng),
+            },
+            10 => Event::FaultRecovered { kind: text(rng) },
+            11 => Event::FaultOutsideWindow {
+                kind: text(rng),
+                at_secs: f(rng),
+                duration_secs: f(rng),
+            },
+            12 => Event::SensorRejected {
+                sensor: text(rng),
+                observed: f(rng),
+                substituted: f(rng),
+                reason: text(rng),
+            },
+            13 => Event::SafeModeTransition {
+                from: pick(rng, &modes),
+                to: pick(rng, &modes),
+                reason: text(rng),
+            },
+            14 => Event::AttributionSample {
+                region: pick(rng, &Region::ALL),
+                dt_secs: f(rng),
+                time: causes(rng),
+                energy: causes(rng),
+            },
+            15 => {
+                let kind = pick(rng, &SpanKind::ALL);
+                let id = SpanId::derive(kind, n(rng)).0;
+                Event::SpanOpen {
+                    id,
+                    parent: (rng.index(2) == 1).then(|| n(rng)),
+                    kind,
+                    track: text(rng).into(),
+                    label: (kind.counted_prefix().is_none() || rng.index(2) == 1)
+                        .then(|| text(rng)),
+                }
+            }
+            16 => Event::SpanClose {
+                id: n(rng),
+                kind: pick(rng, &SpanKind::ALL),
+                track: text(rng).into(),
+            },
+            17 => Event::SloTargets {
+                ttft_secs: f(rng),
+                tpot_secs: f(rng),
+            },
+            18 => Event::NodeFault {
+                node: n(rng) as usize,
+                kind: text(rng),
+                detail: text(rng),
+                active: rng.index(2) == 1,
+            },
+            19 => Event::NodeHealthTransition {
+                node: n(rng) as usize,
+                from: pick(rng, &health),
+                to: pick(rng, &health),
+                reason: text(rng),
+            },
+            20 => Event::RequestRedispatch {
+                node: n(rng) as usize,
+                count: n(rng),
+                attempt: n(rng) as u32,
+                backoff_epochs: n(rng) as u32,
+            },
+            21 => Event::LoadShed {
+                class: text(rng),
+                count: n(rng),
+                epoch: n(rng),
+            },
+            22 => Event::NodeMetricsSnapshot {
+                node: n(rng) as usize,
+                label: text(rng),
+                snapshot: MetricsSnapshot {
+                    at: SimTime::from_nanos(n(rng)),
+                    counters: Arc::new((0..rng.index(4)).map(|_| (text(rng), n(rng))).collect()),
+                    gauges: Arc::new((0..rng.index(4)).map(|_| (text(rng), f(rng))).collect()),
+                },
+            },
+            _ => Event::WatchdogStall {
+                intervals: n(rng) as u32,
+                queue_len: n(rng) as usize,
+                detail: text(rng),
+            },
+        };
+        TraceRecord {
+            at: SimTime::from_nanos(n(rng)),
+            event,
+        }
+    }
+}
+
+proptest! {
+    /// Every record's JSONL line reads back to a record that writes the
+    /// same line, non-finite floats (written as `null`) included.
+    #[test]
+    fn jsonl_lines_read_back_to_the_same_line(
+        records in prop::collection::vec(AnyRecord { finite: false }, 1..64),
+    ) {
+        use aum_sim::telemetry::parse_jsonl;
+
+        let lines: Vec<String> = records.iter().map(|r| r.to_jsonl()).collect();
+        let back = parse_jsonl(&lines.join("\n")).expect("every line parses");
+        let relines: Vec<String> = back.iter().map(|r| r.to_jsonl()).collect();
+        prop_assert_eq!(relines, lines);
+    }
+
+    /// A record with finite floats reads back equal, a counted span's
+    /// derived label (`None`) included.
+    #[test]
+    fn finite_records_read_back_equal(
+        records in prop::collection::vec(AnyRecord { finite: true }, 1..64),
+    ) {
+        use aum_sim::telemetry::parse_jsonl;
+
+        let text: String = records.iter().map(|r| r.to_jsonl() + "\n").collect();
+        prop_assert_eq!(parse_jsonl(&text).expect("every line parses"), records);
+    }
+}
