@@ -53,12 +53,30 @@ impl Prices {
     ///
     /// # Panics
     ///
-    /// Panics if a price is not positive and finite.
+    /// Panics if a price is not positive and finite ([`Prices::validate`]).
     #[must_use]
     pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
-        assert!(beta.is_finite() && beta > 0.0, "beta must be positive");
-        Prices { alpha, beta }
+        let prices = Prices { alpha, beta };
+        if let Err(e) = prices.validate() {
+            panic!("{e}");
+        }
+        prices
+    }
+
+    /// Checks that both prices are positive and finite. A JSON `null`
+    /// decodes to NaN, which fails too.
+    ///
+    /// # Errors
+    ///
+    /// The first unusable price, described by name.
+    pub fn validate(&self) -> Result<(), String> {
+        match [("alpha", self.alpha), ("beta", self.beta)]
+            .into_iter()
+            .find(|(_, v)| !(v.is_finite() && *v > 0.0))
+        {
+            Some((field, v)) => Err(format!("{field} must be positive and finite, got {v}")),
+            None => Ok(()),
+        }
     }
 
     /// Price `γ` of one query of the given co-runner.

@@ -320,6 +320,8 @@ fn unusable_model_and_platform_fields_are_config_errors() {
             "\"memory_gb\":8",
             "platform.memory_gb",
         ),
+        ("\"alpha\":1.8", "\"alpha\":null", "prices.alpha"),
+        ("\"beta\":0.2", "\"beta\":-1.0", "prices.beta"),
     ] {
         assert!(json.contains(from), "{from} not in {json}");
         let mut cfg: ExperimentConfig =
