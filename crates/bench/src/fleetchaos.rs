@@ -158,13 +158,19 @@ fn run_scheme(
 }
 
 /// Publishes one completed FAILOVER cell to the live `/metrics` endpoint
-/// (when installed): fleet-level aggregate series plus the per-node
-/// registry snapshots under a `node` label. Wall-clock observability
-/// only — the text never feeds back into the matrix.
+/// (when installed). Wall-clock observability only — the text never
+/// feeds back into the matrix.
 fn publish_live_fleet(scenario: &str, outcome: &FleetOutcome) {
-    let Some(live) = aum_sim::live::installed() else {
-        return;
-    };
+    if let Some(live) = aum_sim::live::installed() {
+        live.publish_exposition(fleet_exposition(scenario, outcome));
+    }
+}
+
+/// One fleet cell's exposition: fleet-level aggregate series under a
+/// `scenario` label plus the per-node registry snapshots under a `node`
+/// label.
+#[must_use]
+pub fn fleet_exposition(scenario: &str, outcome: &FleetOutcome) -> String {
     let mut text = String::new();
     let esc = aum_sim::prom::escape_label_value(scenario);
     let counters: [(&str, &str, u64); 7] = [
@@ -225,7 +231,7 @@ fn publish_live_fleet(scenario: &str, outcome: &FleetOutcome) {
         .map(|m| (m.label.clone(), &m.snapshot))
         .collect();
     text.push_str(&aum_sim::prom::render_node_registries(&series));
-    live.publish_exposition(text);
+    text
 }
 
 /// Runs the node-fault matrix (`ctx.quick` selects the smoke matrix) and
@@ -437,6 +443,115 @@ mod tests {
     use super::*;
     use crate::common::ModelCache;
     use aum::profiler::ProfilerConfig;
+
+    /// A two-node outcome whose second node label holds a quote, a
+    /// backslash and a newline, which the exposition must escape.
+    fn two_node_outcome() -> FleetOutcome {
+        use std::sync::Arc;
+
+        use aum::fleet::NodeMetricsRollup;
+        use aum_sim::hist::LogHistogram;
+        use aum_sim::time::SimTime;
+
+        let node =
+            |label: &str, counters: &[(&str, u64)], gauges: &[(&str, f64)]| NodeMetricsRollup {
+                label: label.to_string(),
+                snapshot: MetricsSnapshot {
+                    at: SimTime::from_secs(120),
+                    counters: Arc::new(counters.iter().map(|&(k, v)| (k.to_string(), v)).collect()),
+                    gauges: Arc::new(gauges.iter().map(|&(k, v)| (k.to_string(), v)).collect()),
+                },
+                latency_proxy: LogHistogram::new(),
+            };
+        FleetOutcome {
+            policy: "failover".to_string(),
+            epochs: 120,
+            offered: 100,
+            dispatched: 110,
+            completed: 90,
+            on_time: 80,
+            redispatched: 12,
+            dropped: 3,
+            shed: 5,
+            attainment: 0.8,
+            node_metrics: vec![
+                node(
+                    "node0/GenA",
+                    &[("assigned", 60), ("completed", 50), ("on_time", 45)],
+                    &[
+                        ("epoch_latency_proxy_secs/p50", 0.25),
+                        ("violation_rate", 0.1),
+                    ],
+                ),
+                node(
+                    "node1/\"Gen\\B\"\n",
+                    &[("assigned", 45), ("completed", 40), ("shed", 5)],
+                    &[("violation_rate", 0.0)],
+                ),
+            ],
+            ..FleetOutcome::default()
+        }
+    }
+
+    /// [`fleet_exposition`] of [`two_node_outcome`], byte for byte: fleet
+    /// aggregates first, then one header per node family and one row per
+    /// node that carries the metric, each node label escaped.
+    const EXPECTED: &str = r##"# HELP aum_fleet_offered_requests New requests offered to the fleet.
+# TYPE aum_fleet_offered_requests counter
+aum_fleet_offered_requests{scenario="node-crash"} 100
+# HELP aum_fleet_dispatched_requests Requests entering dispatch, counting retries.
+# TYPE aum_fleet_dispatched_requests counter
+aum_fleet_dispatched_requests{scenario="node-crash"} 110
+# HELP aum_fleet_completed_requests Requests completed by a live node.
+# TYPE aum_fleet_completed_requests counter
+aum_fleet_completed_requests{scenario="node-crash"} 90
+# HELP aum_fleet_on_time_requests Requests served in capacity on first dispatch.
+# TYPE aum_fleet_on_time_requests counter
+aum_fleet_on_time_requests{scenario="node-crash"} 80
+# HELP aum_fleet_redispatched_requests Stranded requests re-queued with backoff.
+# TYPE aum_fleet_redispatched_requests counter
+aum_fleet_redispatched_requests{scenario="node-crash"} 12
+# HELP aum_fleet_dropped_requests Stranded requests whose retry budget ran out.
+# TYPE aum_fleet_dropped_requests counter
+aum_fleet_dropped_requests{scenario="node-crash"} 3
+# HELP aum_fleet_shed_requests Requests shed by the admission controller.
+# TYPE aum_fleet_shed_requests counter
+aum_fleet_shed_requests{scenario="node-crash"} 5
+# HELP aum_fleet_attainment SLO attainment, on-time / offered.
+# TYPE aum_fleet_attainment gauge
+aum_fleet_attainment{scenario="node-crash"} 0.8
+# HELP aum_node_snapshot_sim_seconds Simulated time of each node's metrics snapshot.
+# TYPE aum_node_snapshot_sim_seconds gauge
+aum_node_snapshot_sim_seconds{node="node0/GenA"} 120
+aum_node_snapshot_sim_seconds{node="node1/\"Gen\\B\"\n"} 120
+# HELP aum_node_assigned Counter `assigned` from the per-node AUM metrics registries.
+# TYPE aum_node_assigned counter
+aum_node_assigned{node="node0/GenA"} 60
+aum_node_assigned{node="node1/\"Gen\\B\"\n"} 45
+# HELP aum_node_completed Counter `completed` from the per-node AUM metrics registries.
+# TYPE aum_node_completed counter
+aum_node_completed{node="node0/GenA"} 50
+aum_node_completed{node="node1/\"Gen\\B\"\n"} 40
+# HELP aum_node_on_time Counter `on_time` from the per-node AUM metrics registries.
+# TYPE aum_node_on_time counter
+aum_node_on_time{node="node0/GenA"} 45
+# HELP aum_node_shed Counter `shed` from the per-node AUM metrics registries.
+# TYPE aum_node_shed counter
+aum_node_shed{node="node1/\"Gen\\B\"\n"} 5
+# HELP aum_node_epoch_latency_proxy_secs_p50 Gauge `epoch_latency_proxy_secs/p50` from the per-node AUM metrics registries.
+# TYPE aum_node_epoch_latency_proxy_secs_p50 gauge
+aum_node_epoch_latency_proxy_secs_p50{node="node0/GenA"} 0.25
+# HELP aum_node_violation_rate Gauge `violation_rate` from the per-node AUM metrics registries.
+# TYPE aum_node_violation_rate gauge
+aum_node_violation_rate{node="node0/GenA"} 0.1
+aum_node_violation_rate{node="node1/\"Gen\\B\"\n"} 0
+"##;
+
+    #[test]
+    fn fleet_exposition_text_is_pinned() {
+        let text = fleet_exposition("node-crash", &two_node_outcome());
+        assert_eq!(text, EXPECTED, "got:\n{text}");
+    }
 
     #[test]
     fn quick_report_is_deterministic_and_healthy() {

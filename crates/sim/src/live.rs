@@ -546,6 +546,120 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<LiveState>) -> io::Result<()> 
 mod tests {
     use super::*;
 
+    /// `render`'s lines with every sample value dropped: headers whole,
+    /// samples as `name{labels}`. The profiler's `aum_selftime_*` and
+    /// `aum_cache_*` families are left out, since the profiler is
+    /// process-global and other tests may enable it.
+    fn skeleton(rendered: &str) -> Vec<String> {
+        rendered
+            .lines()
+            .filter(|l| !l.contains("aum_selftime_") && !l.contains("aum_cache_"))
+            .map(|l| match l.rsplit_once(' ') {
+                Some((name, _)) if !l.starts_with('#') => name.to_string(),
+                _ => l.to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn render_keeps_its_families_in_order() {
+        use crate::hist::LogHistogram;
+        use crate::telemetry::MetricsSnapshot;
+        use crate::time::SimTime;
+
+        let state = LiveState::new();
+        state.set_phase("fig\"14\"");
+        let snapshot = MetricsSnapshot {
+            at: SimTime::from_secs(3),
+            counters: Arc::new([("decode_tokens".to_string(), 9)].into_iter().collect()),
+            gauges: Arc::new([("tpot_secs/p50".to_string(), 0.5)].into_iter().collect()),
+        };
+        let hist: LogHistogram = [0.01, 0.2].into_iter().collect();
+        let mut exposition = crate::prom::render_registry(&snapshot);
+        exposition.push_str(&crate::prom::render_histogram(
+            "aum_ttft_seconds",
+            "TTFT.",
+            &[("scheme", "AUM")],
+            &hist,
+        ));
+        state.publish_exposition(exposition);
+        state.set_flight_source(FlightStats::default);
+        assert_eq!(skeleton(&state.render()), SKELETON);
+    }
+
+    /// The run-health families in order, then a blank line and the
+    /// published exposition.
+    const SKELETON: &[&str] = &[
+        "# HELP aum_up 1 while the harness is running.",
+        "# TYPE aum_up gauge",
+        "aum_up",
+        "# HELP aum_run_wall_seconds Wall-clock seconds since the harness started.",
+        "# TYPE aum_run_wall_seconds gauge",
+        "aum_run_wall_seconds",
+        "# HELP aum_phase_seconds Wall-clock seconds in the current phase.",
+        "# TYPE aum_phase_seconds gauge",
+        "aum_phase_seconds",
+        "# HELP aum_phase_info Current phase as a label.",
+        "# TYPE aum_phase_info gauge",
+        "aum_phase_info{phase=\"fig\\\"14\\\"\"}",
+        "# HELP aum_sweep_cells_total Grid cells scheduled across all sweeps so far.",
+        "# TYPE aum_sweep_cells_total gauge",
+        "aum_sweep_cells_total",
+        "# HELP aum_sweep_cells_completed Grid cells completed across all sweeps so far.",
+        "# TYPE aum_sweep_cells_completed gauge",
+        "aum_sweep_cells_completed",
+        "# HELP aum_exec_busy_seconds Summed per-cell execution time (serial-equivalent work).",
+        "# TYPE aum_exec_busy_seconds gauge",
+        "aum_exec_busy_seconds",
+        "# HELP aum_exec_wall_seconds Summed sweep wall-clock time.",
+        "# TYPE aum_exec_wall_seconds gauge",
+        "aum_exec_wall_seconds",
+        "# HELP aum_exec_claim_seconds Summed worker time claiming cells from the sweep cursor.",
+        "# TYPE aum_exec_claim_seconds gauge",
+        "aum_exec_claim_seconds",
+        "# HELP aum_exec_merge_seconds Summed time merging per-cell traces into the parent tracer.",
+        "# TYPE aum_exec_merge_seconds gauge",
+        "aum_exec_merge_seconds",
+        "# HELP aum_exec_idle_seconds Summed pool-worker wall time not spent computing or claiming.",
+        "# TYPE aum_exec_idle_seconds gauge",
+        "aum_exec_idle_seconds",
+        "# HELP aum_exec_speedup Observed sweep speedup (busy over wall) of the current phase.",
+        "# TYPE aum_exec_speedup gauge",
+        "aum_exec_speedup",
+        "# HELP aum_flight_occupancy Records currently buffered in the flight-recorder ring.",
+        "# TYPE aum_flight_occupancy gauge",
+        "aum_flight_occupancy",
+        "# HELP aum_flight_capacity Flight-recorder ring retention limit.",
+        "# TYPE aum_flight_capacity gauge",
+        "aum_flight_capacity",
+        "# HELP aum_flight_evicted_total Records evicted from the flight-recorder ring.",
+        "# TYPE aum_flight_evicted_total gauge",
+        "aum_flight_evicted_total",
+        "# HELP aum_flight_triggers_total Flight-recorder trigger firings (including suppressed).",
+        "# TYPE aum_flight_triggers_total gauge",
+        "aum_flight_triggers_total",
+        "# HELP aum_flight_incidents_total Incident files written by the flight recorder.",
+        "# TYPE aum_flight_incidents_total gauge",
+        "aum_flight_incidents_total",
+        "",
+        "# HELP aum_snapshot_sim_seconds Simulated time of this metrics snapshot.",
+        "# TYPE aum_snapshot_sim_seconds gauge",
+        "aum_snapshot_sim_seconds",
+        "# HELP decode_tokens Counter `decode_tokens` from the AUM metrics registry.",
+        "# TYPE decode_tokens counter",
+        "decode_tokens",
+        "# HELP tpot_secs_p50 Gauge `tpot_secs/p50` from the AUM metrics registry.",
+        "# TYPE tpot_secs_p50 gauge",
+        "tpot_secs_p50",
+        "# HELP aum_ttft_seconds TTFT.",
+        "# TYPE aum_ttft_seconds histogram",
+        "aum_ttft_seconds_bucket{scheme=\"AUM\",le=\"0.010009765625\"}",
+        "aum_ttft_seconds_bucket{scheme=\"AUM\",le=\"0.2001953125\"}",
+        "aum_ttft_seconds_bucket{scheme=\"AUM\",le=\"+Inf\"}",
+        "aum_ttft_seconds_sum{scheme=\"AUM\"}",
+        "aum_ttft_seconds_count{scheme=\"AUM\"}",
+    ];
+
     /// One test covers install → hooks → render → HTTP round-trip →
     /// shutdown, serially, because the installed state is process-global.
     #[test]
