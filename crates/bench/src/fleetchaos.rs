@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 use aum::cluster::{routing_weights, ClusterConfig, RoutingPolicy};
 use aum::fleet::{try_run_fleet_traced, FleetOutcome, NodeFault, NodeFaultEvent, NodeFaultPlan};
 use aum_llm::traces::Scenario;
+use aum_sim::prom::{self, Kind};
 use aum_sim::telemetry::{MetricsSnapshot, Tracer};
 use aum_sim::time::SimDuration;
 
@@ -172,7 +173,7 @@ fn publish_live_fleet(scenario: &str, outcome: &FleetOutcome) {
 #[must_use]
 pub fn fleet_exposition(scenario: &str, outcome: &FleetOutcome) -> String {
     let mut text = String::new();
-    let esc = aum_sim::prom::escape_label_value(scenario);
+    let labels = [("scenario", scenario)];
     let counters: [(&str, &str, u64); 7] = [
         (
             "aum_fleet_offered_requests",
@@ -210,27 +211,20 @@ pub fn fleet_exposition(scenario: &str, outcome: &FleetOutcome) -> String {
             outcome.shed,
         ),
     ];
-    for (name, help, v) in counters {
-        let _ = writeln!(text, "# HELP {name} {help}");
-        let _ = writeln!(text, "# TYPE {name} counter");
-        let _ = writeln!(text, "{name}{{scenario=\"{esc}\"}} {v}");
+    for (name, help, value) in counters {
+        prom::family(&mut text, name, Kind::Counter, help);
+        prom::sample(&mut text, name, &labels, value);
     }
-    let _ = writeln!(
-        text,
-        "# HELP aum_fleet_attainment SLO attainment, on-time / offered."
-    );
-    let _ = writeln!(text, "# TYPE aum_fleet_attainment gauge");
-    let _ = writeln!(
-        text,
-        "aum_fleet_attainment{{scenario=\"{esc}\"}} {}",
-        outcome.attainment
-    );
-    let series: Vec<(String, &MetricsSnapshot)> = outcome
+    let attainment = "aum_fleet_attainment";
+    let help = "SLO attainment, on-time / offered.";
+    prom::family(&mut text, attainment, Kind::Gauge, help);
+    prom::sample(&mut text, attainment, &labels, outcome.attainment);
+    let series: Vec<(&str, &MetricsSnapshot)> = outcome
         .node_metrics
         .iter()
-        .map(|m| (m.label.clone(), &m.snapshot))
+        .map(|m| (m.label.as_str(), &m.snapshot))
         .collect();
-    text.push_str(&aum_sim::prom::render_node_registries(&series));
+    text.push_str(&prom::render_node_registries(&series));
     text
 }
 
@@ -439,6 +433,10 @@ pub fn run(ctx: &RunCtx) -> FleetChaosRun {
 }
 
 #[cfg(test)]
+#[path = "../../sim/src/prom/check.rs"]
+mod prom_check;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::ModelCache;
@@ -551,6 +549,12 @@ aum_node_violation_rate{node="node1/\"Gen\\B\"\n"} 0
     fn fleet_exposition_text_is_pinned() {
         let text = fleet_exposition("node-crash", &two_node_outcome());
         assert_eq!(text, EXPECTED, "got:\n{text}");
+    }
+
+    #[test]
+    fn fleet_exposition_keeps_the_exposition_rules() {
+        let text = fleet_exposition("node-crash", &two_node_outcome());
+        assert_eq!(super::prom_check::check_exposition(&text), Ok(()));
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! rather than silently emitting an unbalanced trace.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use aum_sim::span::collect_spans;
-use aum_sim::telemetry::{Event, TraceRecord};
+use aum_sim::telemetry::{push_json_str, Event, TraceRecord};
 use aum_sim::time::SimTime;
 
 /// Microsecond timestamp on the Chrome trace clock.
@@ -23,22 +22,11 @@ fn ts(at: SimTime) -> f64 {
     at.as_secs_f64() * 1e6
 }
 
-/// JSON string escaping for names and track labels.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string, quotes included, escaped by the trace encoder's
+/// escaper.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
     out
 }
 
@@ -76,8 +64,8 @@ pub fn export(records: &[TraceRecord]) -> Result<String, String> {
     for (track, pid) in &pids {
         events.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            esc(track)
+             \"args\":{{\"name\":{}}}}}",
+            json_str(track)
         ));
     }
 
@@ -163,9 +151,9 @@ fn emit_subtree(
         }
         last = child.close;
     }
+    let name = json_str(&n.label);
     events.push(format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{tid}}}",
-        esc(&n.label),
+        "{{\"name\":{name},\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{tid}}}",
         n.kind.label(),
         ts(n.open)
     ));
@@ -173,8 +161,7 @@ fn emit_subtree(
         emit_subtree(forest, c, pid, tid, events)?;
     }
     events.push(format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{tid}}}",
-        esc(&n.label),
+        "{{\"name\":{name},\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{tid}}}",
         n.kind.label(),
         ts(n.close)
     ));

@@ -57,7 +57,7 @@ use aum_sim::attrib::{self, IntervalLedger, Ledger, RegionSample, WorkFractions}
 use aum_sim::rng::DetRng;
 use aum_sim::span::{SpanId, SpanKind};
 use aum_sim::stats::Samples;
-use aum_sim::telemetry::{Event, MetricsRegistry, MetricsSnapshot, ResilienceMode, Tracer};
+use aum_sim::telemetry::{Event, MetricsSnapshot, ResilienceMode, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::{BeKind, BeProfile};
 
@@ -151,7 +151,7 @@ pub struct Outcome {
     pub shared_bw_samples: Samples,
     /// Per-interval samples of the None-region core count.
     pub none_core_samples: Samples,
-    /// Metrics-registry snapshot taken once, at the end of the run:
+    /// Metrics snapshot built once, at the end of the run:
     /// counters (tokens, completions) over the whole run and gauges (power,
     /// utilization, queue depth, sensed latencies) of the last interval.
     #[serde(default)]
@@ -588,17 +588,18 @@ impl Totals {
         ];
     }
 
-    /// The end-of-run registry: counters over the run and the last
-    /// interval's gauges.
+    /// The end-of-run metrics, captured at `at`: counters over the run
+    /// and the last interval's gauges.
     fn metrics(&self, at: SimTime) -> MetricsSnapshot {
-        let mut registry = MetricsRegistry::new();
-        registry.counter_add("prefill_tokens", self.prefill_tokens);
-        registry.counter_add("decode_tokens", self.decode_tokens);
-        registry.counter_add("requests_completed", self.completed);
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counter_add("prefill_tokens", self.prefill_tokens);
+        metrics.counter_add("decode_tokens", self.decode_tokens);
+        metrics.counter_add("requests_completed", self.completed);
         for (name, value) in self.gauges {
-            registry.gauge_set(name, value);
+            metrics.gauge_set(name, value);
         }
-        registry.snapshot(at)
+        metrics.at = at;
+        metrics
     }
 }
 
@@ -1030,7 +1031,7 @@ impl Run<'_> {
 }
 
 /// Publishes this run's final Prometheus exposition — the end-of-run
-/// registry snapshot plus the SLO latency histograms — to the live `/metrics`
+/// metrics snapshot plus the SLO latency histograms — to the live `/metrics`
 /// endpoint, when one is installed ([`aum_sim::live`]). Runs executed as
 /// sweep cells call this on completion, which is exactly the "refresh per
 /// completed cell" contract of the live plane. Wall-clock observability

@@ -45,10 +45,10 @@
 //! (`<track>/node<i>`), and [`SpanKind::RedispatchHop`] spans covering
 //! each stranded batch's backoff window, labeled with the merged
 //! request-batch id (`batch r<ready-epoch>a<attempt>`) that links the
-//! hops of one retry chain. Every node also owns a
-//! [`MetricsRegistry`] (completions, redispatches, sheds,
+//! hops of one retry chain. Every node also fills a
+//! [`MetricsSnapshot`] (completions, redispatches, sheds,
 //! violation-tracked requests) plus a [`LogHistogram`] per-epoch latency
-//! proxy; their final snapshots roll up into
+//! proxy; their final captures roll up into
 //! [`FleetOutcome::node_metrics`], whose per-node counters sum back to
 //! the fleet totals exactly ([`FleetOutcome::node_conservation_ok`]).
 //! Health transitions additionally emit
@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 
 use aum_sim::hist::LogHistogram;
 use aum_sim::span::{SpanId, SpanKind};
-use aum_sim::telemetry::{Event, MetricsRegistry, MetricsSnapshot, NodeHealth, Tracer};
+use aum_sim::telemetry::{Event, MetricsSnapshot, NodeHealth, Tracer};
 use aum_sim::time::SimTime;
 use aum_workloads::gpu::CpuAnchor;
 
@@ -299,7 +299,7 @@ impl FleetParams {
 /// arrival stream (percent; sums to 100).
 const CLASSES: [(&str, u64); 3] = [("best-effort", 20), ("standard", 30), ("interactive", 50)];
 
-/// One node's metrics rollup at run end: the final registry snapshot
+/// One node's metrics rollup at run end: the final metrics snapshot
 /// (counters `assigned`/`completed`/`on_time`/`redispatched`/`dropped`/
 /// `shed`/`violation_tracked`, plus latency-proxy quantile gauges) and
 /// the whole-run per-epoch latency-proxy histogram.
@@ -307,7 +307,7 @@ const CLASSES: [(&str, u64); 3] = [("best-effort", 20), ("standard", 30), ("inte
 pub struct NodeMetricsRollup {
     /// Stable node label from config strings, `node<i>/<platform name>`.
     pub label: String,
-    /// Final [`MetricsRegistry`] snapshot of the node.
+    /// The node's metrics, captured at run end.
     pub snapshot: MetricsSnapshot,
     /// Per-epoch latency proxy (`epoch_secs × served / capacity`) over
     /// every epoch the node served traffic; mergeable across runs.
@@ -453,7 +453,8 @@ struct Node {
     label: String,
     /// The node's span track, `<track>/node<i>`, built once per run.
     track: Arc<str>,
-    reg: MetricsRegistry,
+    /// The node's metrics, filled in place and stamped when captured.
+    reg: MetricsSnapshot,
     /// Per-epoch latency proxy.
     hist: LogHistogram,
     /// Payload of the open health-episode span, which packs (node, epoch).
@@ -540,7 +541,7 @@ impl Node {
     }
 
     /// Closes the health episode still open at run `end` (balanced span
-    /// streams export cleanly) and rolls the registry up.
+    /// streams export cleanly) and rolls the metrics up.
     fn roll_up(mut self, end: SimTime, tracer: &Tracer) -> NodeMetricsRollup {
         if let Some(payload) = self.episode.take() {
             close_episode(tracer, end, payload, &self.track);
@@ -551,8 +552,9 @@ impl Node {
                 self.reg.gauge_set(&gauge, self.hist.quantile(q));
             }
         }
+        self.reg.at = end;
         NodeMetricsRollup {
-            snapshot: self.reg.snapshot(end),
+            snapshot: self.reg,
             label: self.label,
             latency_proxy: self.hist,
         }
@@ -687,7 +689,7 @@ impl<'a> Fleet<'a> {
                     },
                     label,
                     track: format!("{track}/node{i}").into(),
-                    reg: MetricsRegistry::new(),
+                    reg: MetricsSnapshot::default(),
                     hist: LogHistogram::default(),
                     episode: None,
                     hops: 0,
@@ -792,10 +794,12 @@ impl<'a> Fleet<'a> {
                     label: Some(format!("{next:?}")),
                 });
             }
-            // Snapshot unconditionally (registry state must not depend on
+            // Capture unconditionally (metrics state must not depend on
             // whether the tracer is enabled) so node-down incident dumps
-            // carry the offending node's metrics.
-            let snapshot = node.reg.snapshot(at);
+            // carry the offending node's metrics. The capture shares the
+            // node's maps.
+            node.reg.at = at;
+            let snapshot = node.reg.clone();
             tracer.emit(at, || Event::NodeMetricsSnapshot {
                 node: i,
                 label: node.label.clone(),

@@ -85,7 +85,7 @@ pub use rng::DetRng;
 pub use span::{collect_spans, SpanError, SpanForest, SpanId, SpanKind, SpanNode};
 pub use stats::Samples;
 pub use telemetry::{
-    Event, JsonlSink, MemorySink, MetricsRegistry, MetricsSnapshot, NullSink, OrderingSink,
-    TraceParseError, TraceRecord, TraceSink, Tracer,
+    Event, JsonlSink, MemorySink, MetricsSnapshot, NullSink, OrderingSink, TraceParseError,
+    TraceRecord, TraceSink, Tracer,
 };
 pub use time::{SimDuration, SimTime};

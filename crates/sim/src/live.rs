@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec;
 use crate::flight::FlightStats;
-use crate::prom::escape_label_value;
+use crate::prom::{family, gauge, sample, Kind};
 
 /// Exit code of a [`Watchdog`]-terminated process.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
@@ -122,12 +122,7 @@ impl LiveState {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let gauge = |out: &mut String, name: &str, help: &str, value: f64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        };
-        gauge(&mut out, "aum_up", "1 while the harness is running.", 1.0);
+        gauge(&mut out, "aum_up", "1 while the harness is running.", 1u64);
         gauge(
             &mut out,
             "aum_run_wall_seconds",
@@ -142,24 +137,21 @@ impl LiveState {
                 "Wall-clock seconds in the current phase.",
                 phase.1.elapsed().as_secs_f64(),
             );
-            out.push_str("# HELP aum_phase_info Current phase as a label.\n");
-            out.push_str("# TYPE aum_phase_info gauge\n");
-            out.push_str(&format!(
-                "aum_phase_info{{phase=\"{}\"}} 1\n",
-                escape_label_value(&phase.0)
-            ));
+            let info = "aum_phase_info";
+            family(&mut out, info, Kind::Gauge, "Current phase as a label.");
+            sample(&mut out, info, &[("phase", &phase.0)], 1u64);
         }
         gauge(
             &mut out,
             "aum_sweep_cells_total",
             "Grid cells scheduled across all sweeps so far.",
-            self.cells_total.load(Ordering::Relaxed) as f64,
+            self.cells_total.load(Ordering::Relaxed),
         );
         gauge(
             &mut out,
             "aum_sweep_cells_completed",
             "Grid cells completed across all sweeps so far.",
-            self.cells_done.load(Ordering::Relaxed) as f64,
+            self.cells_done.load(Ordering::Relaxed),
         );
         let stats = exec::stats();
         gauge(
@@ -202,7 +194,7 @@ impl LiveState {
             "Observed sweep speedup (busy over wall) of the current phase.",
             phase_delta.speedup(),
         );
-        self.render_prof(&mut out);
+        render_prof(&mut out);
         let flight = self.flight.lock().expect("live flight lock");
         if let Some(source) = flight.as_ref() {
             let fs = source();
@@ -210,31 +202,31 @@ impl LiveState {
                 &mut out,
                 "aum_flight_occupancy",
                 "Records currently buffered in the flight-recorder ring.",
-                fs.occupancy as f64,
+                fs.occupancy as u64,
             );
             gauge(
                 &mut out,
                 "aum_flight_capacity",
                 "Flight-recorder ring retention limit.",
-                fs.capacity as f64,
+                fs.capacity as u64,
             );
             gauge(
                 &mut out,
                 "aum_flight_evicted_total",
                 "Records evicted from the flight-recorder ring.",
-                fs.evicted as f64,
+                fs.evicted,
             );
             gauge(
                 &mut out,
                 "aum_flight_triggers_total",
                 "Flight-recorder trigger firings (including suppressed).",
-                fs.triggers as f64,
+                fs.triggers,
             );
             gauge(
                 &mut out,
                 "aum_flight_incidents_total",
                 "Incident files written by the flight recorder.",
-                fs.incidents as f64,
+                fs.incidents as u64,
             );
         }
         drop(flight);
@@ -245,82 +237,66 @@ impl LiveState {
         }
         out
     }
+}
 
-    /// Self-profiling gauges (`aum_selftime_*`, `aum_cache_*`), emitted
-    /// only once the [`crate::prof`] plane has recorded something — the
-    /// section is absent for runs that never enabled self-profiling.
-    fn render_prof(&self, out: &mut String) {
-        let snap = crate::prof::snapshot();
-        if snap.nodes.is_empty() && snap.counters.is_empty() {
-            return;
+/// Self-profiling gauges (`aum_selftime_*`, `aum_cache_*`), emitted only
+/// once the [`crate::prof`] plane has recorded something — the section is
+/// absent for runs that never enabled self-profiling.
+fn render_prof(out: &mut String) {
+    let snap = crate::prof::snapshot();
+    if !snap.nodes.is_empty() {
+        let seconds = "aum_selftime_seconds";
+        let help = "Host seconds inside a self-profiling scope (children included).";
+        family(out, seconds, Kind::Gauge, help);
+        for n in &snap.nodes {
+            let secs = n.total_nanos as f64 / 1e9;
+            sample(out, seconds, &[("scope", &n.path)], secs);
         }
-        if !snap.nodes.is_empty() {
-            out.push_str(
-                "# HELP aum_selftime_seconds Host seconds inside a self-profiling scope \
-                 (children included).\n# TYPE aum_selftime_seconds gauge\n",
-            );
-            for n in &snap.nodes {
-                out.push_str(&format!(
-                    "aum_selftime_seconds{{scope=\"{}\"}} {}\n",
-                    escape_label_value(&n.path),
-                    n.total_nanos as f64 / 1e9,
-                ));
-            }
-            out.push_str(
-                "# HELP aum_selftime_calls Times a self-profiling scope was entered.\n\
-                 # TYPE aum_selftime_calls gauge\n",
-            );
-            for n in &snap.nodes {
-                out.push_str(&format!(
-                    "aum_selftime_calls{{scope=\"{}\"}} {}\n",
-                    escape_label_value(&n.path),
-                    n.calls,
-                ));
-            }
+        let calls = "aum_selftime_calls";
+        let help = "Times a self-profiling scope was entered.";
+        family(out, calls, Kind::Gauge, help);
+        for n in &snap.nodes {
+            sample(out, calls, &[("scope", &n.path)], n.calls);
         }
-        let lookups = snap.counter("model_cache.lookup");
-        let builds = snap.counter("model_cache.build");
-        if lookups > 0 || builds > 0 {
-            let gauge = |out: &mut String, name: &str, help: &str, value: f64| {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
-            };
-            gauge(
-                out,
-                "aum_cache_lookups_total",
-                "ModelCache lookups observed by the self-profiling plane.",
-                lookups as f64,
-            );
-            gauge(
-                out,
-                "aum_cache_builds_total",
-                "ModelCache profiling sweeps actually executed.",
-                builds as f64,
-            );
-            gauge(
-                out,
-                "aum_cache_hits_total",
-                "ModelCache lookups served without building.",
-                lookups.saturating_sub(builds) as f64,
-            );
-            gauge(
-                out,
-                "aum_cache_hit_rate",
-                "Fraction of ModelCache lookups served from cache.",
-                if lookups == 0 {
-                    1.0
-                } else {
-                    lookups.saturating_sub(builds) as f64 / lookups as f64
-                },
-            );
-            gauge(
-                out,
-                "aum_cache_cow_clones_total",
-                "Copy-on-write AUV-model clones triggered by controller refinement.",
-                snap.counter("model.cow_clone") as f64,
-            );
-        }
+    }
+    let lookups = snap.counter("model_cache.lookup");
+    let builds = snap.counter("model_cache.build");
+    if lookups > 0 || builds > 0 {
+        let hits = lookups.saturating_sub(builds);
+        gauge(
+            out,
+            "aum_cache_lookups_total",
+            "ModelCache lookups observed by the self-profiling plane.",
+            lookups,
+        );
+        gauge(
+            out,
+            "aum_cache_builds_total",
+            "ModelCache profiling sweeps actually executed.",
+            builds,
+        );
+        gauge(
+            out,
+            "aum_cache_hits_total",
+            "ModelCache lookups served without building.",
+            hits,
+        );
+        gauge(
+            out,
+            "aum_cache_hit_rate",
+            "Fraction of ModelCache lookups served from cache.",
+            if lookups == 0 {
+                1.0
+            } else {
+                hits as f64 / lookups as f64
+            },
+        );
+        gauge(
+            out,
+            "aum_cache_cow_clones_total",
+            "Copy-on-write AUV-model clones triggered by controller refinement.",
+            snap.counter("model.cow_clone"),
+        );
     }
 }
 
@@ -545,6 +521,8 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<LiveState>) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::LogHistogram;
+    use crate::telemetry::MetricsSnapshot;
 
     /// `render`'s lines with every sample value dropped: headers whole,
     /// samples as `name{labels}`. The profiler's `aum_selftime_*` and
@@ -585,6 +563,26 @@ mod tests {
         state.publish_exposition(exposition);
         state.set_flight_source(FlightStats::default);
         assert_eq!(skeleton(&state.render()), SKELETON);
+    }
+
+    #[test]
+    fn render_keeps_the_exposition_rules() {
+        let state = LiveState::new();
+        state.set_phase("fig\"14\"\n");
+        let snapshot = MetricsSnapshot::default();
+        let hist: LogHistogram = [0.01, 0.2].into_iter().collect();
+        let mut exposition = crate::prom::render_registry(&snapshot);
+        exposition.push_str(&crate::prom::render_histogram(
+            "aum_ttft_seconds",
+            "TTFT.",
+            &[("scheme", "AUM")],
+            &hist,
+        ));
+        state.publish_exposition(exposition);
+        state.set_flight_source(FlightStats::default);
+        let rendered = state.render();
+        crate::prom::check::check_exposition(&rendered)
+            .unwrap_or_else(|e| panic!("{e}\n{rendered}"));
     }
 
     /// The run-health families in order, then a blank line and the

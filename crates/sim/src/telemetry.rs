@@ -18,8 +18,9 @@
 //! - [`Tracer`] — the cheap cloneable handle threaded through the engine,
 //!   platform, controller and experiment loop so one sink observes the
 //!   whole stack.
-//! - [`MetricsRegistry`] — counters and gauges, snapshotted on demand;
-//!   experiment outcomes carry one end-of-run snapshot.
+//! - [`MetricsSnapshot`] — counters and gauges, filled in place and
+//!   stamped when captured; experiment outcomes carry one end-of-run
+//!   snapshot.
 //!
 //! Events carry only primitives (ids, lengths, seconds, way counts), so the
 //! JSONL schema is stable and self-describing; `TraceRecord` pairs each
@@ -808,7 +809,7 @@ fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Appends `s` as a JSON string, escaped as serde_json escapes it.
-fn push_json_str(out: &mut String, s: &str) {
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     let mut plain = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -1166,8 +1167,11 @@ impl Tracer {
     }
 }
 
-/// One point-in-time capture of a [`MetricsRegistry`]. The maps sit behind
-/// `Arc`s so trace events and rollups that carry a snapshot clone cheaply.
+/// Named counters and gauges, and the sim time of their capture. A run
+/// fills one in place ([`MetricsSnapshot::counter_add`],
+/// [`MetricsSnapshot::gauge_set`]) and stamps `at` when it captures it.
+/// The maps sit behind `Arc`s, so a capture that rides a trace event or a
+/// rollup shares them, and the first write after it copies a map once.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// When the snapshot was taken.
@@ -1179,59 +1183,30 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Drops every counter and gauge, keeping the capture time.
-    pub fn clear(&mut self) {
-        self.counters = Arc::default();
-        self.gauges = Arc::default();
-    }
-}
-
-/// Lightweight metrics registry: named counters and gauges, snapshotted on
-/// demand. Latency distributions live in [`crate::hist::LogHistogram`]s
-/// that their owners fold into gauges.
-#[derive(Debug, Default, Clone)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `delta` to a monotonic counter.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Current value of a counter (0 if never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let counters = Arc::make_mut(&mut self.counters);
+        if let Some(count) = counters.get_mut(name) {
+            *count += delta;
+        } else {
+            counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Sets an instantaneous gauge.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Current value of a gauge, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Captures the current state.
-    #[must_use]
-    pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
-        MetricsSnapshot {
-            at,
-            counters: Arc::new(self.counters.clone()),
-            gauges: Arc::new(self.gauges.clone()),
+        let gauges = Arc::make_mut(&mut self.gauges);
+        if let Some(gauge) = gauges.get_mut(name) {
+            *gauge = value;
+        } else {
+            gauges.insert(name.to_string(), value);
         }
+    }
+
+    /// Drops every counter and gauge, keeping the capture time.
+    pub fn clear(&mut self) {
+        self.counters = Arc::default();
+        self.gauges = Arc::default();
     }
 }
 
@@ -1679,19 +1654,24 @@ mod tests {
 
     #[test]
     fn registry_snapshots_form_a_time_series() {
-        let mut reg = MetricsRegistry::new();
+        let mut reg = MetricsSnapshot::default();
         reg.counter_add("requests_finished", 3);
         reg.gauge_set("power_w", 212.5);
-        let snap = reg.snapshot(SimTime::from_secs(1));
+        let snap = MetricsSnapshot {
+            at: SimTime::from_secs(1),
+            ..reg.clone()
+        };
         assert_eq!(snap.counters["requests_finished"], 3);
         assert_eq!(snap.gauges["power_w"], 212.5);
 
         reg.counter_add("requests_finished", 2);
-        let snap2 = reg.snapshot(SimTime::from_secs(2));
-        assert_eq!(snap2.at, SimTime::from_secs(2));
-        assert_eq!(snap2.counters["requests_finished"], 5);
-        // An earlier snapshot is a capture, not a view of the registry.
+        reg.gauge_set("power_w", 200.0);
+        assert_eq!(reg.counters["requests_finished"], 5);
+        assert_eq!(reg.gauges["power_w"], 200.0);
+        // An earlier capture shares the maps until a write copies them, so
+        // it keeps the values it was taken with.
         assert_eq!(snap.counters["requests_finished"], 3);
+        assert_eq!(snap.gauges["power_w"], 212.5);
 
         // Snapshots serialize (they ride on Outcome).
         let json = serde_json::to_string(&snap).expect("serialize snapshot");
