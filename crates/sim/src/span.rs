@@ -15,8 +15,10 @@
 //! caller-chosen payload (request id, step index, cell index) into the low
 //! 56 bits. Two same-seed runs — at any `--jobs` level under
 //! [`crate::exec::sweep_traced`] — therefore serialize byte-identical span
-//! events. Ids are unique per track, which is exactly the granularity
-//! [`collect_spans`] keys on.
+//! events. Ids are unique per track within a run, which is the
+//! granularity [`collect_spans`] keys on; runs that reuse a track follow
+//! one another, and each child links to the parent instance open when it
+//! opened.
 //!
 //! ## Reconstruction
 //!
@@ -275,11 +277,12 @@ impl std::error::Error for SpanError {}
 
 /// Folds a record stream into a [`SpanForest`].
 ///
-/// Structural matching keys opens and closes by `(track, id)`. Parent
-/// links resolve by the parent id recorded on the open event, against the
-/// span with that id on the same track; an unresolved parent id yields a
-/// root span rather than an error (a truncation-tolerant choice for
-/// streams whose parent was filtered out).
+/// Structural matching keys opens and closes by `(track, id)`. A span's
+/// parent is the instance of its recorded parent id that is open on the
+/// same track when the span opens, so runs that reuse a track and its ids
+/// one after another each link within themselves. A parent id with no
+/// such open instance yields a root span rather than an error (a
+/// truncation-tolerant choice for streams whose parent was filtered out).
 ///
 /// # Errors
 ///
@@ -288,13 +291,18 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
     struct OpenSpan {
         kind: SpanKind,
         label: String,
-        parent_id: Option<u64>,
+        /// This open's serial: its index among the stream's opens.
+        serial: usize,
+        /// The serial of the parent instance it opened under.
+        parent: Option<usize>,
         open: SimTime,
     }
     // Pass 1: match opens to closes into flat nodes (close order).
     let mut open: HashMap<(Arc<str>, u64), OpenSpan> = HashMap::new();
     let mut nodes: Vec<SpanNode> = Vec::new();
-    let mut parent_ids: Vec<Option<u64>> = Vec::new();
+    let mut parents: Vec<Option<usize>> = Vec::new();
+    // The node index of each open serial, once it has closed.
+    let mut node_of: Vec<usize> = Vec::new();
     for record in records {
         match &record.event {
             Event::SpanOpen {
@@ -309,16 +317,18 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
                     push_derived_label(&mut derived, *kind, *id);
                     derived
                 });
-                let prev = open.insert(
-                    (track.clone(), *id),
-                    OpenSpan {
-                        kind: *kind,
-                        label,
-                        parent_id: *parent,
-                        open: record.at,
-                    },
-                );
-                if prev.is_some() {
+                let parent = parent
+                    .and_then(|pid| open.get(&(track.clone(), pid)))
+                    .map(|p| p.serial);
+                let span = OpenSpan {
+                    kind: *kind,
+                    label,
+                    serial: node_of.len(),
+                    parent,
+                    open: record.at,
+                };
+                node_of.push(usize::MAX);
+                if open.insert((track.clone(), *id), span).is_some() {
                     return Err(SpanError::DuplicateOpen {
                         id: *id,
                         track: track.clone(),
@@ -338,7 +348,8 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
                         track: track.clone(),
                     });
                 }
-                parent_ids.push(span.parent_id);
+                node_of[span.serial] = nodes.len();
+                parents.push(span.parent);
                 nodes.push(SpanNode {
                     id: *id,
                     kind: span.kind,
@@ -360,26 +371,13 @@ pub fn collect_spans(records: &[TraceRecord]) -> Result<SpanForest, SpanError> {
         });
     }
 
-    // Pass 2: resolve parent links by (track, id) across all nodes.
-    let by_id: HashMap<(&str, u64), usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| ((&*n.track, n.id), i))
-        .collect();
-    let links: Vec<Option<usize>> = nodes
-        .iter()
-        .zip(&parent_ids)
-        .enumerate()
-        .map(|(i, (n, pid))| {
-            pid.and_then(|pid| by_id.get(&(&*n.track, pid)).copied())
-                .filter(|&p| p != i)
-        })
-        .collect();
+    // Pass 2: link each span to the parent instance it opened under.
     let mut forest = SpanForest {
         nodes,
         roots: Vec::new(),
     };
-    for (i, link) in links.into_iter().enumerate() {
+    for (i, parent) in parents.into_iter().enumerate() {
+        let link = parent.map(|serial| node_of[serial]);
         forest.nodes[i].parent = link;
         match link {
             Some(p) => forest.nodes[p].children.push(i),
@@ -542,6 +540,31 @@ mod tests {
         let mut label = String::new();
         push_derived_label(&mut label, SpanKind::ProfilerCell, fault.0);
         assert_eq!(label, "cell");
+    }
+
+    #[test]
+    fn runs_sharing_a_track_link_children_within_their_own_run() {
+        // Two runs back to back on one track, each with `req 0` and a
+        // `prefill 0` child: each child links to the request open when it
+        // opened, not to the last `req 0` of the stream.
+        let req = SpanId::derive(SpanKind::RequestLifecycle, 0);
+        let pre = SpanId::derive(SpanKind::Prefill, 0);
+        let mut records = Vec::new();
+        for start in [0.0, 10.0] {
+            records.extend([
+                open(req, None, SpanKind::RequestLifecycle, start),
+                open(pre, Some(req), SpanKind::Prefill, start + 0.1),
+                close(pre, SpanKind::Prefill, start + 0.2),
+                close(req, SpanKind::RequestLifecycle, start + 1.0),
+            ]);
+        }
+        let forest = collect_spans(&records).expect("well-formed");
+        // Close order: prefill, req, prefill, req.
+        assert_eq!(forest.roots, vec![1, 3]);
+        assert_eq!(forest.nodes[0].parent, Some(1));
+        assert_eq!(forest.nodes[2].parent, Some(3));
+        assert_eq!(forest.nodes[1].children, vec![0]);
+        assert_eq!(forest.nodes[3].children, vec![2]);
     }
 
     #[test]
