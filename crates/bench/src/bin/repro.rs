@@ -493,7 +493,7 @@ fn load_trace(path: &Path, allow_empty: bool) -> Result<Vec<TraceRecord>, String
 /// file or the flight recorder (with the JSONL leg optional inside it).
 enum SinkHandle {
     Plain(Arc<Mutex<OrderingSink<JsonlSink>>>),
-    Flight(Arc<Mutex<OrderingSink<FlightRecorder<JsonlSink>>>>),
+    Flight(Arc<Mutex<OrderingSink<FlightRecorder<Option<JsonlSink>>>>>),
 }
 
 /// One invocation past the parse stage: its flags, the run context every
@@ -541,7 +541,7 @@ impl Driver {
         // inside) reads each run whole, in time order, then its flush.
         let (tracer, sinks) = match (&cli.flight, jsonl) {
             (Some(fcfg), jsonl) => {
-                let recorder = FlightRecorder::with_inner_opt(fcfg.clone(), jsonl);
+                let recorder = FlightRecorder::with_inner(fcfg.clone(), jsonl);
                 let (tracer, handle) = Tracer::shared(OrderingSink::new(recorder));
                 (tracer, Some(SinkHandle::Flight(handle)))
             }
@@ -752,7 +752,8 @@ impl Driver {
             }
             Some(SinkHandle::Flight(handle)) => {
                 let ordered = handle.lock().expect("flight lock");
-                let lines = ordered.inner().inner().map(JsonlSink::lines_written);
+                let jsonl = ordered.inner().inner();
+                let lines = jsonl.as_ref().map(JsonlSink::lines_written);
                 (lines, Some(ordered))
             }
         };

@@ -35,10 +35,10 @@
 //!   over the ring, copying no record. The result is consumable by `repro
 //!   trace-summary` and `repro trace-export --perfetto` unchanged.
 //!
-//! The recorder can optionally forward every record to an inner sink
-//! (e.g. a [`crate::telemetry::JsonlSink`] when full tracing is also
-//! requested), so `--flight` composes with `--trace` instead of competing
-//! with it.
+//! The recorder forwards every record to an inner sink (e.g. an
+//! `Option` of a [`crate::telemetry::JsonlSink`], `Some` when full tracing
+//! is also requested), so `--flight` composes with `--trace` instead of
+//! competing with it.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -350,8 +350,8 @@ struct RunState {
     last_dump_at: Option<SimTime>,
 }
 
-/// The flight recorder: ring + triggers + incident dumps, optionally
-/// forwarding every record to an inner sink.
+/// The flight recorder: ring + triggers + incident dumps, forwarding
+/// every record to an inner sink.
 #[derive(Debug)]
 pub struct FlightRecorder<S: TraceSink = NullSink> {
     cfg: FlightConfig,
@@ -360,21 +360,16 @@ pub struct FlightRecorder<S: TraceSink = NullSink> {
     triggers: u64,
     incidents: Vec<Incident>,
     errors: Vec<String>,
-    inner: Option<S>,
+    inner: S,
     /// The line a dump is writing, reused from record to record.
     line: String,
 }
 
 impl<S: TraceSink> FlightRecorder<S> {
-    /// A recorder forwarding every record to `inner` as well.
+    /// A recorder forwarding every record to `inner` as well (an
+    /// `Option` of a sink makes that leg optional).
     #[must_use]
     pub fn with_inner(cfg: FlightConfig, inner: S) -> Self {
-        Self::with_inner_opt(cfg, Some(inner))
-    }
-
-    /// A recorder with an optional inner sink.
-    #[must_use]
-    pub fn with_inner_opt(cfg: FlightConfig, inner: Option<S>) -> Self {
         FlightRecorder {
             cfg,
             ring: RingSink::new(CAPACITY),
@@ -387,9 +382,9 @@ impl<S: TraceSink> FlightRecorder<S> {
         }
     }
 
-    /// The wrapped inner sink, if any.
-    pub fn inner(&self) -> Option<&S> {
-        self.inner.as_ref()
+    /// The wrapped inner sink.
+    pub fn inner(&self) -> &S {
+        &self.inner
     }
 
     /// The ring buffer (current retained suffix of the stream).
@@ -518,9 +513,7 @@ impl<S: TraceSink> FlightRecorder<S> {
 
 impl<S: TraceSink> TraceSink for FlightRecorder<S> {
     fn record(&mut self, record: &TraceRecord) {
-        if let Some(inner) = &mut self.inner {
-            inner.record(record);
-        }
+        self.inner.record(record);
         if let Event::SloTargets {
             ttft_secs,
             tpot_secs,
@@ -549,9 +542,7 @@ impl<S: TraceSink> TraceSink for FlightRecorder<S> {
     /// Ends the current run.
     fn flush_sink(&mut self) {
         self.run = RunState::default();
-        if let Some(inner) = &mut self.inner {
-            inner.flush_sink();
-        }
+        self.inner.flush_sink();
     }
 }
 

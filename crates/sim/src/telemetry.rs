@@ -860,6 +860,21 @@ impl TraceSink for NullSink {
     fn record(&mut self, _record: &TraceRecord) {}
 }
 
+/// An optional sink: `None` discards, like [`NullSink`].
+impl<S: TraceSink> TraceSink for Option<S> {
+    fn record(&mut self, record: &TraceRecord) {
+        if let Some(sink) = self {
+            sink.record(record);
+        }
+    }
+
+    fn flush_sink(&mut self) {
+        if let Some(sink) = self {
+            sink.flush_sink();
+        }
+    }
+}
+
 /// Collects records in memory, in arrival order.
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
