@@ -221,21 +221,26 @@ where
     let prof_sweep = crate::prof::scope("exec.sweep");
     let prof_parent = crate::prof::current_parent();
 
+    // One cell's work, inline or on a pool thread: it runs re-rooted at
+    // the sweep's scope and inside the depth guard, and its busy time and
+    // completion are counted. Returns the result and the busy nanoseconds.
+    let run_cell = |i: usize, cell: T| -> (R, u64) {
+        let t0 = Instant::now();
+        let r = crate::prof::with_parent(prof_parent, || {
+            let _depth = CellDepthGuard::enter();
+            let _cell_scope = crate::prof::scope("exec.cell");
+            f(i, cell)
+        });
+        let busy = t0.elapsed().as_nanos() as u64;
+        BUSY_NANOS.fetch_add(busy, Ordering::Relaxed);
+        crate::live::cell_finished();
+        (r, busy)
+    };
     let out: Vec<R> = if jobs <= 1 {
         cells
             .into_iter()
             .enumerate()
-            .map(|(i, cell)| {
-                let t0 = Instant::now();
-                let r = {
-                    let _depth = CellDepthGuard::enter();
-                    let _cell_scope = crate::prof::scope("exec.cell");
-                    f(i, cell)
-                };
-                BUSY_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                crate::live::cell_finished();
-                r
-            })
+            .map(|(i, cell)| run_cell(i, cell).0)
             .collect()
     } else {
         // Each cell is claimed exactly once via the cursor; the Mutex is
@@ -249,7 +254,7 @@ where
                 let tx = tx.clone();
                 let slots = &slots;
                 let cursor = &cursor;
-                let f = &f;
+                let run_cell = &run_cell;
                 workers.push(scope.spawn(move || {
                     let worker_t0 = Instant::now();
                     let mut busy_w: u64 = 0;
@@ -266,16 +271,8 @@ where
                             .take()
                             .expect("each cell is claimed exactly once");
                         claim_w += claim_t0.elapsed().as_nanos() as u64;
-                        let t0 = Instant::now();
-                        let r = crate::prof::with_parent(prof_parent, || {
-                            let _depth = CellDepthGuard::enter();
-                            let _cell_scope = crate::prof::scope("exec.cell");
-                            f(i, cell)
-                        });
-                        let busy = t0.elapsed().as_nanos() as u64;
+                        let (r, busy) = run_cell(i, cell);
                         busy_w += busy;
-                        BUSY_NANOS.fetch_add(busy, Ordering::Relaxed);
-                        crate::live::cell_finished();
                         // The collector outlives every sender; a send only
                         // fails if it panicked, and then the scope propagates
                         // that panic anyway.
