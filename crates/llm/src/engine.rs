@@ -696,12 +696,6 @@ impl LlmEngine {
         self.wall_tpot_hist.quantile(q)
     }
 
-    /// The wall-clock TPOT distribution as a mergeable histogram.
-    #[must_use]
-    pub fn wall_tpot_hist(&self) -> &LogHistogram {
-        &self.wall_tpot_hist
-    }
-
     /// Requests fully completed.
     #[must_use]
     pub fn completed(&self) -> u64 {

@@ -52,16 +52,6 @@ impl Scenario {
         }
     }
 
-    /// Source dataset name.
-    #[must_use]
-    pub fn dataset(self) -> &'static str {
-        match self {
-            Scenario::Chatbot => "ShareGPT",
-            Scenario::CodeCompletion => "HumanEval",
-            Scenario::Summarization => "LongBench",
-        }
-    }
-
     /// Table IV SLOs.
     #[must_use]
     pub fn slo(self) -> SloSpec {
@@ -339,7 +329,6 @@ mod tests {
     #[test]
     fn scenarios_have_metadata() {
         for s in Scenario::ALL {
-            assert!(!s.dataset().is_empty());
             assert!(s.default_rate() > 0.0);
             assert!(s.mean_input() > 0);
         }

@@ -229,17 +229,6 @@ impl LogHistogram {
         }
         max_value()
     }
-
-    /// The p50/p90/p99/p99.9 readout, in that order.
-    #[must_use]
-    pub fn percentiles(&self) -> [f64; 4] {
-        [
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.quantile(0.999),
-        ]
-    }
 }
 
 impl FromIterator<f64> for LogHistogram {
@@ -309,7 +298,7 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentiles(), [0.0; 4]);
+        assert_eq!(h.quantile(0.999), 0.0);
     }
 
     #[test]
@@ -399,7 +388,7 @@ mod tests {
     #[test]
     fn percentile_readout_is_ordered() {
         let h: LogHistogram = (1..=1000).map(|i| f64::from(i) * 1e-3).collect();
-        let [p50, p90, p99, p999] = h.percentiles();
+        let [p50, p90, p99, p999] = [0.5, 0.9, 0.99, 0.999].map(|q| h.quantile(q));
         assert!(p50 < p90 && p90 < p99 && p99 <= p999);
         assert!((p50 - 0.5).abs() < 0.01, "p50 {p50}");
         assert!((p90 - 0.9).abs() < 0.01, "p90 {p90}");
