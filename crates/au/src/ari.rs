@@ -1,14 +1,16 @@
-//! Arithmetic-intensity analysis and AU usage classification.
+//! Arithmetic-intensity analysis and AU usage.
 //!
 //! AUM's usage-aware stage (paper §VI-B1) judges an operator's AU usage via
 //! its arithmetic intensity (ARI). The paper gives closed forms for the QKV
 //! mapping: `6·(1/d + 3/(B·L))⁻¹` in prefill and `6·(1/d + 3/B)⁻¹` in
 //! decode — with larger model dimension `d`, batch `B` and input length
 //! `L`, ARI (and thus AU usage `U_AU`) rises.
-
-use serde::{Deserialize, Serialize};
-
-use aum_platform::topology::AuUsageLevel;
+//!
+//! The processor regions fix the usage levels: prefill runs in the High
+//! region and decode in the Low one (`aum_platform::topology`). What the
+//! controller takes from here is how much each phase uses the AU,
+//! [`usage_from_ari`] of its representative operator, which weighs the two
+//! phases' SLO pressures against each other.
 
 /// QKV-mapping arithmetic intensity in the prefill phase (§VI-B1).
 ///
@@ -50,61 +52,6 @@ pub fn usage_from_ari(ari: f64) -> f64 {
     a / (a + ARI_HALF)
 }
 
-/// Threshold classifier mapping `U_AU` to the three usage levels the
-/// profiler buckets by. The paper sets the thresholds from server-level AU
-/// usage distributions (§VI-B2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UsageClassifier {
-    /// Usage at or above which an operator counts as Low (below: None).
-    pub low_threshold: f64,
-    /// Usage at or above which an operator counts as High.
-    pub high_threshold: f64,
-}
-
-impl Default for UsageClassifier {
-    fn default() -> Self {
-        // Calibrated so llama-class decode (ARI ≈ 10-20) lands in Low and
-        // prefill (ARI ≈ thousands) in High.
-        UsageClassifier {
-            low_threshold: 0.01,
-            high_threshold: 0.55,
-        }
-    }
-}
-
-impl UsageClassifier {
-    /// Creates a classifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ low < high ≤ 1`.
-    #[must_use]
-    pub fn new(low_threshold: f64, high_threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&low_threshold)
-                && (0.0..=1.0).contains(&high_threshold)
-                && low_threshold < high_threshold,
-            "thresholds must satisfy 0 <= low < high <= 1"
-        );
-        UsageClassifier {
-            low_threshold,
-            high_threshold,
-        }
-    }
-
-    /// Classifies a normalized usage value.
-    #[must_use]
-    pub fn classify(&self, usage: f64) -> AuUsageLevel {
-        if usage >= self.high_threshold {
-            AuUsageLevel::High
-        } else if usage >= self.low_threshold {
-            AuUsageLevel::Low
-        } else {
-            AuUsageLevel::None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,22 +87,6 @@ mod tests {
             last = u;
         }
         assert_eq!(usage_from_ari(-5.0), 0.0);
-    }
-
-    #[test]
-    fn classifier_places_llm_phases() {
-        let c = UsageClassifier::default();
-        let prefill = usage_from_ari(qkv_ari_prefill(4096, 16, 512));
-        let decode = usage_from_ari(qkv_ari_decode(4096, 16));
-        assert_eq!(c.classify(prefill), AuUsageLevel::High);
-        assert_eq!(c.classify(decode), AuUsageLevel::Low);
-        assert_eq!(c.classify(0.0), AuUsageLevel::None);
-    }
-
-    #[test]
-    #[should_panic(expected = "thresholds")]
-    fn inverted_thresholds_rejected() {
-        let _ = UsageClassifier::new(0.9, 0.1);
     }
 
     #[test]

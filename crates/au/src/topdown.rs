@@ -8,8 +8,8 @@
 //!
 //! [`TopDown`] carries the full tree; [`signature`] provides per-workload
 //! base vectors calibrated to Fig 7/8 and Table II, and
-//! [`TopDown::under_pressure`] modulates a signature by the current
-//! resource allocation so the profiler sees allocation-dependent bounds.
+//! [`TopDown::work_split`] divides a signature's busy work by boundedness
+//! under the current runtime pressure, for the attribution ledger.
 
 use serde::{Deserialize, Serialize};
 
@@ -113,55 +113,6 @@ impl TopDown {
         self.memory_bound() * self.memory.dram
     }
 
-    /// Returns this signature modulated by runtime pressure:
-    /// `bw_slowdown ≥ 1` (memory-pool starvation factor) inflates the DRAM
-    /// component; `llc_amplification ≥ 1` (traffic amplification from a
-    /// shrunken LLC partition) inflates the LLC component. The tree is
-    /// re-normalized, eating into retiring slots.
-    #[must_use]
-    pub fn under_pressure(&self, bw_slowdown: f64, llc_amplification: f64) -> TopDown {
-        let bw = bw_slowdown.max(1.0);
-        let llc = llc_amplification.max(1.0);
-        let mem = self.memory_bound();
-        let extra_dram = mem * self.memory.dram * (bw - 1.0) * 0.8;
-        let extra_llc = mem * self.memory.llc * (llc - 1.0) * 0.8;
-        let new_backend = (self.cycles.backend_bound + extra_dram + extra_llc).min(0.99);
-        let grow = new_backend - self.cycles.backend_bound;
-        // Backend grows at the expense of retiring.
-        let retiring = (self.cycles.retiring - grow).max(0.005);
-        let cycles = CycleBreakdown::new(
-            retiring,
-            self.cycles.bad_speculation,
-            self.cycles.frontend_bound,
-            new_backend,
-        );
-        // Within memory, re-weight toward the inflated components.
-        let m = self.memory;
-        let mem_weights = [
-            m.l1,
-            m.l2,
-            m.llc * (1.0 + (llc - 1.0) * 0.8),
-            m.dram * (1.0 + (bw - 1.0) * 0.8),
-        ];
-        let wsum: f64 = mem_weights.iter().sum();
-        let memory = MemoryBoundBreakdown {
-            l1: mem_weights[0] / wsum,
-            l2: mem_weights[1] / wsum,
-            llc: mem_weights[2] / wsum,
-            dram: mem_weights[3] / wsum,
-        };
-        // Memory's share of backend grows with the added memory stalls.
-        let old_mem_abs = self.memory_bound();
-        let new_mem_abs = old_mem_abs + extra_dram + extra_llc;
-        let core_frac = (1.0 - new_mem_abs / new_backend).clamp(0.0, 1.0);
-        TopDown {
-            cycles,
-            core_frac,
-            core: self.core,
-            memory,
-        }
-    }
-
     /// Splits a unit of busy work by boundedness for the attribution
     /// ledger (`aum_sim::attrib`), under the given runtime pressure.
     ///
@@ -171,16 +122,12 @@ impl TopDown {
     /// every DRAM stall `s`×, a partition amplifying traffic `a`× stretches
     /// LLC stalls `a`× — and the dilation mass beyond the calm signature is
     /// reported separately as `contention`, so the ledger can blame the
-    /// co-runner rather than the workload. (This deliberately does *not*
-    /// route through [`under_pressure`], whose backend-bound cap saturates
-    /// for already-memory-bound signatures and would swallow large
-    /// slowdowns — wall time has no such ceiling.) Everything that is not
+    /// co-runner rather than the workload. The dilation has no cap, as
+    /// wall time has none. Everything that is not
     /// a memory stall — retiring, frontend, bad speculation and core-bound
     /// serialization — counts as `compute`: instruction-window
     /// serialization is a property of AU execution itself (Fig 8a), not of
     /// the shared memory system.
-    ///
-    /// [`under_pressure`]: TopDown::under_pressure
     #[must_use]
     pub fn work_split(&self, bw_slowdown: f64, llc_amplification: f64) -> WorkSplit {
         let bw = bw_slowdown.max(1.0);
@@ -486,37 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn pressure_inflates_dram_bound() {
-        let t = signature(SignatureKind::Decode, &gen_a());
-        let pressured = t.under_pressure(2.0, 1.0);
-        assert!(pressured.dram_bound() > t.dram_bound());
-        assert!(pressured.backend_bound() > t.backend_bound());
-        assert!(pressured.backend_bound() <= 0.99);
-        let sum = pressured.cycles.retiring
-            + pressured.cycles.bad_speculation
-            + pressured.cycles.frontend_bound
-            + pressured.cycles.backend_bound;
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pressure_inflates_llc_bound() {
-        let t = signature(SignatureKind::Prefill, &gen_a());
-        let pressured = t.under_pressure(1.0, 2.5);
-        assert!(pressured.memory.llc > t.memory.llc);
-        let msum = pressured.memory.l1
-            + pressured.memory.l2
-            + pressured.memory.llc
-            + pressured.memory.dram;
-        assert!((msum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn no_pressure_is_identity_like() {
+        // A calm split is the signature's own: its DRAM share is the
+        // DRAM-bound slots, its compute share everything but memory stalls.
         let t = signature(SignatureKind::Decode, &gen_a());
-        let same = t.under_pressure(1.0, 1.0);
-        assert!((same.backend_bound() - t.backend_bound()).abs() < 1e-9);
-        assert!((same.dram_bound() - t.dram_bound()).abs() < 1e-9);
+        let same = t.work_split(1.0, 1.0);
+        assert!((same.dram - t.dram_bound()).abs() < 1e-9);
+        assert!((same.compute - (1.0 - t.memory_bound())).abs() < 1e-9);
+        assert!(same.contention.abs() < 1e-12);
     }
 
     #[test]

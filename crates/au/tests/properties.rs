@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use aum_au::ari::{qkv_ari_decode, qkv_ari_prefill, usage_from_ari, UsageClassifier};
+use aum_au::ari::{qkv_ari_decode, qkv_ari_prefill, usage_from_ari};
 use aum_au::gemm::{gemm_time, ExecContext, GemmShape, PER_CORE_BW_GBS};
 use aum_au::topdown::{signature, SignatureKind};
 use aum_au::unit::{AuKind, AuSpec, Precision};
@@ -111,18 +111,8 @@ proptest! {
 
     #[test]
     fn usage_classification_is_monotone(a1 in 0.0f64..1e6, a2 in 0.0f64..1e6) {
-        let c = UsageClassifier::default();
         let (lo, hi) = if a1 <= a2 { (a1, a2) } else { (a2, a1) };
-        let (u_lo, u_hi) = (usage_from_ari(lo), usage_from_ari(hi));
-        prop_assert!(u_hi >= u_lo);
-        // Classification is monotone: a higher-usage operator never maps to
-        // a lower level.
-        let rank = |l: aum_platform::topology::AuUsageLevel| match l {
-            aum_platform::topology::AuUsageLevel::None => 0,
-            aum_platform::topology::AuUsageLevel::Low => 1,
-            aum_platform::topology::AuUsageLevel::High => 2,
-        };
-        prop_assert!(rank(c.classify(u_hi)) >= rank(c.classify(u_lo)));
+        prop_assert!(usage_from_ari(hi) >= usage_from_ari(lo));
     }
 
     #[test]
@@ -135,14 +125,11 @@ proptest! {
         ],
     ) {
         for spec in PlatformSpec::presets() {
-            let t = signature(kind, &spec).under_pressure(bw, llc);
-            let sum = t.cycles.retiring + t.cycles.bad_speculation
-                + t.cycles.frontend_bound + t.cycles.backend_bound;
-            prop_assert!((sum - 1.0).abs() < 1e-9);
-            let msum = t.memory.l1 + t.memory.l2 + t.memory.llc + t.memory.dram;
-            prop_assert!((msum - 1.0).abs() < 1e-9);
-            prop_assert!((0.0..=1.0).contains(&t.core_frac));
-            prop_assert!(t.dram_bound() <= t.backend_bound() + 1e-9);
+            let w = signature(kind, &spec).work_split(bw, llc);
+            prop_assert!((w.sum() - 1.0).abs() < 1e-9);
+            for part in [w.compute, w.l1, w.l2, w.llc, w.dram, w.contention] {
+                prop_assert!(part >= 0.0, "negative part {}", part);
+            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! Top-down signature generation and allocation-pressure modulation.
+//! Top-down signature generation and the pressure-dilated work split the
+//! attribution ledger takes every control interval.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -11,8 +12,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| signature(black_box(SignatureKind::Decode), &spec))
     });
     let sig = signature(SignatureKind::Decode, &spec);
-    c.bench_function("topdown/under_pressure", |b| {
-        b.iter(|| sig.under_pressure(black_box(1.8), black_box(1.3)))
+    c.bench_function("topdown/work_split", |b| {
+        b.iter(|| sig.work_split(black_box(1.8), black_box(1.3)))
     });
 }
 

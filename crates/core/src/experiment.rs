@@ -55,7 +55,7 @@ use aum_platform::topology::{AuUsageLevel, ProcessorDivision};
 use aum_platform::units::GbPerSec;
 use aum_sim::attrib::{self, IntervalLedger, Ledger, RegionSample, WorkFractions};
 use aum_sim::rng::DetRng;
-use aum_sim::span::{SpanId, SpanKind};
+use aum_sim::span::{self, SpanKind};
 use aum_sim::stats::Samples;
 use aum_sim::telemetry::{Event, MetricsSnapshot, ResilienceMode, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
@@ -302,7 +302,9 @@ pub fn try_run_experiment_traced(
         let _prof = aum_sim::prof::scope("ctrl.interval");
         let now = SimTime::ZERO + dt * step as u64;
         let until = now + dt;
-        run.open_interval(step, now);
+        let (kind, payload) = (SpanKind::ControllerInterval, step as u64);
+        run.tracer
+            .emit(now, || span::open(kind, payload, None, &run.track, None));
         let fx = faults.apply(now, &mut platform, &run.tracer, &run.track)?;
         let observed = {
             let _prof = aum_sim::prof::scope("ctrl.sense");
@@ -319,7 +321,8 @@ pub fn try_run_experiment_traced(
             ledger.intervals.push(interval);
         }
         totals.record(&place, &stepped, &stats, &observed, run.dt_secs);
-        run.close_interval(step, until);
+        run.tracer
+            .emit(until, || span::close(kind, payload, &run.track));
         feedback.update(&stats, &stepped.snap);
     }
 
@@ -604,24 +607,6 @@ impl Totals {
 }
 
 impl Run<'_> {
-    fn open_interval(&self, step: usize, now: SimTime) {
-        self.tracer.emit(now, || Event::SpanOpen {
-            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
-            parent: None,
-            kind: SpanKind::ControllerInterval,
-            track: self.track.clone(),
-            label: None,
-        });
-    }
-
-    fn close_interval(&self, step: usize, until: SimTime) {
-        self.tracer.emit(until, || Event::SpanClose {
-            id: SpanId::derive(SpanKind::ControllerInterval, step as u64).0,
-            kind: SpanKind::ControllerInterval,
-            track: self.track.clone(),
-        });
-    }
-
     /// Sensing: serving telemetry from the engine, platform telemetry from
     /// the previous interval.
     fn sense(&self, engine: &LlmEngine, now: SimTime, feedback: &Feedback) -> SystemState {

@@ -39,7 +39,7 @@ use serde::{content_get, Content, DeError, Deserialize, Serialize};
 
 use aum_platform::state::PlatformSim;
 use aum_platform::topology::AuUsageLevel;
-use aum_sim::span::{SpanId, SpanKind};
+use aum_sim::span::{self, SpanKind};
 use aum_sim::telemetry::{Event, Tracer};
 use aum_sim::time::SimTime;
 
@@ -501,24 +501,20 @@ impl FaultPlane<'_, FaultEvent> {
         track: &Arc<str>,
     ) -> Result<FaultEffects, AumError> {
         let fired = self.advance(now.as_secs_f64(), |idx, ev, applies| {
-            let (kind, id) = (ev.fault.kind_label(), window_span(idx));
+            let kind = ev.fault.kind_label();
+            let window = SpanKind::FaultWindow;
             if applies {
                 tracer.emit(now, || Event::FaultInjected {
                     kind: kind.to_string(),
                     detail: ev.fault.detail(),
                 });
-                tracer.emit(now, || Event::SpanOpen {
-                    id,
-                    parent: None,
-                    kind: SpanKind::FaultWindow,
-                    track: track.clone(),
-                    label: Some(format!("fault {kind}")),
-                });
+                let label = || Some(format!("fault {kind}"));
+                tracer.emit(now, || span::open(window, idx as u64, None, track, label()));
             } else {
                 tracer.emit(now, || Event::FaultRecovered {
                     kind: kind.to_string(),
                 });
-                close_window(now, id, tracer, track);
+                tracer.emit(now, || span::close(window, idx as u64, track));
             }
         });
         let fx = FaultEffects::compose(self.active().map(|(_, ev)| &ev.fault));
@@ -534,21 +530,11 @@ impl FaultPlane<'_, FaultEvent> {
     /// `end`, so the trace holds a well-formed span forest.
     pub(crate) fn close_open_windows(&self, end: SimTime, tracer: &Tracer, track: &Arc<str>) {
         for (idx, _) in self.active() {
-            close_window(end, window_span(idx), tracer, track);
+            tracer.emit(end, || {
+                span::close(SpanKind::FaultWindow, idx as u64, track)
+            });
         }
     }
-}
-
-fn window_span(idx: usize) -> u64 {
-    SpanId::derive(SpanKind::FaultWindow, idx as u64).0
-}
-
-fn close_window(at: SimTime, id: u64, tracer: &Tracer, track: &Arc<str>) {
-    tracer.emit(at, || Event::SpanClose {
-        id,
-        kind: SpanKind::FaultWindow,
-        track: track.clone(),
-    });
 }
 
 #[cfg(test)]

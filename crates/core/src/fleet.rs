@@ -62,7 +62,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use aum_sim::hist::LogHistogram;
-use aum_sim::span::{SpanId, SpanKind};
+use aum_sim::span::{self, SpanKind};
 use aum_sim::telemetry::{Event, MetricsSnapshot, NodeHealth, Tracer};
 use aum_sim::time::SimTime;
 use aum_workloads::gpu::CpuAnchor;
@@ -544,7 +544,8 @@ impl Node {
     /// streams export cleanly) and rolls the metrics up.
     fn roll_up(mut self, end: SimTime, tracer: &Tracer) -> NodeMetricsRollup {
         if let Some(payload) = self.episode.take() {
-            close_episode(tracer, end, payload, &self.track);
+            let episode = SpanKind::NodeHealthEpisode;
+            tracer.emit(end, || span::close(episode, payload, &self.track));
         }
         if self.hist.count() > 0 {
             for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
@@ -559,15 +560,6 @@ impl Node {
             latency_proxy: self.hist,
         }
     }
-}
-
-fn close_episode(tracer: &Tracer, at: SimTime, payload: u64, track: &Arc<str>) {
-    let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
-    tracer.emit(at, || Event::SpanClose {
-        id,
-        kind: SpanKind::NodeHealthEpisode,
-        track: track.clone(),
-    });
 }
 
 /// Routing share multiplier per health state under the failover policy.
@@ -724,20 +716,11 @@ impl<'a> Fleet<'a> {
     /// The close lands on the next boundary; OrderingSink time-sorts at
     /// flush, so emitting it now is safe.
     fn open_epoch(&self, e: u64) -> SimTime {
-        let at = self.at_of(e);
-        let id = SpanId::derive(SpanKind::FleetEpoch, e).0;
-        self.tracer.emit(at, || Event::SpanOpen {
-            id,
-            parent: None,
-            kind: SpanKind::FleetEpoch,
-            track: self.track.clone(),
-            label: None,
-        });
-        self.tracer.emit(self.at_of(e + 1), || Event::SpanClose {
-            id,
-            kind: SpanKind::FleetEpoch,
-            track: self.track.clone(),
-        });
+        let (at, epoch) = (self.at_of(e), SpanKind::FleetEpoch);
+        self.tracer
+            .emit(at, || span::open(epoch, e, None, &self.track, None));
+        self.tracer
+            .emit(self.at_of(e + 1), || span::close(epoch, e, &self.track));
         at
     }
 
@@ -779,19 +762,16 @@ impl<'a> Fleet<'a> {
                 to: next,
                 reason,
             });
+            let episode = SpanKind::NodeHealthEpisode;
             if let Some(payload) = node.episode.take() {
-                close_episode(tracer, at, payload, &node.track);
+                tracer.emit(at, || span::close(episode, payload, &node.track));
             }
             if next != NodeHealth::Healthy {
                 let payload = ((i as u64) << 40) | e;
                 node.episode = Some(payload);
-                let id = SpanId::derive(SpanKind::NodeHealthEpisode, payload).0;
-                tracer.emit(at, || Event::SpanOpen {
-                    id,
-                    parent: None,
-                    kind: SpanKind::NodeHealthEpisode,
-                    track: node.track.clone(),
-                    label: Some(format!("{next:?}")),
+                let label = || Some(format!("{next:?}"));
+                tracer.emit(at, || {
+                    span::open(episode, payload, None, &node.track, label())
                 });
             }
             // Capture unconditionally (metrics state must not depend on
@@ -985,20 +965,13 @@ impl<'a> Fleet<'a> {
         // batch id (`r<ready>a<attempt>`) the batch carries when it
         // re-enters dispatch — the link tying consecutive hops of one
         // retry chain together.
-        let id = SpanId::derive(SpanKind::RedispatchHop, (node.hops << 40) | e).0;
+        let (hop, payload) = (SpanKind::RedispatchHop, (node.hops << 40) | e);
         node.hops += 1;
-        self.tracer.emit(at, || Event::SpanOpen {
-            id,
-            parent: None,
-            kind: SpanKind::RedispatchHop,
-            track: node.track.clone(),
-            label: Some(format!("batch r{ready_epoch}a{} x{count}", attempt + 1)),
-        });
-        self.tracer.emit(close, || Event::SpanClose {
-            id,
-            kind: SpanKind::RedispatchHop,
-            track: node.track.clone(),
-        });
+        let label = || Some(format!("batch r{ready_epoch}a{} x{count}", attempt + 1));
+        self.tracer
+            .emit(at, || span::open(hop, payload, None, &node.track, label()));
+        self.tracer
+            .emit(close, || span::close(hop, payload, &node.track));
     }
 
     /// Merges retry batches sharing (ready epoch, attempt), so the queue

@@ -20,6 +20,7 @@ use aum_llm::traces::Scenario;
 use aum_platform::rdt::{RdtAllocation, ResourceVector};
 use aum_platform::spec::PlatformSpec;
 use aum_platform::topology::ProcessorDivision;
+use aum_sim::span::{self, SpanKind};
 use aum_sim::telemetry::{Event, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
 use aum_workloads::be::BeKind;
@@ -410,15 +411,11 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
         // One ProfilerCell span per grid cell on the synthetic cumulative
         // clock (same convention as the ProfilerProgress timestamps), so
         // Perfetto shows the sweep as a contiguous lane of cells.
-        let span_id =
-            aum_sim::span::SpanId::derive(aum_sim::span::SpanKind::ProfilerCell, cell_idx as u64).0;
+        let (cell, payload) = (SpanKind::ProfilerCell, cell_idx as u64);
         let cell_open = SimTime::ZERO + cfg.run_duration * (cell_idx * cfg.repetitions) as u64;
-        t.emit(cell_open, || Event::SpanOpen {
-            id: span_id,
-            parent: None,
-            kind: aum_sim::span::SpanKind::ProfilerCell,
-            track: span_track.clone(),
-            label: Some(format!("cell d{div_idx} c{cfg_idx}")),
+        let label = || Some(format!("cell d{div_idx} c{cfg_idx}"));
+        t.emit(cell_open, || {
+            span::open(cell, payload, None, &span_track, label())
         });
         let decision = Decision {
             division,
@@ -470,11 +467,7 @@ pub fn build_model_traced(cfg: &ProfilerConfig, tracer: Tracer) -> AuvModel {
             division: div_idx,
             config: cfg_idx,
         });
-        t.emit(cell_close, || Event::SpanClose {
-            id: span_id,
-            kind: aum_sim::span::SpanKind::ProfilerCell,
-            track: span_track.clone(),
-        });
+        t.emit(cell_close, || span::close(cell, payload, &span_track));
         acc
     });
     let runs = total_cells * cfg.repetitions;

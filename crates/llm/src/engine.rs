@@ -24,7 +24,7 @@ use aum_au::unit::Precision;
 use aum_platform::spec::PlatformSpec;
 use aum_platform::units::GbPerSec;
 use aum_sim::hist::LogHistogram;
-use aum_sim::span::{SpanId, SpanKind};
+use aum_sim::span::{self, SpanId, SpanKind};
 use aum_sim::stats::RecentWindow;
 use aum_sim::telemetry::{Event, PhaseKind, Tracer};
 use aum_sim::time::{SimDuration, SimTime};
@@ -285,14 +285,9 @@ impl LlmEngine {
                 let r = *front;
                 self.trace.pop_front();
                 if self.tracer.is_enabled() {
-                    let id = SpanId::derive(SpanKind::RequestLifecycle, r.id.0);
-                    let track = self.span_track.clone();
-                    self.tracer.emit(r.arrival, || Event::SpanOpen {
-                        id: id.0,
-                        parent: None,
-                        kind: SpanKind::RequestLifecycle,
-                        track,
-                        label: None,
+                    let track = &self.span_track;
+                    self.tracer.emit(r.arrival, || {
+                        span::open(SpanKind::RequestLifecycle, r.id.0, None, track, None)
                     });
                     self.open_request_spans.insert(r.id.0);
                 }
@@ -391,25 +386,11 @@ impl LlmEngine {
         };
         let step = *counter;
         *counter += 1;
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let id = SpanId::derive(kind, step);
-        let parent = parent_req.map(|r| SpanId::derive(SpanKind::RequestLifecycle, r).0);
-        let track = self.span_track.clone();
-        self.tracer.emit(start, || Event::SpanOpen {
-            id: id.0,
-            parent,
-            kind,
-            track,
-            label: None,
-        });
-        let track = self.span_track.clone();
-        self.tracer.emit(end, || Event::SpanClose {
-            id: id.0,
-            kind,
-            track,
-        });
+        let parent = parent_req.map(|r| SpanId::derive(SpanKind::RequestLifecycle, r));
+        let track = &self.span_track;
+        self.tracer
+            .emit(start, || span::open(kind, step, parent, track, None));
+        self.tracer.emit(end, || span::close(kind, step, track));
     }
 
     fn finish_prefill(&mut self, r: Request, stats: &mut IntervalStats) {
@@ -468,12 +449,9 @@ impl LlmEngine {
     fn close_request_span(&mut self, id: u64, at: SimTime) {
         if self.open_request_spans.remove(&id) {
             self.ttft_by_id.remove(&id);
-            let track = self.span_track.clone();
-            self.tracer.emit(at, || Event::SpanClose {
-                id: SpanId::derive(SpanKind::RequestLifecycle, id).0,
-                kind: SpanKind::RequestLifecycle,
-                track,
-            });
+            let track = &self.span_track;
+            self.tracer
+                .emit(at, || span::close(SpanKind::RequestLifecycle, id, track));
         }
     }
 

@@ -8,10 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a physical core on the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CoreId(pub usize);
-
 /// AU usage level of a processor region (paper's `U_AU` classification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum AuUsageLevel {
@@ -112,24 +108,6 @@ impl ProcessorDivision {
         }
     }
 
-    /// The region a core id falls into.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is outside the division.
-    #[must_use]
-    pub fn region_of(&self, core: CoreId) -> AuUsageLevel {
-        let idx = core.0;
-        assert!(idx < self.total_cores(), "core {idx} outside division");
-        if idx < self.high {
-            AuUsageLevel::High
-        } else if idx < self.high + self.low {
-            AuUsageLevel::Low
-        } else {
-            AuUsageLevel::None
-        }
-    }
-
     /// Core-id range of a region, as `(start, end)` exclusive.
     #[must_use]
     pub const fn region_range(&self, level: AuUsageLevel) -> (usize, usize) {
@@ -138,27 +116,6 @@ impl ProcessorDivision {
             AuUsageLevel::Low => (self.high, self.high + self.low),
             AuUsageLevel::None => (self.high + self.low, self.high + self.low + self.none),
         }
-    }
-
-    /// Returns a new division with one core moved from region `from` to
-    /// region `to`, or `None` if `from` is empty or `from == to`.
-    #[must_use]
-    pub fn shift_core(&self, from: AuUsageLevel, to: AuUsageLevel) -> Option<ProcessorDivision> {
-        if from == to || self.cores(from) == 0 {
-            return None;
-        }
-        let mut next = *self;
-        match from {
-            AuUsageLevel::High => next.high -= 1,
-            AuUsageLevel::Low => next.low -= 1,
-            AuUsageLevel::None => next.none -= 1,
-        }
-        match to {
-            AuUsageLevel::High => next.high += 1,
-            AuUsageLevel::Low => next.low += 1,
-            AuUsageLevel::None => next.none += 1,
-        }
-        Some(next)
     }
 
     /// Enumerates every division of `total` cores whose region sizes are
@@ -199,18 +156,9 @@ mod tests {
         let d = ProcessorDivision::new(12, 4, 8);
         assert_eq!(d.total_cores(), 24);
         assert_eq!(d.au_cores(), 16);
-        assert_eq!(d.region_of(CoreId(0)), AuUsageLevel::High);
-        assert_eq!(d.region_of(CoreId(11)), AuUsageLevel::High);
-        assert_eq!(d.region_of(CoreId(12)), AuUsageLevel::Low);
-        assert_eq!(d.region_of(CoreId(15)), AuUsageLevel::Low);
-        assert_eq!(d.region_of(CoreId(16)), AuUsageLevel::None);
-        assert_eq!(d.region_of(CoreId(23)), AuUsageLevel::None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside division")]
-    fn region_of_out_of_range_panics() {
-        let _ = ProcessorDivision::new(1, 1, 1).region_of(CoreId(3));
+        assert_eq!(d.region_range(AuUsageLevel::High), (0, 12));
+        assert_eq!(d.region_range(AuUsageLevel::Low), (12, 16));
+        assert_eq!(d.region_range(AuUsageLevel::None), (16, 24));
     }
 
     #[test]
@@ -226,26 +174,6 @@ mod tests {
         assert_eq!(d.cores(AuUsageLevel::None), 0);
         assert_eq!(d.cores(AuUsageLevel::High), 32);
         assert_eq!(d.cores(AuUsageLevel::Low), 64);
-    }
-
-    #[test]
-    fn shift_core_conserves_total() {
-        let d = ProcessorDivision::new(4, 4, 4);
-        let shifted = d
-            .shift_core(AuUsageLevel::None, AuUsageLevel::High)
-            .expect("possible");
-        assert_eq!(shifted.total_cores(), 12);
-        assert_eq!(shifted.cores(AuUsageLevel::High), 5);
-        assert_eq!(shifted.cores(AuUsageLevel::None), 3);
-    }
-
-    #[test]
-    fn shift_core_edge_cases() {
-        let d = ProcessorDivision::new(0, 4, 4);
-        assert!(d
-            .shift_core(AuUsageLevel::High, AuUsageLevel::Low)
-            .is_none());
-        assert!(d.shift_core(AuUsageLevel::Low, AuUsageLevel::Low).is_none());
     }
 
     #[test]

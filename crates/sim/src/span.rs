@@ -6,7 +6,9 @@
 //! run it belongs to (one experiment cell, the profiler, …). Spans ride the
 //! existing tracer as [`crate::telemetry::Event::SpanOpen`] /
 //! [`crate::telemetry::Event::SpanClose`] pairs, so every sink, the
-//! ordering layer, and `trace-diff` alignment work unchanged.
+//! ordering layer, and `trace-diff` alignment work unchanged. Producers
+//! build both records through [`open`] and [`close`], the one place that
+//! derives ids and shapes the records.
 //!
 //! ## Deterministic ids
 //!
@@ -36,30 +38,32 @@ use serde::Deserialize;
 use crate::telemetry::{Event, TraceRecord};
 use crate::time::SimTime;
 
-/// What kind of interval a span covers.
+/// What kind of interval a span covers. The discriminant is the kind's
+/// stable non-zero code in the [`SpanId`] id scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
+#[repr(u8)]
 pub enum SpanKind {
     /// One request from admission to retirement.
-    RequestLifecycle,
+    RequestLifecycle = 1,
     /// One batched prefill step.
-    Prefill,
+    Prefill = 2,
     /// One batched decode iteration.
-    DecodeIteration,
+    DecodeIteration = 3,
     /// One control interval of the experiment loop.
-    ControllerInterval,
+    ControllerInterval = 4,
     /// One profiling-grid cell.
-    ProfilerCell,
+    ProfilerCell = 5,
     /// One injected fault's active window.
-    FaultWindow,
+    FaultWindow = 6,
     /// One routing epoch of the fleet loop ([`crate::telemetry::Event`]
     /// stream from `run_fleet_traced`), on the fleet track.
-    FleetEpoch,
+    FleetEpoch = 7,
     /// One contiguous unhealthy window of a node (Suspect/Down/Draining/
     /// Recovering), on that node's per-node track.
-    NodeHealthEpisode,
+    NodeHealthEpisode = 8,
     /// One redispatch hop of a retried request batch, on the track of the
     /// node that failed the batch; hops of one batch chain by parent id.
-    RedispatchHop,
+    RedispatchHop = 9,
 }
 
 impl SpanKind {
@@ -115,17 +119,7 @@ impl SpanKind {
     /// Stable non-zero discriminant used in the [`SpanId`] id scheme.
     #[must_use]
     pub fn code(self) -> u8 {
-        match self {
-            SpanKind::RequestLifecycle => 1,
-            SpanKind::Prefill => 2,
-            SpanKind::DecodeIteration => 3,
-            SpanKind::ControllerInterval => 4,
-            SpanKind::ProfilerCell => 5,
-            SpanKind::FaultWindow => 6,
-            SpanKind::FleetEpoch => 7,
-            SpanKind::NodeHealthEpisode => 8,
-            SpanKind::RedispatchHop => 9,
-        }
+        self as u8
     }
 }
 
@@ -156,6 +150,40 @@ impl SpanId {
     #[must_use]
     pub fn payload(self) -> u64 {
         self.0 & ((1 << 56) - 1)
+    }
+}
+
+/// The open record of the span of `kind` whose id derives from `payload`
+/// ([`SpanId::derive`]), under `parent` on `track`. `label` is `None` for
+/// a counted kind ([`SpanKind::counted_prefix`]) and the span's own text
+/// otherwise. Every producer builds its span records here and inside its
+/// [`crate::telemetry::Tracer::emit`] closure, so an untraced run clones
+/// no track and formats no label.
+#[must_use]
+pub fn open(
+    kind: SpanKind,
+    payload: u64,
+    parent: Option<SpanId>,
+    track: &Arc<str>,
+    label: Option<String>,
+) -> Event {
+    Event::SpanOpen {
+        id: SpanId::derive(kind, payload).0,
+        parent: parent.map(|p| p.0),
+        kind,
+        track: track.clone(),
+        label,
+    }
+}
+
+/// The close record of the span [`open`] opened with the same `kind`,
+/// `payload` and `track`.
+#[must_use]
+pub fn close(kind: SpanKind, payload: u64, track: &Arc<str>) -> Event {
+    Event::SpanClose {
+        id: SpanId::derive(kind, payload).0,
+        kind,
+        track: track.clone(),
     }
 }
 

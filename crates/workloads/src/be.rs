@@ -167,16 +167,10 @@ impl BeProfile {
         GbPerSec(self.bw_demand_per_core.value() * cores as f64 * amp)
     }
 
+    /// Deterministic demand multiplier at time `t` under a load surge of
+    /// factor `surge` (`1.0` = nominal; the `BeSurge` fault raises it).
     /// SPECjbb's transaction mix fluctuates rapidly (§VII-D); the other two
-    /// are steady. Returns a deterministic demand multiplier at time `t`.
-    #[must_use]
-    pub fn fluctuation(&self, t_secs: f64) -> f64 {
-        self.demand_multiplier(t_secs, 1.0)
-    }
-
-    /// Demand multiplier at time `t` under a load surge of factor `surge`
-    /// (`1.0` = nominal; the `BeSurge` fault raises it). The surge scales
-    /// the whole demand — duty cycle and bandwidth appetite — while the
+    /// are steady. The surge scales the whole demand — duty cycle and bandwidth appetite — while the
     /// app's intrinsic fluctuation rides on top, so a surged SPECjbb still
     /// swings. Results stay positive and are clamped to a physical ceiling
     /// (a core cannot exceed 100% duty by more than the queue-burst factor
@@ -287,9 +281,9 @@ mod tests {
         let olap = BeProfile::of(BeKind::Olap);
         let mut spread = (f64::INFINITY, f64::NEG_INFINITY);
         for t in 0..100 {
-            let v = jbb.fluctuation(t as f64 * 0.37);
+            let v = jbb.demand_multiplier(t as f64 * 0.37, 1.0);
             spread = (spread.0.min(v), spread.1.max(v));
-            assert_eq!(olap.fluctuation(t as f64), 1.0);
+            assert_eq!(olap.demand_multiplier(t as f64, 1.0), 1.0);
         }
         assert!(
             spread.1 - spread.0 > 0.4,

@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn fluctuation_is_bounded_and_positive(kind in any_be(), t in 0.0f64..10_000.0) {
         let p = BeProfile::of(kind);
-        let f = p.fluctuation(t);
+        let f = p.demand_multiplier(t, 1.0);
         prop_assert!(f > 0.2 && f < 2.0);
     }
 
