@@ -368,11 +368,12 @@ pub fn try_run_experiment_traced(
 const WATCHDOG_STALL_INTERVALS: u32 = 16;
 
 /// The span track that names a run: scheme, scenario, co-runner, platform,
-/// cores, rate, seed, duration and fault count, so the runs a study grid
-/// traces never share a track (span ids are unique per track only). Built
-/// once per run; every span record shares it.
+/// cores, rate, seed, duration, and the fault count with the faults' kinds
+/// in script order (`f0`, `f1:BeSurge`, `f3:BandwidthDegrade,…`), so each
+/// run a study traces gets a track of its own (span ids are unique per
+/// track only). Built once per run; every span record shares it.
 fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> Arc<str> {
-    format!(
+    let mut track = format!(
         "{}/{}+{} {} c{} r{} s{} d{} f{}",
         scheme,
         cfg.scenario.code(),
@@ -383,8 +384,12 @@ fn span_track(cfg: &ExperimentConfig, scheme: &str, rate: f64) -> Arc<str> {
         cfg.seed,
         cfg.duration.as_secs_f64(),
         cfg.fault.events.len(),
-    )
-    .into()
+    );
+    for (i, ev) in cfg.fault.events.iter().enumerate() {
+        track.push(if i == 0 { ':' } else { ',' });
+        track.push_str(ev.fault.kind_label());
+    }
+    track.into()
 }
 
 /// What every stage of one run reads and none changes.
@@ -1263,6 +1268,53 @@ mod tests {
         let back: Outcome = serde_json::from_str(&json).expect("decode");
         assert_eq!(back.scheme, out.scheme);
         assert_eq!(back.completed, out.completed);
+    }
+
+    #[test]
+    fn each_chaos_plan_gets_a_span_track_of_its_own() {
+        use crate::fault::{Fault, FaultEvent, FaultPlan};
+        // The chaos matrix's nine fault plans and its healthy run, which
+        // differ in nothing else.
+        let (t0, t1) = (60.0, 180.0);
+        let mut plans: Vec<FaultPlan> = [
+            Fault::BandwidthDegrade { frac: 0.8 },
+            Fault::ThermalRunaway { severity: 1.5 },
+            Fault::BeSurge { factor: 4.0 },
+            Fault::FrequencyLicenseLock {
+                level: AuUsageLevel::High,
+            },
+            Fault::CoreOffline { count: 8 },
+            Fault::RdtWriteFailure { delay_intervals: 0 },
+            Fault::SensorNoise { sigma: 0.6 },
+            Fault::SensorDropout,
+        ]
+        .into_iter()
+        .map(|fault| FaultPlan::single(FaultEvent::permanent(t0, fault)))
+        .collect();
+        plans.push(FaultPlan::new(vec![
+            FaultEvent::windowed(t0, t1, Fault::BandwidthDegrade { frac: 0.7 }),
+            FaultEvent::windowed(t0 + 20.0, t1, Fault::ThermalRunaway { severity: 1.2 }),
+            FaultEvent::windowed(t0 + 40.0, t1, Fault::BeSurge { factor: 2.0 }),
+        ]));
+        plans.push(FaultPlan::none());
+        let mut cfg = ExperimentConfig::paper_default(
+            PlatformSpec::gen_a(),
+            Scenario::Chatbot,
+            Some(BeKind::Olap),
+        );
+        let tracks: Vec<Arc<str>> = plans
+            .into_iter()
+            .map(|plan| {
+                cfg.fault = plan;
+                span_track(&cfg, "AUM", 0.4)
+            })
+            .collect();
+        let distinct: std::collections::BTreeSet<&str> = tracks.iter().map(|t| &**t).collect();
+        assert_eq!(distinct.len(), 10, "{tracks:#?}");
+        assert!(tracks[0].ends_with(" f1:BandwidthDegrade"), "{}", tracks[0]);
+        let multi = " f3:BandwidthDegrade,ThermalRunaway,BeSurge";
+        assert!(tracks[8].ends_with(multi), "{}", tracks[8]);
+        assert!(tracks[9].ends_with(" f0"), "{}", tracks[9]);
     }
 
     #[test]
