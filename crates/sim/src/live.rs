@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec;
 use crate::flight::FlightStats;
-use crate::prom::{family, gauge, sample, Kind};
+use crate::prom::{counter, family, gauge, sample, Kind};
 
 /// Exit code of a [`Watchdog`]-terminated process.
 pub const WATCHDOG_EXIT_CODE: i32 = 3;
@@ -141,7 +141,7 @@ impl LiveState {
             family(&mut out, info, Kind::Gauge, "Current phase as a label.");
             sample(&mut out, info, &[("phase", &phase.0)], 1u64);
         }
-        gauge(
+        counter(
             &mut out,
             "aum_sweep_cells_total",
             "Grid cells scheduled across all sweeps so far.",
@@ -210,19 +210,19 @@ impl LiveState {
                 "Flight-recorder ring retention limit.",
                 fs.capacity as u64,
             );
-            gauge(
+            counter(
                 &mut out,
                 "aum_flight_evicted_total",
                 "Records evicted from the flight-recorder ring.",
                 fs.evicted,
             );
-            gauge(
+            counter(
                 &mut out,
                 "aum_flight_triggers_total",
                 "Flight-recorder trigger firings (including suppressed).",
                 fs.triggers,
             );
-            gauge(
+            counter(
                 &mut out,
                 "aum_flight_incidents_total",
                 "Incident files written by the flight recorder.",
@@ -263,19 +263,19 @@ fn render_prof(out: &mut String) {
     let builds = snap.counter("model_cache.build");
     if lookups > 0 || builds > 0 {
         let hits = lookups.saturating_sub(builds);
-        gauge(
+        counter(
             out,
             "aum_cache_lookups_total",
             "ModelCache lookups observed by the self-profiling plane.",
             lookups,
         );
-        gauge(
+        counter(
             out,
             "aum_cache_builds_total",
             "ModelCache profiling sweeps actually executed.",
             builds,
         );
-        gauge(
+        counter(
             out,
             "aum_cache_hits_total",
             "ModelCache lookups served without building.",
@@ -291,7 +291,7 @@ fn render_prof(out: &mut String) {
                 hits as f64 / lookups as f64
             },
         );
-        gauge(
+        counter(
             out,
             "aum_cache_cow_clones_total",
             "Copy-on-write AUV-model clones triggered by controller refinement.",
@@ -601,7 +601,7 @@ mod tests {
         "# TYPE aum_phase_info gauge",
         "aum_phase_info{phase=\"fig\\\"14\\\"\"}",
         "# HELP aum_sweep_cells_total Grid cells scheduled across all sweeps so far.",
-        "# TYPE aum_sweep_cells_total gauge",
+        "# TYPE aum_sweep_cells_total counter",
         "aum_sweep_cells_total",
         "# HELP aum_sweep_cells_completed Grid cells completed across all sweeps so far.",
         "# TYPE aum_sweep_cells_completed gauge",
@@ -631,13 +631,13 @@ mod tests {
         "# TYPE aum_flight_capacity gauge",
         "aum_flight_capacity",
         "# HELP aum_flight_evicted_total Records evicted from the flight-recorder ring.",
-        "# TYPE aum_flight_evicted_total gauge",
+        "# TYPE aum_flight_evicted_total counter",
         "aum_flight_evicted_total",
         "# HELP aum_flight_triggers_total Flight-recorder trigger firings (including suppressed).",
-        "# TYPE aum_flight_triggers_total gauge",
+        "# TYPE aum_flight_triggers_total counter",
         "aum_flight_triggers_total",
         "# HELP aum_flight_incidents_total Incident files written by the flight recorder.",
-        "# TYPE aum_flight_incidents_total gauge",
+        "# TYPE aum_flight_incidents_total counter",
         "aum_flight_incidents_total",
         "",
         "# HELP aum_snapshot_sim_seconds Simulated time of this metrics snapshot.",

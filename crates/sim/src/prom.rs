@@ -2,10 +2,11 @@
 //!
 //! Every exposition the reproduction publishes goes through one writer:
 //! [`family`] writes a metric family's `# HELP`/`# TYPE` pair, [`sample`]
-//! writes one `name{label="value",…} value` line, and [`gauge`] writes a
-//! family that holds one unlabeled sample. The `render_*` functions below,
-//! the live endpoint's run-health gauges ([`crate::live`]) and
-//! fleet-chaos's per-cell exposition are all built from these three.
+//! writes one `name{label="value",…} value` line, and [`gauge`] and
+//! [`counter`] write a family that holds one unlabeled sample. The
+//! `render_*` functions below, the live endpoint's run-health families
+//! ([`crate::live`]) and fleet-chaos's per-cell exposition are all built
+//! from these four.
 //!
 //! `repro attrib <study> --metrics-out <file.prom>` writes the final
 //! [`MetricsSnapshot`] plus the run's attribution [`Ledger`] in the
@@ -95,6 +96,13 @@ pub fn gauge(out: &mut String, name: &str, help: &str, value: impl Value) {
     sample(out, name, &[], value);
 }
 
+/// Writes a counter family that holds one unlabeled sample. A family
+/// named `*_total` is a counter.
+pub fn counter(out: &mut String, name: &str, help: &str, value: impl Value) {
+    family(out, name, Kind::Counter, help);
+    sample(out, name, &[], value);
+}
+
 /// Replaces every character outside Prometheus's metric-name alphabet
 /// with `_`, and prefixes a `_` if the name starts with a digit.
 #[must_use]
@@ -152,10 +160,8 @@ pub fn render_registry(snapshot: &MetricsSnapshot) -> String {
         snapshot.at.as_secs_f64(),
     );
     for (name, &value) in snapshot.counters.iter() {
-        let metric = sanitize_name(name);
         let help = format!("Counter `{name}` from the AUM metrics registry.");
-        family(&mut out, &metric, Kind::Counter, &help);
-        sample(&mut out, &metric, &[], value);
+        counter(&mut out, &sanitize_name(name), &help, value);
     }
     for (name, &value) in snapshot.gauges.iter() {
         let help = format!("Gauge `{name}` from the AUM metrics registry.");
@@ -364,6 +370,7 @@ mod tests {
             format!("{hist}h_bucket{{le=\"1\"}} 3\nh_bucket{{le=\"+Inf\"}} 2\nh_count 2\n"),
             format!("{hist}h_bucket{{le=\"1\"}} 2\nh_count 2\n"),
             format!("{hist}h_bucket{{le=\"+Inf\"}} 2\nh_count 3\n"),
+            "# HELP g_total G.\n# TYPE g_total gauge\ng_total 1\n".to_string(),
         ] {
             assert!(check_exposition(&bad).is_err(), "accepted:\n{bad}");
         }

@@ -19,6 +19,7 @@ macro_rules! ensure {
 ///   together;
 /// - no `# HELP` or `# TYPE` header repeats, and each `# TYPE` follows its
 ///   family's `# HELP`;
+/// - a family named `*_total` is a counter;
 /// - every value parses as a number;
 /// - a histogram's `_bucket` rows are cumulative per label set and end
 ///   at `le="+Inf"` with its `_count`.
@@ -44,6 +45,10 @@ pub fn check_exposition(text: &str) -> Result<(), String> {
             ensure!(
                 ["counter", "gauge", "histogram"].contains(&kind),
                 "unknown type: {line}"
+            );
+            ensure!(
+                kind == "counter" || !name.ends_with("_total"),
+                "a _total family that is not a counter: {line}"
             );
             current = Some((name, kind));
             continue;
