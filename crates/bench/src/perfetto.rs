@@ -171,7 +171,7 @@ fn emit_subtree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aum_sim::span::{SpanId, SpanKind};
+    use aum_sim::span::{self, SpanId, SpanKind};
     use aum_sim::time::SimDuration;
 
     fn rec(at_secs: f64, event: Event) -> TraceRecord {
@@ -182,27 +182,15 @@ mod tests {
     }
 
     fn open(id: SpanId, parent: Option<SpanId>, kind: SpanKind, at: f64) -> TraceRecord {
+        let label = Some(format!("{} {}", kind.label(), id.payload()));
         rec(
             at,
-            Event::SpanOpen {
-                id: id.0,
-                parent: parent.map(|p| p.0),
-                kind,
-                track: "run".into(),
-                label: Some(format!("{} {}", kind.label(), id.payload())),
-            },
+            span::open(kind, id.payload(), parent, &"run".into(), label),
         )
     }
 
     fn close(id: SpanId, kind: SpanKind, at: f64) -> TraceRecord {
-        rec(
-            at,
-            Event::SpanClose {
-                id: id.0,
-                kind,
-                track: "run".into(),
-            },
-        )
+        rec(at, span::close(kind, id.payload(), &"run".into()))
     }
 
     #[test]
@@ -295,26 +283,10 @@ mod tests {
             t0: f64,
             t1: f64,
         ) -> [TraceRecord; 2] {
-            let id = SpanId::derive(kind, payload);
+            let (track, label) = (track.into(), Some(label.to_string()));
             [
-                rec(
-                    t0,
-                    Event::SpanOpen {
-                        id: id.0,
-                        parent: None,
-                        kind,
-                        track: track.into(),
-                        label: Some(label.to_string()),
-                    },
-                ),
-                rec(
-                    t1,
-                    Event::SpanClose {
-                        id: id.0,
-                        kind,
-                        track: track.into(),
-                    },
-                ),
+                rec(t0, span::open(kind, payload, None, &track, label)),
+                rec(t1, span::close(kind, payload, &track)),
             ]
         }
         // The shape `run_fleet_traced` emits: epochs on the fleet track, health
@@ -370,26 +342,11 @@ mod tests {
 
     #[test]
     fn labels_are_json_escaped() {
-        let a = SpanId::derive(SpanKind::FaultWindow, 0);
+        let (fault, track) = (SpanKind::FaultWindow, "t\"q\"\\w".into());
+        let label = Some("line\nbreak".to_string());
         let records = vec![
-            rec(
-                0.0,
-                Event::SpanOpen {
-                    id: a.0,
-                    parent: None,
-                    kind: SpanKind::FaultWindow,
-                    track: "t\"q\"\\w".into(),
-                    label: Some("line\nbreak".to_string()),
-                },
-            ),
-            rec(
-                1.0,
-                Event::SpanClose {
-                    id: a.0,
-                    kind: SpanKind::FaultWindow,
-                    track: "t\"q\"\\w".into(),
-                },
-            ),
+            rec(0.0, span::open(fault, 0, None, &track, label)),
+            rec(1.0, span::close(fault, 0, &track)),
         ];
         let json = export(&records).expect("exports");
         assert!(json.contains("line\\nbreak"), "{json}");

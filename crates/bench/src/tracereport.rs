@@ -747,6 +747,7 @@ fn push_run_entries(run: &[TraceRecord], mut opener: Option<String>, entries: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aum_sim::span;
     use aum_sim::SimDuration;
 
     fn rec(at_secs: f64, event: Event) -> TraceRecord {
@@ -809,28 +810,16 @@ mod tests {
 
     fn span_open(at: f64, id: SpanId, parent: Option<SpanId>, track: &str) -> TraceRecord {
         let kind = id.kind().expect("derived id");
+        let label = Some(format!("{} {}", kind.label(), id.payload()));
         rec(
             at,
-            Event::SpanOpen {
-                id: id.0,
-                parent: parent.map(|p| p.0),
-                kind,
-                track: track.into(),
-                label: Some(format!("{} {}", kind.label(), id.payload())),
-            },
+            span::open(kind, id.payload(), parent, &track.into(), label),
         )
     }
 
     fn span_close(at: f64, id: SpanId, track: &str) -> TraceRecord {
         let kind = id.kind().expect("derived id");
-        rec(
-            at,
-            Event::SpanClose {
-                id: id.0,
-                kind,
-                track: track.into(),
-            },
-        )
+        rec(at, span::close(kind, id.payload(), &track.into()))
     }
 
     #[test]

@@ -606,7 +606,7 @@ fn write_dump<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{collect_spans, SpanId};
+    use crate::span::{self, collect_spans, SpanId};
     use crate::telemetry::parse_jsonl;
 
     fn rec(at_secs: f64, event: Event) -> TraceRecord {
@@ -785,51 +785,17 @@ mod tests {
         let dir = temp_dir("spans");
         let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         let track: Arc<str> = "aum/test".into();
-        let outer = SpanId::derive(SpanKind::ControllerInterval, 1).0;
-        let inner = SpanId::derive(SpanKind::ControllerInterval, 2).0;
-        let stale = SpanId::derive(SpanKind::ControllerInterval, 0).0;
+        let interval = SpanKind::ControllerInterval;
+        // Payloads: 0 is a stale span, 1 an outer one and 2 its child.
+        let outer = Some(SpanId::derive(interval, 1));
         // A span that opened long before the window: its close at t=46
         // lands inside the window as an orphan and must be dropped.
-        fr.record(&rec(
-            1.0,
-            Event::SpanOpen {
-                id: stale,
-                parent: None,
-                kind: SpanKind::ControllerInterval,
-                track: track.clone(),
-                label: None,
-            },
-        ));
-        fr.record(&rec(
-            46.0,
-            Event::SpanClose {
-                id: stale,
-                kind: SpanKind::ControllerInterval,
-                track: track.clone(),
-            },
-        ));
+        fr.record(&rec(1.0, span::open(interval, 0, None, &track, None)));
+        fr.record(&rec(46.0, span::close(interval, 0, &track)));
         // A nested pair that is still open at the trigger: both must get
         // synthesized closes, inner before outer.
-        fr.record(&rec(
-            47.0,
-            Event::SpanOpen {
-                id: outer,
-                parent: None,
-                kind: SpanKind::ControllerInterval,
-                track: track.clone(),
-                label: None,
-            },
-        ));
-        fr.record(&rec(
-            48.0,
-            Event::SpanOpen {
-                id: inner,
-                parent: Some(outer),
-                kind: SpanKind::ControllerInterval,
-                track: track.clone(),
-                label: None,
-            },
-        ));
+        fr.record(&rec(47.0, span::open(interval, 1, None, &track, None)));
+        fr.record(&rec(48.0, span::open(interval, 2, outer, &track, None)));
         fr.record(&rec(
             50.0,
             Event::FaultInjected {
@@ -857,19 +823,8 @@ mod tests {
         let dir = temp_dir("mid-span");
         let mut fr = FlightRecorder::with_inner(FlightConfig::new(&dir), NullSink);
         let track: Arc<str> = "aum/t".into();
-        let open = |kind, payload, parent: Option<u64>, label: Option<&str>| Event::SpanOpen {
-            id: SpanId::derive(kind, payload).0,
-            parent,
-            kind,
-            track: track.clone(),
-            label: label.map(str::to_string),
-        };
-        let close = |kind, payload| Event::SpanClose {
-            id: SpanId::derive(kind, payload).0,
-            kind,
-            track: track.clone(),
-        };
-        let interval = |n| SpanId::derive(SpanKind::ControllerInterval, n).0;
+        let (interval, req) = (SpanKind::ControllerInterval, SpanKind::RequestLifecycle);
+        let label = Some("fault BeSurge".to_string());
         let records = [
             (
                 0.0,
@@ -878,7 +833,7 @@ mod tests {
                     tpot_secs: 0.12,
                 },
             ),
-            (1.0, open(SpanKind::ControllerInterval, 0, None, None)),
+            (1.0, span::open(interval, 0, None, &track, None)),
             (
                 5.0,
                 Event::NodeMetricsSnapshot {
@@ -894,18 +849,18 @@ mod tests {
             (9.5, finished(1, 0.2)),
             // The window of the trigger at t=40 starts here.
             (10.0, finished(2, 0.2)),
-            (31.0, open(SpanKind::ControllerInterval, 1, None, None)),
+            (31.0, span::open(interval, 1, None, &track, None)),
             (
                 32.0,
-                open(SpanKind::FaultWindow, 0, None, Some("fault BeSurge")),
+                span::open(SpanKind::FaultWindow, 0, None, &track, label),
             ),
             (
                 33.0,
-                open(SpanKind::RequestLifecycle, 7, Some(interval(1)), None),
+                span::open(req, 7, Some(SpanId::derive(interval, 1)), &track, None),
             ),
-            (34.0, close(SpanKind::RequestLifecycle, 7)),
-            (35.0, close(SpanKind::ControllerInterval, 0)),
-            (36.0, open(SpanKind::Prefill, 2, None, None)),
+            (34.0, span::close(req, 7, &track)),
+            (35.0, span::close(interval, 0, &track)),
+            (36.0, span::open(SpanKind::Prefill, 2, None, &track, None)),
             (40.0, node_down(1)),
         ];
         for (at, event) in records {

@@ -430,25 +430,12 @@ mod tests {
     fn open(id: SpanId, parent: Option<SpanId>, kind: SpanKind, at: f64) -> TraceRecord {
         rec(
             at,
-            Event::SpanOpen {
-                id: id.0,
-                parent: parent.map(|p| p.0),
-                kind,
-                track: "t0".into(),
-                label: None,
-            },
+            super::open(kind, id.payload(), parent, &"t0".into(), None),
         )
     }
 
     fn close(id: SpanId, kind: SpanKind, at: f64) -> TraceRecord {
-        rec(
-            at,
-            Event::SpanClose {
-                id: id.0,
-                kind,
-                track: "t0".into(),
-            },
-        )
+        rec(at, super::close(kind, id.payload(), &"t0".into()))
     }
 
     #[test]
@@ -493,26 +480,15 @@ mod tests {
 
     #[test]
     fn same_id_on_different_tracks_is_fine() {
-        let id = SpanId::derive(SpanKind::ControllerInterval, 3);
+        let kind = SpanKind::ControllerInterval;
         let mk = |track: &str, at, is_open| {
-            rec(
-                at,
-                if is_open {
-                    Event::SpanOpen {
-                        id: id.0,
-                        parent: None,
-                        kind: SpanKind::ControllerInterval,
-                        track: track.into(),
-                        label: None,
-                    }
-                } else {
-                    Event::SpanClose {
-                        id: id.0,
-                        kind: SpanKind::ControllerInterval,
-                        track: track.into(),
-                    }
-                },
-            )
+            let track = track.into();
+            let event = if is_open {
+                super::open(kind, 3, None, &track, None)
+            } else {
+                super::close(kind, 3, &track)
+            };
+            rec(at, event)
         };
         let records = vec![
             mk("a", 0.0, true),
@@ -552,15 +528,16 @@ mod tests {
     fn counted_spans_derive_their_labels_and_others_keep_their_text() {
         let req = SpanId::derive(SpanKind::RequestLifecycle, 7);
         let fault = SpanId::derive(SpanKind::FaultWindow, 0);
-        let mut records = vec![
+        let label = Some("fault BeSurge".to_string());
+        let records = vec![
             open(req, None, SpanKind::RequestLifecycle, 0.0),
-            open(fault, None, SpanKind::FaultWindow, 0.1),
+            rec(
+                0.1,
+                super::open(SpanKind::FaultWindow, 0, None, &"t0".into(), label),
+            ),
+            close(fault, SpanKind::FaultWindow, 0.2),
+            close(req, SpanKind::RequestLifecycle, 0.3),
         ];
-        if let Event::SpanOpen { label, .. } = &mut records[1].event {
-            *label = Some("fault BeSurge".to_string());
-        }
-        records.push(close(fault, SpanKind::FaultWindow, 0.2));
-        records.push(close(req, SpanKind::RequestLifecycle, 0.3));
         let forest = collect_spans(&records).expect("well-formed");
         let labels: Vec<&str> = forest.nodes.iter().map(|n| n.label.as_str()).collect();
         assert_eq!(labels, ["fault BeSurge", "req 7"]);

@@ -1371,27 +1371,23 @@ mod tests {
     /// a `.0`, and escaped strings.
     fn encoding_table() -> Vec<(TraceRecord, &'static str)> {
         use crate::attrib::{Cause, CauseVec, Region};
-        use crate::span::{SpanId, SpanKind};
+        use crate::span::{self, SpanId, SpanKind};
         let at = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
         let causes = |pairs: &[(Cause, f64)]| {
             let mut v = CauseVec::zero();
             pairs.iter().for_each(|&(c, x)| v.add(c, x));
             v
         };
-        let span_open = |kind, payload, parent: Option<u64>, track: &str, label: Option<&str>| {
-            Event::SpanOpen {
-                id: SpanId::derive(kind, payload).0,
-                parent,
+        let span_open = |kind, payload, parent, track: &str, label: Option<&str>| {
+            span::open(
                 kind,
-                track: track.into(),
-                label: label.map(str::to_string),
-            }
+                payload,
+                parent,
+                &track.into(),
+                label.map(str::to_string),
+            )
         };
-        let span_close = |kind, payload, track: &str| Event::SpanClose {
-            id: SpanId::derive(kind, payload).0,
-            kind,
-            track: track.into(),
-        };
+        let span_close = |kind, payload, track: &str| span::close(kind, payload, &track.into());
         let table = vec![
             (
                 Event::RequestAdmitted {
@@ -1525,7 +1521,7 @@ mod tests {
                 span_open(
                     SpanKind::RequestLifecycle,
                     7,
-                    Some(SpanId::derive(SpanKind::ControllerInterval, 2).0),
+                    Some(SpanId::derive(SpanKind::ControllerInterval, 2)),
                     "aum/chatbot+specjbb",
                     None,
                 ),
