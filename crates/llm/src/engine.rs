@@ -401,7 +401,7 @@ impl LlmEngine {
             self.ttft_by_id.insert(r.id.0, ttft.as_secs_f64());
             // Per-request TTFT breach, emitted where the deadline is
             // decided (prefill completion) for every request, terminal
-            // or not — the flight recorder and breach blame key off it.
+            // or not — breach blame and `trace-summary` key off it.
             self.emit_request_breaches(self.prefill_clock, ttft.as_secs_f64(), 0, 0.0);
         }
         if r.output_len > 1 {

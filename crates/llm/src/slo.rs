@@ -44,7 +44,10 @@ impl SloSpec {
     /// TTFT and one TPOT entry. The deadline boundary counts as met,
     /// mirroring [`SloTally`]. The engine emits an
     /// [`aum_sim::telemetry::Event::SloBreach`] per entry, which is what
-    /// the flight recorder's burn tracker and the breach-blame report see.
+    /// the breach-blame report and `trace-summary` see. The flight
+    /// recorder's burn tracker does not read these: it judges each
+    /// [`aum_sim::telemetry::Event::RequestFinished`] against the run's
+    /// `SloTargets` itself.
     #[must_use]
     pub fn request_breaches(
         &self,
