@@ -123,11 +123,10 @@ impl TopDown {
     /// LLC stalls `a`× — and the dilation mass beyond the calm signature is
     /// reported separately as `contention`, so the ledger can blame the
     /// co-runner rather than the workload. The dilation has no cap, as
-    /// wall time has none. Everything that is not
-    /// a memory stall — retiring, frontend, bad speculation and core-bound
-    /// serialization — counts as `compute`: instruction-window
-    /// serialization is a property of AU execution itself (Fig 8a), not of
-    /// the shared memory system.
+    /// wall time has none. Everything that is not a memory stall —
+    /// retiring, frontend, bad speculation and core-bound serialization —
+    /// counts as `compute`: instruction-window serialization is a property
+    /// of AU execution itself (Fig 8a), not of the shared memory system.
     #[must_use]
     pub fn work_split(&self, bw_slowdown: f64, llc_amplification: f64) -> WorkSplit {
         let bw = bw_slowdown.max(1.0);

@@ -156,9 +156,6 @@ mod tests {
         let d = ProcessorDivision::new(12, 4, 8);
         assert_eq!(d.total_cores(), 24);
         assert_eq!(d.au_cores(), 16);
-        assert_eq!(d.region_range(AuUsageLevel::High), (0, 12));
-        assert_eq!(d.region_range(AuUsageLevel::Low), (12, 16));
-        assert_eq!(d.region_range(AuUsageLevel::None), (16, 24));
     }
 
     #[test]
