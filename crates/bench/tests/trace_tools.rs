@@ -6,51 +6,45 @@
 //! exactly.
 
 use aum_bench::perfetto;
-use aum_sim::span::{SpanId, SpanKind};
-use aum_sim::telemetry::{parse_jsonl, Event, TraceRecord};
+use aum_sim::span::{self, SpanId, SpanKind};
+use aum_sim::telemetry::{parse_jsonl, TraceRecord};
 use aum_sim::time::SimTime;
 
 fn at(secs: f64) -> SimTime {
     SimTime::ZERO + aum_sim::time::SimDuration::from_secs_f64(secs)
 }
 
-fn open(id: u64, parent: Option<u64>, kind: SpanKind, label: &str, t: f64) -> TraceRecord {
+fn open(kind: SpanKind, payload: u64, parent: Option<SpanId>, label: &str, t: f64) -> TraceRecord {
+    let label = Some(label.to_string());
     TraceRecord {
         at: at(t),
-        event: Event::SpanOpen {
-            id,
-            parent,
-            kind,
-            track: "cell".into(),
-            label: Some(label.to_string()),
-        },
+        event: span::open(kind, payload, parent, &"cell".into(), label),
     }
 }
 
-fn close(id: u64, kind: SpanKind, t: f64) -> TraceRecord {
+fn close(kind: SpanKind, payload: u64, t: f64) -> TraceRecord {
     TraceRecord {
         at: at(t),
-        event: Event::SpanClose {
-            id,
-            kind,
-            track: "cell".into(),
-        },
+        event: span::close(kind, payload, &"cell".into()),
     }
 }
 
 /// A small well-formed span trace: one request lifecycle containing a
 /// prefill and one decode iteration.
 fn span_trace() -> Vec<TraceRecord> {
-    let req = SpanId::derive(SpanKind::RequestLifecycle, 7).0;
-    let pre = SpanId::derive(SpanKind::Prefill, 7).0;
-    let dec = SpanId::derive(SpanKind::DecodeIteration, 1).0;
+    let (req, pre, dec) = (
+        SpanKind::RequestLifecycle,
+        SpanKind::Prefill,
+        SpanKind::DecodeIteration,
+    );
+    let parent = Some(SpanId::derive(req, 7));
     vec![
-        open(req, None, SpanKind::RequestLifecycle, "req 7", 0.0),
-        open(pre, Some(req), SpanKind::Prefill, "prefill 7", 0.1),
-        close(pre, SpanKind::Prefill, 0.4),
-        open(dec, Some(req), SpanKind::DecodeIteration, "decode 1", 0.5),
-        close(dec, SpanKind::DecodeIteration, 0.6),
-        close(req, SpanKind::RequestLifecycle, 1.0),
+        open(req, 7, None, "req 7", 0.0),
+        open(pre, 7, parent, "prefill 7", 0.1),
+        close(pre, 7, 0.4),
+        open(dec, 1, parent, "decode 1", 0.5),
+        close(dec, 1, 0.6),
+        close(req, 7, 1.0),
     ]
 }
 
