@@ -170,11 +170,11 @@ impl BeProfile {
     /// Deterministic demand multiplier at time `t` under a load surge of
     /// factor `surge` (`1.0` = nominal; the `BeSurge` fault raises it).
     /// SPECjbb's transaction mix fluctuates rapidly (§VII-D); the other two
-    /// are steady. The surge scales the whole demand — duty cycle and bandwidth appetite — while the
-    /// app's intrinsic fluctuation rides on top, so a surged SPECjbb still
-    /// swings. Results stay positive and are clamped to a physical ceiling
-    /// (a core cannot exceed 100% duty by more than the queue-burst factor
-    /// the profiles are calibrated for).
+    /// are steady. The surge scales the whole demand — duty cycle and
+    /// bandwidth appetite — while the app's intrinsic fluctuation rides on
+    /// top, so a surged SPECjbb still swings. Results stay positive and are
+    /// clamped to a physical ceiling (a core cannot exceed 100% duty by more
+    /// than the queue-burst factor the profiles are calibrated for).
     #[must_use]
     pub fn demand_multiplier(&self, t_secs: f64, surge: f64) -> f64 {
         let base = match self.kind {
