@@ -1,8 +1,9 @@
 //! Roofline GEMM cost model.
 //!
-//! Kernel time is the max of a compute phase (sustained AU throughput) and
-//! a memory phase (operand traffic over the granted bandwidth), plus fixed
-//! launch overhead. The model reproduces the paper's §IV-A3 measurements on
+//! Kernel time is the max of a compute leg (sustained AU throughput, plus
+//! fixed launch overhead; [`ComputeRoof`]) and a memory leg (operand
+//! traffic over the granted bandwidth; [`MemoryRoof`]), taken by
+//! [`combine`]. The model reproduces the paper's §IV-A3 measurements on
 //! GenA:
 //!
 //! - prefill GEMM `8192×4096×22016` → ≈40 TFLOPS (compute-bound);
@@ -160,6 +161,223 @@ pub struct GemmExecution {
     pub au_busy_cycles_per_core: f64,
 }
 
+/// The compute leg's constants under one unit, precision and execution
+/// context: everything [`ComputeRoof::secs`] reads besides the shape.
+///
+/// # Examples
+///
+/// ```
+/// use aum_au::gemm::{gemm_time, ComputeRoof, ExecContext, GemmShape, Leg};
+/// use aum_au::unit::{AuKind, AuSpec, Precision};
+/// use aum_platform::spec::PlatformSpec;
+///
+/// let spec = PlatformSpec::gen_a();
+/// let amx = AuSpec::for_platform(&spec, AuKind::Amx);
+/// let ctx = ExecContext::new(96, 2.5, spec.mem_bw);
+/// let shape = GemmShape::new(8192, 4096, 22016);
+/// let secs = ComputeRoof::new(&amx, Precision::Bf16, &ctx).secs(shape);
+/// let exec = gemm_time(shape, Precision::Bf16, &amx, &ctx);
+/// assert_eq!(exec.compute_time, Leg::new(secs).time);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ComputeRoof {
+    unit: AuSpec,
+    /// Sustained flops/s of one core at full fill: ops/cycle × Hz ×
+    /// sustained fraction.
+    rate: f64,
+    prec_factor: f64,
+    cores: f64,
+    penalty: f64,
+    /// Launch overhead in seconds.
+    startup: f64,
+}
+
+impl ComputeRoof {
+    /// The compute leg of `unit` at `prec` under `ctx`'s cores, frequency
+    /// and compute penalty.
+    #[must_use]
+    pub fn new(unit: &AuSpec, prec: Precision, ctx: &ExecContext) -> Self {
+        ComputeRoof {
+            unit: *unit,
+            rate: unit.ops_per_cycle * ctx.freq_ghz.max(0.0) * 1e9 * unit.sustained_frac,
+            prec_factor: prec.throughput_factor(),
+            cores: ctx.cores as f64,
+            penalty: ctx.compute_penalty,
+            startup: unit.startup_cycles / (ctx.freq_ghz * 1e9),
+        }
+    }
+
+    /// Seconds one kernel of `shape` spends computing: its flops over the
+    /// sustained throughput of the tiles it fills on every core, times the
+    /// compute penalty, plus launch overhead. An empty shape launches no
+    /// kernel and takes none.
+    #[must_use]
+    pub fn secs(&self, shape: GemmShape) -> f64 {
+        if shape.is_empty() {
+            return 0.0;
+        }
+        let fill = self.unit.fill_efficiency(shape.m, shape.n);
+        let throughput = (self.rate * fill * self.prec_factor * self.cores).max(1.0);
+        (shape.flops() / throughput) * self.penalty + self.startup
+    }
+}
+
+/// The memory leg's constants under one precision and execution context:
+/// the bandwidth the kernel's cores can reach and the memory penalty.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemoryRoof {
+    prec: Precision,
+    /// Reachable bandwidth in bytes/s.
+    bandwidth: f64,
+    penalty: f64,
+}
+
+impl MemoryRoof {
+    /// The memory leg at `prec` under `ctx`'s granted bandwidth, capped at
+    /// [`PER_CORE_BW_GBS`] per core, and its memory penalty.
+    #[must_use]
+    pub fn new(prec: Precision, ctx: &ExecContext) -> Self {
+        MemoryRoof {
+            prec,
+            bandwidth: ctx
+                .bandwidth
+                .value()
+                .min(ctx.cores as f64 * PER_CORE_BW_GBS)
+                * 1e9,
+            penalty: ctx.memory_penalty,
+        }
+    }
+
+    /// Seconds one kernel of `shape` spends streaming its operands, times
+    /// the memory penalty. An empty shape launches no kernel and takes
+    /// none.
+    #[must_use]
+    pub fn secs(&self, shape: GemmShape) -> f64 {
+        if shape.is_empty() {
+            return 0.0;
+        }
+        shape.bytes(self.prec) / self.bandwidth * self.penalty
+    }
+}
+
+/// One roofline leg of one kernel: its seconds and their rounding to the
+/// nanosecond.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Leg {
+    /// Exact seconds.
+    pub secs: f64,
+    /// `secs` rounded to the nanosecond.
+    pub time: SimDuration,
+}
+
+impl Leg {
+    /// The leg of `secs` seconds.
+    #[must_use]
+    pub fn new(secs: f64) -> Self {
+        Leg {
+            secs,
+            time: SimDuration::from_secs_f64(secs),
+        }
+    }
+}
+
+/// What [`combine`] decided for one kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Wall {
+    /// Index of the winning candidate unit.
+    pub unit: usize,
+    /// Wall seconds: the winner's longer leg.
+    pub secs: f64,
+    /// `secs` rounded to the nanosecond.
+    pub time: SimDuration,
+    /// Which leg it was.
+    pub bound: Bound,
+}
+
+/// The roofline's combine step for one kernel on its candidate units,
+/// given each unit's compute leg and the memory leg, which no unit
+/// changes.
+///
+/// A unit's wall is its longer leg, the compute leg on a tie. The unit
+/// with the shorter rounded wall wins; equal walls (both memory-bound) go
+/// to the lighter rounded compute leg, since the unit that occupies
+/// execution ports for less time wins, which is why vector-size
+/// operations run on AVX in practice (§IV-A1); a full tie goes to the
+/// first unit. The memory leg is rounded at most once.
+///
+/// # Panics
+///
+/// Panics if `compute` is empty.
+#[must_use]
+pub fn combine(compute: &[Leg], memory_secs: f64) -> Wall {
+    let mut memory_time = None;
+    let mut wall_of = |unit: usize| {
+        let leg = compute[unit];
+        if leg.secs >= memory_secs {
+            Wall {
+                unit,
+                secs: leg.secs,
+                time: leg.time,
+                bound: Bound::Compute,
+            }
+        } else {
+            let time = *memory_time.get_or_insert_with(|| SimDuration::from_secs_f64(memory_secs));
+            Wall {
+                unit,
+                secs: memory_secs,
+                time,
+                bound: Bound::Memory,
+            }
+        }
+    };
+    let first = wall_of(0);
+    (1..compute.len()).fold(first, |best, unit| {
+        let wall = wall_of(unit);
+        let rank = |w: &Wall| (w.time, compute[w.unit].time);
+        if rank(&wall) < rank(&best) {
+            wall
+        } else {
+            best
+        }
+    })
+}
+
+/// Evaluates one kernel on the better of its candidate units: both legs
+/// through the roofs, then [`combine`].
+fn execute<'a, const N: usize>(
+    shape: GemmShape,
+    prec: Precision,
+    units: [&'a AuSpec; N],
+    ctx: &ExecContext,
+) -> (&'a AuSpec, GemmExecution) {
+    if shape.is_empty() {
+        // No kernel launches, so there is no throughput to report either.
+        let exec = GemmExecution {
+            time: SimDuration::ZERO,
+            compute_time: SimDuration::ZERO,
+            memory_time: SimDuration::ZERO,
+            bound: Bound::Compute,
+            achieved_tflops: 0.0,
+            au_busy_cycles_per_core: 0.0,
+        };
+        return (units[0], exec);
+    }
+    let compute = units.map(|unit| Leg::new(ComputeRoof::new(unit, prec, ctx).secs(shape)));
+    let memory_secs = MemoryRoof::new(prec, ctx).secs(shape);
+    let wall = combine(&compute, memory_secs);
+    let (unit, flops) = (units[wall.unit], shape.flops());
+    let exec = GemmExecution {
+        time: wall.time,
+        compute_time: compute[wall.unit].time,
+        memory_time: SimDuration::from_secs_f64(memory_secs),
+        bound: wall.bound,
+        achieved_tflops: flops / wall.secs / 1e12,
+        au_busy_cycles_per_core: flops
+            / (unit.ops_per_cycle * prec.throughput_factor() * ctx.cores as f64),
+    };
+    (unit, exec)
+}
+
 /// Evaluates the roofline model for one kernel.
 ///
 /// # Examples
@@ -183,44 +401,12 @@ pub fn gemm_time(
     unit: &AuSpec,
     ctx: &ExecContext,
 ) -> GemmExecution {
-    if shape.is_empty() {
-        return GemmExecution {
-            time: SimDuration::ZERO,
-            compute_time: SimDuration::ZERO,
-            memory_time: SimDuration::ZERO,
-            bound: Bound::Compute,
-            achieved_tflops: 0.0,
-            au_busy_cycles_per_core: 0.0,
-        };
-    }
-    let flops = shape.flops();
-    let per_core = unit.sustained_flops_per_core(ctx.freq_ghz, shape.m, shape.n, prec);
-    let startup = unit.startup_cycles / (ctx.freq_ghz * 1e9);
-    let compute_secs =
-        (flops / (per_core * ctx.cores as f64).max(1.0)) * ctx.compute_penalty + startup;
-    let reachable_bw = ctx
-        .bandwidth
-        .value()
-        .min(ctx.cores as f64 * PER_CORE_BW_GBS);
-    let memory_secs = shape.bytes(prec) / (reachable_bw * 1e9) * ctx.memory_penalty;
-    let (wall, bound) = if compute_secs >= memory_secs {
-        (compute_secs, Bound::Compute)
-    } else {
-        (memory_secs, Bound::Memory)
-    };
-    GemmExecution {
-        time: SimDuration::from_secs_f64(wall),
-        compute_time: SimDuration::from_secs_f64(compute_secs),
-        memory_time: SimDuration::from_secs_f64(memory_secs),
-        bound,
-        achieved_tflops: flops / wall / 1e12,
-        au_busy_cycles_per_core: flops
-            / (unit.ops_per_cycle * prec.throughput_factor() * ctx.cores as f64),
-    }
+    execute(shape, prec, [unit], ctx).1
 }
 
 /// Picks the faster of AMX and AVX-512 for a shape — the paper notes the
-/// best AU choice changes with matrix dimensions (§II-B, §IV-A1).
+/// best AU choice changes with matrix dimensions (§II-B, §IV-A1). Ties
+/// break as [`combine`] says.
 #[must_use]
 pub fn pick_unit<'a>(
     shape: GemmShape,
@@ -229,16 +415,7 @@ pub fn pick_unit<'a>(
     avx: &'a AuSpec,
     ctx: &ExecContext,
 ) -> (&'a AuSpec, GemmExecution) {
-    let with_amx = gemm_time(shape, prec, amx, ctx);
-    let with_avx = gemm_time(shape, prec, avx, ctx);
-    // Tie-break equal wall times (both memory-bound) by the lighter compute
-    // leg: the unit that occupies execution ports for less time wins, which
-    // is why vector-size operations run on AVX in practice (§IV-A1).
-    if (with_amx.time, with_amx.compute_time) <= (with_avx.time, with_avx.compute_time) {
-        (amx, with_amx)
-    } else {
-        (avx, with_avx)
-    }
+    execute(shape, prec, [amx, avx], ctx)
 }
 
 #[cfg(test)]
@@ -401,6 +578,21 @@ mod tests {
             &ctx,
         );
         assert_eq!(unit.kind, AuKind::Amx, "large GEMM favors AMX");
+    }
+
+    #[test]
+    fn combine_takes_the_longer_leg_and_breaks_ties_by_compute() {
+        let (light, heavy) = (Leg::new(1e-6), Leg::new(2e-6));
+        // A compute leg equal to the memory leg is the wall.
+        let wall = combine(&[light], 1e-6);
+        assert_eq!((wall.bound, wall.time), (Bound::Compute, light.time));
+        // Both units memory-bound: equal walls, the lighter compute leg wins.
+        let wall = combine(&[heavy, light], 3e-6);
+        assert_eq!((wall.unit, wall.bound), (1, Bound::Memory));
+        assert_eq!(wall.time, SimDuration::from_nanos(3000));
+        // A full tie goes to the first unit; a shorter wall beats it.
+        assert_eq!(combine(&[light, light], 3e-6).unit, 0);
+        assert_eq!(combine(&[Leg::new(4e-6), light], 3e-6).unit, 1);
     }
 
     #[test]

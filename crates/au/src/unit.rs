@@ -174,23 +174,12 @@ impl AuSpec {
         };
         fill(m, self.tile_m) * fill(n, self.tile_n)
     }
-
-    /// Sustained per-core throughput (flops/s) at frequency `ghz` for an
-    /// `m × n`-shaped output and the given precision.
-    #[must_use]
-    pub fn sustained_flops_per_core(&self, ghz: f64, m: usize, n: usize, prec: Precision) -> f64 {
-        self.ops_per_cycle
-            * ghz.max(0.0)
-            * 1e9
-            * self.sustained_frac
-            * self.fill_efficiency(m, n)
-            * prec.throughput_factor()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{ComputeRoof, ExecContext, GemmShape};
 
     #[test]
     fn gen_a_ops_per_cycle_derive_from_table1() {
@@ -244,12 +233,18 @@ mod tests {
         let spec = PlatformSpec::gen_a();
         let amx = AuSpec::for_platform(&spec, AuKind::Amx);
         let avx = AuSpec::for_platform(&spec, AuKind::Avx512);
-        let m1_amx = amx.sustained_flops_per_core(2.5, 1, 4096, Precision::Bf16);
-        let m1_avx = avx.sustained_flops_per_core(3.1, 1, 4096, Precision::Bf16);
-        assert!(m1_avx > m1_amx, "m=1 should favor AVX");
-        let m16_amx = amx.sustained_flops_per_core(2.5, 16, 4096, Precision::Bf16);
-        let m16_avx = avx.sustained_flops_per_core(3.1, 16, 4096, Precision::Bf16);
-        assert!(m16_amx > m16_avx, "m=16 should favor AMX");
+        let on_one_core = |unit: &AuSpec, ghz: f64, m: usize| {
+            let ctx = ExecContext::new(1, ghz, spec.mem_bw);
+            ComputeRoof::new(unit, Precision::Bf16, &ctx).secs(GemmShape::new(m, 4096, 4096))
+        };
+        assert!(
+            on_one_core(&avx, 3.1, 1) < on_one_core(&amx, 2.5, 1),
+            "m=1 should favor AVX"
+        );
+        assert!(
+            on_one_core(&amx, 2.5, 16) < on_one_core(&avx, 3.1, 16),
+            "m=16 should favor AMX"
+        );
     }
 
     #[test]

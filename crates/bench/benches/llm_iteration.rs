@@ -2,11 +2,12 @@
 //! llama2-7b through the full op-graph + roofline + PMU pipeline, and the
 //! engine's pricer on a decode iteration that keeps the last iteration's
 //! batch and resources (`decode_bs16_repeat`: only the two attention
-//! operators are re-priced) and on one whose resources changed
-//! (`decode_bs16_new_resources`: every operator is re-priced). One
-//! control interval's serving work closes the file: a 500 ms
-//! `run_interval` on a warm chatbot engine, then the sensing readout
-//! (`interval_sense`).
+//! operators are re-priced), on one with a new bandwidth grant
+//! (`decode_bs16_new_resources`: only the memory legs are re-derived) and
+//! on one with a new frequency (`decode_bs16_new_frequency`: the decode
+//! table is dropped and every operator is re-priced). One control
+//! interval's serving work closes the file: a 500 ms `run_interval` on a
+//! warm chatbot engine, then the sensing readout (`interval_sense`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -60,6 +61,14 @@ fn bench(c: &mut Criterion) {
         ExecContext::new(96, 3.1, GbPerSec(spec.mem_bw.value() * 0.9)),
     ];
     c.bench_function("llm_iteration/decode_bs16_new_resources", |b| {
+        b.iter(|| {
+            step += 1;
+            pricer.price(Phase::Decode, 16, 855, black_box(&grants[step % 2]))
+        })
+    });
+    // A new license frequency on every call.
+    let grants = [decode_ctx, ExecContext::new(96, 2.8, spec.mem_bw)];
+    c.bench_function("llm_iteration/decode_bs16_new_frequency", |b| {
         b.iter(|| {
             step += 1;
             pricer.price(Phase::Decode, 16, 855, black_box(&grants[step % 2]))

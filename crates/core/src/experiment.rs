@@ -223,8 +223,9 @@ pub fn run_experiment(cfg: &ExperimentConfig, manager: &mut dyn ResourceManager)
 /// # Errors
 ///
 /// - [`AumError::Config`] for a zero control interval, a duration shorter
-///   than one interval, a request rate that is not positive and finite, or
-///   an unusable model or platform field;
+///   than one interval, a request rate that is not positive and finite,
+///   more intervals or expected requests than [`MAX_RUN_INTERVALS`] or
+///   [`MAX_RUN_REQUESTS`], or an unusable model or platform field;
 /// - [`AumError::FaultPlan`] when the fault plan fails validation (e.g. a
 ///   bandwidth fraction outside `(0, 1]`);
 /// - [`AumError::Division`] when the manager returns a division that does
@@ -1068,12 +1069,24 @@ fn apply_core_offline(div: ProcessorDivision, count: usize) -> ProcessorDivision
     ProcessorDivision::new(high, low, none)
 }
 
+/// The most control intervals one run may step through. The largest run
+/// in the repository takes 3,600; a 1 ns interval would take billions.
+pub const MAX_RUN_INTERVALS: u64 = 1_000_000;
+
+/// The most requests one run may expect (rate × the rate profile's peak
+/// multiplier × duration). The trace is built before the run starts, so an
+/// unbounded one would exhaust memory; the largest run in the repository
+/// expects about 36,000.
+pub const MAX_RUN_REQUESTS: u64 = 10_000_000;
+
 /// Rejects a config that would hang or panic a run: a zero control
-/// interval, a duration with no whole interval in it, a request rate that
-/// is not positive and finite, an unusable model, platform or price field
-/// ([`ModelConfig::validate`], [`PlatformSpec::validate`],
-/// [`Prices::validate`]), or a platform whose memory cannot hold the
-/// model's weights.
+/// interval, a duration with no whole interval in it, more intervals than
+/// [`MAX_RUN_INTERVALS`], a request rate that is not positive and finite,
+/// a NaN rate-profile amplitude, more expected requests than
+/// [`MAX_RUN_REQUESTS`], an unusable model,
+/// platform or price field ([`ModelConfig::validate`],
+/// [`PlatformSpec::validate`], [`Prices::validate`]), or a platform whose
+/// memory cannot hold the model's weights.
 pub(crate) fn validate(cfg: &ExperimentConfig) -> Result<(), String> {
     cfg.model.validate().map_err(|e| format!("model.{e}"))?;
     cfg.platform
@@ -1083,20 +1096,43 @@ pub(crate) fn validate(cfg: &ExperimentConfig) -> Result<(), String> {
     KvBudget::for_platform(&cfg.platform, &cfg.model, PRECISION)
         .map_err(|e| format!("platform.memory_gb: {e}"))?;
     let (interval, duration) = (cfg.control_interval, cfg.duration);
-    let problem = if interval == SimDuration::ZERO {
-        "control interval is zero".to_string()
-    } else if duration < interval {
-        format!(
+    if interval == SimDuration::ZERO {
+        return Err("control interval is zero".to_string());
+    }
+    if duration < interval {
+        return Err(format!(
             "duration {}s is shorter than one {}s control interval",
             duration.as_secs_f64(),
             interval.as_secs_f64()
-        )
-    } else if let Some(rate) = cfg.rate.filter(|r| !(r.is_finite() && *r > 0.0)) {
-        format!("request rate must be positive and finite, got {rate}")
-    } else {
-        return Ok(());
-    };
-    Err(problem)
+        ));
+    }
+    let intervals = duration.as_nanos() / interval.as_nanos();
+    if intervals > MAX_RUN_INTERVALS {
+        return Err(format!(
+            "control_interval: {intervals} intervals of {}s exceed the run cap \
+             MAX_RUN_INTERVALS = {MAX_RUN_INTERVALS}",
+            interval.as_secs_f64()
+        ));
+    }
+    let rate = cfg.rate.unwrap_or_else(|| cfg.scenario.default_rate());
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!(
+            "request rate must be positive and finite, got {rate}"
+        ));
+    }
+    let peak = cfg.rate_profile.peak_multiplier();
+    if peak.is_nan() {
+        // A `null` amplitude decodes to NaN, which panics the generator.
+        return Err("rate_profile: diurnal amplitude is not a number".to_string());
+    }
+    let requests = rate * peak * duration.as_secs_f64();
+    if requests > MAX_RUN_REQUESTS as f64 {
+        return Err(format!(
+            "rate: {requests:e} expected requests exceed the run cap \
+             MAX_RUN_REQUESTS = {MAX_RUN_REQUESTS}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,19 +2,22 @@
 //!
 //! Prices an operator list ([`crate::ops::iteration_ops`]) through the
 //! roofline cost model under a concrete execution context: each operator
-//! runs on the better AU (or its forced one), its execution scaled by its
-//! repeat count, and the terms fold in operator order into an
-//! [`IterationCost`]. [`iteration_cost`] also records synthetic PMU
-//! counters — the serving-engine analogue of running one
+//! runs on the better AU (or its forced one), its time scaled by its
+//! repeat count, and the terms fold in operator order. [`iteration_cost`]
+//! prices each operator through [`gemm_time`] or [`pick_unit`] and records
+//! synthetic PMU counters — the serving-engine analogue of running one
 //! xFasterTransformer step under `perf` — for the characterization
 //! studies. The serving engine prices through an [`IterationPricer`]
-//! instead, which records no counters and reuses a decode iteration's
-//! context-free terms while its batch and resources hold.
+//! instead: it returns only what the engine reads, and keeps each decode
+//! operator's roofline legs under the inputs each leg reads.
 
 use serde::{Deserialize, Serialize};
 
 use aum_au::counters::PmuCounters;
-use aum_au::gemm::{gemm_time, pick_unit, Bound, ExecContext, GemmExecution};
+use aum_au::gemm::{
+    combine, gemm_time, pick_unit, Bound, ComputeRoof, ExecContext, GemmExecution, GemmShape, Leg,
+    MemoryRoof,
+};
 use aum_au::unit::{AuKind, AuSpec, Precision};
 use aum_platform::spec::PlatformSpec;
 use aum_sim::time::SimDuration;
@@ -40,6 +43,11 @@ impl AuKernels {
             avx: AuSpec::for_platform(spec, AuKind::Avx512),
         }
     }
+
+    /// The compute roofs of AMX and AVX-512, in that order.
+    fn roofs(&self, prec: Precision, ctx: &ExecContext) -> [ComputeRoof; 2] {
+        [&self.amx, &self.avx].map(|unit| ComputeRoof::new(unit, prec, ctx))
+    }
 }
 
 /// Cost-model output for one serving iteration.
@@ -58,6 +66,16 @@ pub struct IterationCost {
     pub memory_bound_frac: f64,
     /// Fraction of flops executed on AMX.
     pub amx_flop_frac: f64,
+}
+
+/// What the serving engine reads of an iteration's cost: the
+/// [`IterationCost`] fields of the same names, with the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterationPrice {
+    /// Wall time of the iteration.
+    pub time: SimDuration,
+    /// Bandwidth demand, as [`IterationCost::bw_demand_gbs`].
+    pub bw_demand_gbs: f64,
 }
 
 /// Evaluates one iteration of `model` in `phase` with `tokens`/`context`
@@ -99,101 +117,129 @@ pub fn iteration_cost(
 ) -> IterationCost {
     let _prof = aum_sim::prof::scope("cost.eval_ops");
     let ops = iteration_ops(model, phase, tokens, context);
-    let terms = ops.map(|op| price_op(&op, prec, kernels, ctx));
-    for t in &terms {
+    let priced = ops.map(|op| {
+        let (unit, exec) = match op.unit {
+            Some(AuKind::Avx512) => (&kernels.avx, gemm_time(op.shape, prec, &kernels.avx, ctx)),
+            Some(AuKind::Amx) => (&kernels.amx, gemm_time(op.shape, prec, &kernels.amx, ctx)),
+            Some(AuKind::Scalar) | None => {
+                pick_unit(op.shape, prec, &kernels.amx, &kernels.avx, ctx)
+            }
+        };
+        let term = Term::scaled(exec.time, exec.compute_time, &op, prec);
         // One scaled execution per operator.
         let scaled = GemmExecution {
-            time: t.time,
-            au_busy_cycles_per_core: t.exec.au_busy_cycles_per_core * t.repeat,
-            ..t.exec
+            time: term.time,
+            au_busy_cycles_per_core: exec.au_busy_cycles_per_core * op.repeat as f64,
+            ..exec
         };
-        pmu.record_gemm(&scaled, t.unit, ctx.cores, ctx.freq_ghz);
-    }
-    fold(&terms)
-}
-
-/// One operator priced under an execution context.
-#[derive(Debug, Clone, Copy)]
-struct Term {
-    /// The unit that runs it.
-    unit: AuKind,
-    /// One instance's execution.
-    exec: GemmExecution,
-    repeat: f64,
-    /// The execution scaled by `repeat`: wall time, compute leg, work and
-    /// traffic.
-    time: SimDuration,
-    compute_secs: f64,
-    flops: f64,
-    bytes: f64,
-}
-
-/// Prices one operator: the forced unit, or the better of AMX and
-/// AVX-512, with the execution scaled by the repeat count.
-fn price_op(op: &IterOp, prec: Precision, kernels: &AuKernels, ctx: &ExecContext) -> Term {
-    let (unit, exec) = match op.unit {
-        Some(AuKind::Avx512) => (&kernels.avx, gemm_time(op.shape, prec, &kernels.avx, ctx)),
-        Some(AuKind::Amx) => (&kernels.amx, gemm_time(op.shape, prec, &kernels.amx, ctx)),
-        Some(AuKind::Scalar) | None => pick_unit(op.shape, prec, &kernels.amx, &kernels.avx, ctx),
-    };
-    let repeat = op.repeat as f64;
-    Term {
-        unit: unit.kind,
-        exec,
-        repeat,
-        // Repeats share one launch; scale the steady-state legs.
-        time: SimDuration::from_secs_f64(exec.time.as_secs_f64() * repeat),
-        compute_secs: exec.compute_time.as_secs_f64() * repeat,
-        flops: op.shape.flops() * repeat,
-        bytes: op.shape.bytes(prec) * repeat,
-    }
-}
-
-/// Folds priced terms, in operator order, into the iteration's cost.
-fn fold(terms: &[Term]) -> IterationCost {
-    let mut total = SimDuration::ZERO;
+        pmu.record_gemm(&scaled, unit.kind, ctx.cores, ctx.freq_ghz);
+        (unit.kind, exec.bound, term)
+    });
+    let total = fold(priced.map(|(_, _, term)| term));
     let mut flops = 0.0;
-    let mut bytes = 0.0;
-    let mut compute_secs = 0.0;
     let mut memory_bound_secs = 0.0;
     let mut amx_flops = 0.0;
-    for t in terms {
-        total += t.time;
-        flops += t.flops;
-        bytes += t.bytes;
-        compute_secs += t.compute_secs;
-        if t.exec.bound == Bound::Memory {
-            memory_bound_secs += t.time.as_secs_f64();
+    for (op, (unit, bound, term)) in ops.iter().zip(priced) {
+        flops += op.total_flops();
+        if bound == Bound::Memory {
+            memory_bound_secs += term.time.as_secs_f64();
         }
-        if t.unit == AuKind::Amx {
-            amx_flops += t.flops;
+        if unit == AuKind::Amx {
+            amx_flops += op.total_flops();
         }
     }
-    let wall = total.as_secs_f64().max(1e-12);
+    let wall = total.time.as_secs_f64().max(1e-12);
     IterationCost {
-        time: total,
+        time: total.time,
         flops,
-        bytes,
-        bw_demand_gbs: bytes / compute_secs.max(1e-9) / 1e9,
+        bytes: total.bytes,
+        bw_demand_gbs: total.bw_demand_gbs(),
         memory_bound_frac: (memory_bound_secs / wall).clamp(0.0, 1.0),
         amx_flop_frac: if flops > 0.0 { amx_flops / flops } else { 0.0 },
     }
 }
 
-/// Prices one serving engine's iterations: [`iteration_cost`] without the
-/// PMU counters, for a fixed model, precision and kernel set.
+/// One operator's share of an iteration, scaled by its repeat count: wall
+/// time, traffic and rounded compute leg.
+#[derive(Debug, Clone, Copy, Default)]
+struct Term {
+    time: SimDuration,
+    bytes: f64,
+    compute_secs: f64,
+}
+
+impl Term {
+    /// The term of `op` from one instance's rounded wall and compute
+    /// times. Repeats share one launch; the steady-state legs scale.
+    fn scaled(time: SimDuration, compute_time: SimDuration, op: &IterOp, prec: Precision) -> Self {
+        let repeat = op.repeat as f64;
+        Term {
+            time: scale(time, op.repeat),
+            bytes: op.shape.bytes(prec) * repeat,
+            compute_secs: compute_time.as_secs_f64() * repeat,
+        }
+    }
+
+    /// The bandwidth the terms could consume if the memory leg were free.
+    fn bw_demand_gbs(&self) -> f64 {
+        self.bytes / self.compute_secs.max(1e-9) / 1e9
+    }
+
+    fn price(&self) -> IterationPrice {
+        IterationPrice {
+            time: self.time,
+            bw_demand_gbs: self.bw_demand_gbs(),
+        }
+    }
+}
+
+/// `SimDuration::from_secs_f64(time.as_secs_f64() × repeat)`, in integers
+/// when the product is below 2^50 ns: there the three correctly rounded
+/// float operations err by less than 3.4e-16 relative, under 0.38 ns, so
+/// the float path rounds to the exact product too.
+fn scale(time: SimDuration, repeat: usize) -> SimDuration {
+    match time.as_nanos().checked_mul(repeat as u64) {
+        Some(nanos) if nanos < 1 << 50 => SimDuration::from_nanos(nanos),
+        _ => SimDuration::from_secs_f64(time.as_secs_f64() * repeat as f64),
+    }
+}
+
+/// Sums the terms in operator order: the wall times in integers, the
+/// traffic and the compute legs in floats.
+fn fold(terms: [Term; 8]) -> Term {
+    terms.into_iter().fold(Term::default(), |sum, t| Term {
+        time: sum.time + t.time,
+        bytes: sum.bytes + t.bytes,
+        compute_secs: sum.compute_secs + t.compute_secs,
+    })
+}
+
+/// Prices one serving engine's iterations for a fixed model, precision and
+/// kernel set: the `time` and `bw_demand_gbs` of [`iteration_cost`], bit
+/// for bit, without the PMU counters or the other fields.
 ///
-/// In decode, six of the eight operators (`qkv_proj`, `attn_out`,
-/// `ffn_gate_up`, `ffn_down`, `lm_head` and `glue`) read only the batch
-/// and the model; only the two attention kernels read the context length.
-/// The pricer keeps the terms of the last decode iteration under its
-/// `(batch, ExecContext)` key, and a decode iteration with the same key
-/// re-prices only the attention terms. A term is a pure function of the
-/// operator's shape, the precision, the kernels and the context, and the
-/// fold runs in the same order, so every result equals
-/// [`iteration_cost`]'s bit for bit. A key holding a NaN never compares
-/// equal, so it re-prices. Prefill steps price every operator and leave
-/// the decode terms alone.
+/// Each operator's roofline price splits into a compute leg, which reads
+/// the shape, the unit, the cores, the frequency and the compute penalty
+/// ([`ComputeRoof`]), and a memory leg, which reads the shape, the
+/// reachable bandwidth and the memory penalty ([`MemoryRoof`]). In decode,
+/// six of the eight operators (`qkv_proj`, `attn_out`, `ffn_gate_up`,
+/// `ffn_down`, `lm_head` and `glue`) read only the batch and the model, so
+/// the pricer keeps their legs per batch size:
+///
+/// - under the *compute key* (cores, frequency bits, compute-penalty
+///   bits), each operator's compute leg on each candidate unit, its
+///   seconds and their rounding. A new compute key drops the table.
+/// - under the *memory key* (bandwidth bits, memory-penalty bits), the
+///   term each operator came to. A new memory key re-derives only the
+///   memory legs, then the pick and the scaling. (The reachable bandwidth
+///   also reads the cores, which the compute key holds.)
+///
+/// The two attention kernels read the context length, so every decode
+/// iteration re-prices them; prefill steps price every operator. Both go
+/// through the same roofs and the same [`combine`] step that
+/// [`aum_au::gemm::gemm_time`] uses, and the fold runs in the same order,
+/// so the result is a pure function of the key bits and equals
+/// [`iteration_cost`]'s bit for bit.
 ///
 /// # Examples
 ///
@@ -205,19 +251,22 @@ fn fold(terms: &[Term]) -> IterationCost {
 /// use aum_llm::cost::{iteration_cost, AuKernels, IterationPricer};
 /// use aum_llm::ops::Phase;
 /// use aum_platform::spec::PlatformSpec;
+/// use aum_platform::units::GbPerSec;
 ///
 /// let spec = PlatformSpec::gen_a();
 /// let kernels = AuKernels::for_platform(&spec);
 /// let model = ModelConfig::llama2_7b();
-/// let ctx = ExecContext::new(96, 3.1, spec.mem_bw);
+/// let full = ExecContext::new(96, 3.1, spec.mem_bw);
+/// let throttled = ExecContext::new(96, 3.1, GbPerSec(150.0));
 /// let mut pricer = IterationPricer::new(model.clone(), Precision::Bf16, kernels);
-/// for context in [855, 856] {
-///     let cost = pricer.price(Phase::Decode, 16, context, &ctx);
+/// for (context, ctx) in [(855, &full), (856, &full), (857, &throttled)] {
+///     let price = pricer.price(Phase::Decode, 16, context, ctx);
 ///     let mut pmu = PmuCounters::new();
-///     let full = iteration_cost(
-///         &model, Phase::Decode, 16, context, Precision::Bf16, &kernels, &ctx, &mut pmu,
+///     let cost = iteration_cost(
+///         &model, Phase::Decode, 16, context, Precision::Bf16, &kernels, ctx, &mut pmu,
 ///     );
-///     assert_eq!(cost, full);
+///     assert_eq!(price.time, cost.time);
+///     assert_eq!(price.bw_demand_gbs.to_bits(), cost.bw_demand_gbs.to_bits());
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -225,15 +274,73 @@ pub struct IterationPricer {
     model: ModelConfig,
     prec: Precision,
     kernels: AuKernels,
-    decode: Option<DecodeTerms>,
+    /// The compute key the decode table was derived under, and the AMX
+    /// and AVX-512 compute roofs it gives.
+    compute: Option<(ComputeKey, [ComputeRoof; 2])>,
+    /// Per decode batch size, the legs derived under `compute`: one boxed
+    /// entry per batch size seen.
+    batches: Vec<Option<Box<BatchLegs>>>,
 }
 
-/// The last decode iteration's terms and the key they were priced under.
+/// Cores, frequency bits and compute-penalty bits.
+type ComputeKey = (usize, u64, u64);
+
+/// Bandwidth bits and memory-penalty bits.
+type MemoryKey = (u64, u64);
+
+/// One decode batch size's legs of the operators that do not read the
+/// context length (`None` for the two attention kernels, which do), and
+/// the terms every operator came to under `memory`.
 #[derive(Debug, Clone)]
-struct DecodeTerms {
-    batch: usize,
-    ctx: ExecContext,
+struct BatchLegs {
+    memory: Option<MemoryKey>,
+    legs: [Option<OpLegs>; 8],
     terms: [Term; 8],
+}
+
+/// One operator's compute legs on its candidate units (AMX, then AVX-512;
+/// a forced unit is the only one), and the term each candidate gives it
+/// when compute-bound.
+#[derive(Debug, Clone, Copy)]
+struct OpLegs {
+    shape: GemmShape,
+    repeat: usize,
+    units: usize,
+    compute: [Leg; 2],
+    terms: [Term; 2],
+}
+
+impl OpLegs {
+    fn new(op: &IterOp, roofs: &[ComputeRoof; 2], prec: Precision) -> Self {
+        let candidates = match op.unit {
+            Some(AuKind::Amx) => &roofs[..1],
+            Some(AuKind::Avx512) => &roofs[1..],
+            Some(AuKind::Scalar) | None => &roofs[..],
+        };
+        let mut legs = OpLegs {
+            shape: op.shape,
+            repeat: op.repeat,
+            units: candidates.len(),
+            compute: [Leg::default(); 2],
+            terms: [Term::default(); 2],
+        };
+        for (i, roof) in candidates.iter().enumerate() {
+            let leg = Leg::new(roof.secs(op.shape));
+            legs.compute[i] = leg;
+            legs.terms[i] = Term::scaled(leg.time, leg.time, op, prec);
+        }
+        legs
+    }
+
+    /// The operator's term under `memory`: its memory leg, the combine
+    /// step and the scaling.
+    fn term(&self, memory: &MemoryRoof) -> Term {
+        let wall = combine(&self.compute[..self.units], memory.secs(self.shape));
+        Term {
+            time: scale(wall.time, self.repeat),
+            ..self.terms[wall.unit]
+        }
+    }
 }
 
 impl IterationPricer {
@@ -244,7 +351,8 @@ impl IterationPricer {
             model,
             prec,
             kernels,
-            decode: None,
+            compute: None,
+            batches: Vec::new(),
         }
     }
 
@@ -261,33 +369,53 @@ impl IterationPricer {
         tokens: usize,
         context: usize,
         ctx: &ExecContext,
-    ) -> IterationCost {
+    ) -> IterationPrice {
         let _prof = aum_sim::prof::scope("cost.eval_ops");
         let ops = iteration_ops(&self.model, phase, tokens, context);
-        let price = |op: &IterOp| price_op(op, self.prec, &self.kernels, ctx);
+        let memory = MemoryRoof::new(self.prec, ctx);
         if phase == Phase::Prefill {
-            return fold(&ops.map(|op| price(&op)));
+            let roofs = self.kernels.roofs(self.prec, ctx);
+            return fold(ops.map(|op| OpLegs::new(&op, &roofs, self.prec).term(&memory))).price();
         }
-        let terms = match &mut self.decode {
-            Some(last) if last.batch == tokens && last.ctx == *ctx => {
-                for (term, op) in last.terms.iter_mut().zip(&ops) {
-                    if op.class == OpClass::Attention {
-                        *term = price(op);
-                    }
-                }
-                &last.terms
-            }
-            slot => {
-                &slot
-                    .insert(DecodeTerms {
-                        batch: tokens,
-                        ctx: *ctx,
-                        terms: ops.map(|op| price(&op)),
-                    })
-                    .terms
+        let compute_key = (
+            ctx.cores,
+            ctx.freq_ghz.to_bits(),
+            ctx.compute_penalty.to_bits(),
+        );
+        let roofs = match &self.compute {
+            Some((key, roofs)) if *key == compute_key => roofs,
+            _ => {
+                self.batches.clear();
+                let roofs = self.kernels.roofs(self.prec, ctx);
+                &self.compute.insert((compute_key, roofs)).1
             }
         };
-        fold(terms)
+        if self.batches.len() <= tokens {
+            self.batches.resize(tokens + 1, None);
+        }
+        let batch = self.batches[tokens].get_or_insert_with(|| {
+            Box::new(BatchLegs {
+                memory: None,
+                legs: ops.map(|op| {
+                    (op.class != OpClass::Attention).then(|| OpLegs::new(&op, roofs, self.prec))
+                }),
+                terms: [Term::default(); 8],
+            })
+        });
+        let memory_key = Some((
+            ctx.bandwidth.value().to_bits(),
+            ctx.memory_penalty.to_bits(),
+        ));
+        let stale = batch.memory != memory_key;
+        batch.memory = memory_key;
+        for ((term, legs), op) in batch.terms.iter_mut().zip(&batch.legs).zip(&ops) {
+            match legs {
+                Some(legs) if stale => *term = legs.term(&memory),
+                Some(_) => {}
+                None => *term = OpLegs::new(op, roofs, self.prec).term(&memory),
+            }
+        }
+        fold(batch.terms).price()
     }
 }
 
@@ -389,6 +517,23 @@ mod tests {
                 pmu.total_uops,
             ];
             assert_eq!(got.map(f64::to_bits), pmu_bits, "{phase} pmu {got:?}");
+        }
+    }
+
+    proptest::proptest! {
+        // `scale` against the float scaling it replaces, up to and just
+        // below the 2^50 ns bound of its integer path, and past it.
+        #[test]
+        fn integer_scaling_equals_float_scaling(
+            repeat in 1usize..1 << 12,
+            below in 1u64..1 << 20,
+            nanos in 0u64..1 << 40,
+        ) {
+            let float = |t: SimDuration| SimDuration::from_secs_f64(t.as_secs_f64() * repeat as f64);
+            let tight = SimDuration::from_nanos(((1 << 50) - below) / repeat as u64);
+            for t in [tight, SimDuration::from_nanos(nanos), SimDuration::from_nanos(nanos << 12)] {
+                proptest::prop_assert_eq!(scale(t, repeat), float(t), "{:?} x {}", t, repeat);
+            }
         }
     }
 

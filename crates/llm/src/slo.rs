@@ -175,17 +175,20 @@ impl SloTally {
         let ratio = |met: usize, of: usize| if of == 0 { 1.0 } else { met as f64 / of as f64 };
         let tpot_req_hist: LogHistogram = means.iter().copied().collect();
         let (ttft_hist, tpot_hist) = (self.ttft_hist.clone(), self.tpot_hist.clone());
+        let [ttft_p50, ttft_p90, ttft_p99] = ttft_hist.quantiles([0.5, 0.9, 0.99]);
+        let [tpot_p50, tpot_p90] = tpot_hist.quantiles([0.5, 0.9]);
+        let [tpot_req_p50, tpot_req_p90, tpot_req_p99] = tpot_req_hist.quantiles([0.5, 0.9, 0.99]);
         SloReport {
             ttft_guarantee: ratio(self.ttft_met, ttft_hist.count() as usize),
             tpot_guarantee: ratio(tpot_met.count(), means.len()),
-            ttft_p50: ttft_hist.quantile(0.5),
-            ttft_p90: ttft_hist.quantile(0.9),
-            tpot_p50: tpot_hist.quantile(0.5),
-            tpot_p90: tpot_hist.quantile(0.9),
-            tpot_req_p50: tpot_req_hist.quantile(0.5),
-            tpot_req_p90: tpot_req_hist.quantile(0.9),
-            ttft_p99: ttft_hist.quantile(0.99),
-            tpot_req_p99: tpot_req_hist.quantile(0.99),
+            ttft_p50,
+            ttft_p90,
+            tpot_p50,
+            tpot_p90,
+            tpot_req_p50,
+            tpot_req_p90,
+            ttft_p99,
+            tpot_req_p99,
             prefills: ttft_hist.count() as usize,
             tokens: tpot_hist.count() as usize,
             ttft_hist,

@@ -160,6 +160,17 @@ impl RateProfile {
             }
         }
     }
+
+    /// An upper bound of [`multiplier`](Self::multiplier) at every time:
+    /// the rate a generator thins from.
+    #[must_use]
+    pub fn peak_multiplier(&self) -> f64 {
+        match *self {
+            RateProfile::Constant => 1.0,
+            RateProfile::Diurnal { amplitude, .. } => 1.0 + amplitude.clamp(0.0, 0.95),
+            RateProfile::Step { factor, .. } => factor.max(1e-3).max(1.0),
+        }
+    }
 }
 
 /// Seeded request-trace generator for a scenario.
@@ -226,12 +237,7 @@ impl TraceGenerator {
         let mut lengths = rng.stream(&format!("trace-lengths-{}", self.scenario.code()));
         let mut thinning = rng.stream(&format!("trace-thinning-{}", self.scenario.code()));
         let horizon = duration.as_secs_f64();
-        // Upper bound of the instantaneous rate over the horizon.
-        let peak_mult = match self.profile {
-            RateProfile::Constant => 1.0,
-            RateProfile::Diurnal { amplitude, .. } => 1.0 + amplitude.clamp(0.0, 0.95),
-            RateProfile::Step { factor, .. } => factor.max(1e-3).max(1.0),
-        };
+        let peak_mult = self.profile.peak_multiplier();
         let peak_rate = self.rate_rps * peak_mult;
         let mut out = Vec::new();
         let mut t = 0.0;

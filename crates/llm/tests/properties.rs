@@ -9,7 +9,7 @@ use aum_au::gemm::ExecContext;
 use aum_au::unit::Precision;
 use aum_llm::batching::{ActiveRequest, DecodePool, PrefillQueue};
 use aum_llm::config::ModelConfig;
-use aum_llm::cost::{iteration_cost, AuKernels, IterationCost, IterationPricer};
+use aum_llm::cost::{iteration_cost, AuKernels, IterationPricer};
 use aum_llm::engine::{EngineConfig, EngineMode, EngineResources, LlmEngine, RegionResources};
 use aum_llm::ops::{iteration_ops, IterOp, Phase};
 use aum_llm::request::{Request, RequestId};
@@ -285,42 +285,51 @@ proptest! {
     }
 }
 
-/// Every field of an iteration's cost, as bits.
-fn cost_bits(c: &IterationCost) -> [u64; 6] {
-    [
-        c.time.as_nanos(),
-        c.flops.to_bits(),
-        c.bytes.to_bits(),
-        c.bw_demand_gbs.to_bits(),
-        c.memory_bound_frac.to_bits(),
-        c.amx_flop_frac.to_bits(),
-    ]
-}
-
-/// The grants a pricer sequence draws from: few, so that keys repeat, and
-/// differing in every field, so that a changed key re-prices.
-fn grants(spec: &PlatformSpec) -> [ExecContext; 3] {
-    let cores = spec.total_cores();
-    [
-        ExecContext::new(cores, 3.1, spec.mem_bw),
-        ExecContext::new(cores / 2, 2.5, GbPerSec(spec.mem_bw.value() / 2.0)),
-        ExecContext::new(cores / 4, 2.0, spec.mem_bw).with_penalties(1.3, 1.1),
-    ]
+/// The grants a pricer sequence walks: each differs from the one before in
+/// exactly one field (bandwidth, memory penalty, frequency, cores, compute
+/// penalty), so a step to a neighbour changes only the memory key or only
+/// the compute key.
+fn grants(spec: &PlatformSpec) -> [ExecContext; 6] {
+    let full = ExecContext::new(spec.total_cores(), 3.1, spec.mem_bw);
+    let halved = ExecContext {
+        bandwidth: GbPerSec(spec.mem_bw.value() / 2.0),
+        ..full
+    };
+    let contended = ExecContext {
+        memory_penalty: 1.3,
+        ..halved
+    };
+    let slower = ExecContext {
+        freq_ghz: 2.5,
+        ..contended
+    };
+    let fewer = ExecContext {
+        cores: spec.total_cores() / 8,
+        ..slower
+    };
+    let smt = ExecContext {
+        compute_penalty: 1.1,
+        ..fewer
+    };
+    [full, halved, contended, slower, fewer, smt]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // One pricer serves a whole sequence, as in an engine run. Half the
-    // steps keep the last decode batch and grant, so its terms are
-    // reused; the rest draw a new batch and grant, and one in eight is a
-    // prefill step between decode iterations. Every result must equal
-    // `iteration_cost`'s, field by field and bit for bit.
+    // One pricer serves a whole sequence, as in an engine run, from a
+    // random grant. A step repeats the last decode batch and grant (the
+    // hit path), draws a new batch (a new or a kept table entry), moves to
+    // a neighbouring grant (a memory-only re-derivation or a table reset)
+    // or runs a prefill step. Batches revisit earlier sizes across grant
+    // changes. Every price must equal `iteration_cost`'s time and
+    // bandwidth demand, bit for bit.
     #[test]
     fn pricer_matches_iteration_cost_bit_for_bit(
         platform in 0usize..3,
         moe in any::<bool>(),
-        steps in prop::collection::vec((0u8..8, 1usize..=16, 1usize..=8192, 0usize..3), 1..48),
+        start in 0usize..6,
+        steps in prop::collection::vec((0u8..8, 1usize..=16, 1usize..=8192, any::<bool>()), 1..64),
     ) {
         let spec = match platform {
             0 => PlatformSpec::gen_a(),
@@ -331,22 +340,34 @@ proptest! {
         let kernels = AuKernels::for_platform(&spec);
         let grants = grants(&spec);
         let mut pricer = IterationPricer::new(model.clone(), Precision::Bf16, kernels);
-        let (mut batch, mut grant) = (1, 0);
-        for (draw, new_batch, context, new_grant) in steps {
-            let (phase, tokens, ctx) = match draw {
-                0 => (Phase::Prefill, new_batch * context, &grants[new_grant]),
-                1..=3 => {
-                    (batch, grant) = (new_batch, new_grant);
-                    (Phase::Decode, batch, &grants[grant])
+        let (mut batch, mut grant) = (1, start);
+        for (draw, new_batch, context, up) in steps {
+            let (phase, tokens) = match draw {
+                0 => (Phase::Prefill, new_batch * context),
+                1 | 2 => {
+                    batch = new_batch;
+                    (Phase::Decode, batch)
                 }
-                _ => (Phase::Decode, batch, &grants[grant]),
+                3..=5 => {
+                    grant = if (up && grant + 1 < grants.len()) || grant == 0 {
+                        grant + 1
+                    } else {
+                        grant - 1
+                    };
+                    (Phase::Decode, batch)
+                }
+                _ => (Phase::Decode, batch),
             };
+            let ctx = &grants[grant];
             let priced = pricer.price(phase, tokens, context, ctx);
             let mut pmu = PmuCounters::new();
             let full = iteration_cost(&model, phase, tokens, context,
                 Precision::Bf16, &kernels, ctx, &mut pmu);
-            prop_assert_eq!(cost_bits(&priced), cost_bits(&full),
-                "{} {} x {} on grant {:?}", phase, tokens, context, ctx);
+            prop_assert_eq!(
+                (priced.time, priced.bw_demand_gbs.to_bits()),
+                (full.time, full.bw_demand_gbs.to_bits()),
+                "{} {} x {} on grant {:?}", phase, tokens, context, ctx
+            );
         }
     }
 }

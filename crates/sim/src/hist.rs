@@ -207,27 +207,43 @@ impl LogHistogram {
     /// ranks report the range ceiling.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * (self.count - 1) as f64;
-        let mut before = self.underflow as f64;
-        if rank < before {
-            return 0.0;
-        }
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
+        self.quantiles([q])[0]
+    }
+
+    /// [`quantile`](Self::quantile) of each of `qs`, in one walk of the
+    /// grid when they ascend: each readout resumes where the last one
+    /// stopped, and restarts only when its rank lies below it. The walk
+    /// adds the same counts in the same order whichever readout reaches a
+    /// bucket, so each result has the bits of its single readout.
+    #[must_use]
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        // The bucket the walk is at, and how many values lie below it.
+        let (mut at, mut before) = (0, self.underflow as f64);
+        qs.map(|q| {
+            if self.count == 0 {
+                return 0.0;
             }
-            let after = before + c as f64;
-            if rank < after {
-                let (lo, hi) = Self::bucket_bounds(idx);
-                let frac = ((rank - before + 1.0) / c as f64).clamp(0.0, 1.0);
-                return lo + (hi - lo) * frac;
+            let rank = q.clamp(0.0, 1.0) * (self.count - 1) as f64;
+            if rank < before {
+                (at, before) = (0, self.underflow as f64);
+                if rank < before {
+                    return 0.0;
+                }
             }
-            before = after;
-        }
-        max_value()
+            while let Some(&c) = self.counts.get(at) {
+                if c > 0 {
+                    let after = before + c as f64;
+                    if rank < after {
+                        let (lo, hi) = Self::bucket_bounds(at);
+                        let frac = ((rank - before + 1.0) / c as f64).clamp(0.0, 1.0);
+                        return lo + (hi - lo) * frac;
+                    }
+                    before = after;
+                }
+                at += 1;
+            }
+            max_value()
+        })
     }
 }
 
@@ -362,6 +378,51 @@ mod tests {
         assert_eq!(merged.underflow(), union.underflow());
         assert_eq!(merged.overflow(), union.overflow());
         assert!((merged.sum() - union.sum()).abs() < 1e-9);
+    }
+
+    /// The single-q walk `quantiles` must agree with: from the underflow
+    /// up, bucket by bucket.
+    fn walked_quantile(h: &LogHistogram, q: f64) -> f64 {
+        if h.count == 0 {
+            return 0.0;
+        }
+        let rank = q.clamp(0.0, 1.0) * (h.count - 1) as f64;
+        let mut before = h.underflow as f64;
+        if rank < before {
+            return 0.0;
+        }
+        for (idx, &c) in h.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let after = before + c as f64;
+            if rank < after {
+                let (lo, hi) = LogHistogram::bucket_bounds(idx);
+                return lo + (hi - lo) * ((rank - before + 1.0) / c as f64).clamp(0.0, 1.0);
+            }
+            before = after;
+        }
+        max_value()
+    }
+
+    #[test]
+    fn quantiles_read_each_q_bit_for_bit() {
+        let spread: LogHistogram = (1..2000)
+            .map(|i| f64::from(i).powf(1.7) * 1e-5)
+            .chain([0.0, -1.0, 1e-9, 1e4, 1e5])
+            .collect();
+        let sparse: LogHistogram = [0.25, 0.25, 0.25, 3.0].into_iter().collect();
+        let only_overflow: LogHistogram = [5e3, 6e3].into_iter().collect();
+        let qs = [
+            [0.5, 0.9, 0.99, 1.0],
+            [0.0, 0.001, 0.5, 0.5],
+            [0.99, 0.5, 0.9, 0.0],
+            [1.0, 0.0, 1.0, 0.25],
+        ];
+        for h in [&LogHistogram::new(), &spread, &sparse, &only_overflow] {
+            for qs in qs {
+                let got = h.quantiles(qs).map(f64::to_bits);
+                assert_eq!(got, qs.map(|q| walked_quantile(h, q).to_bits()), "{qs:?}");
+                assert_eq!(got, qs.map(|q| h.quantile(q).to_bits()), "{qs:?}");
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl SimTime {
             s.is_finite() && s >= 0.0,
             "SimTime requires finite non-negative seconds, got {s}"
         );
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_nanos(s * 1e9))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -157,7 +157,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_nanos(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -188,6 +188,20 @@ impl SimDuration {
     #[must_use]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
+    }
+}
+
+/// `x.round() as u64` for a non-negative `x` (or `-0.0`), without the
+/// software `round` call the baseline x86-64 target makes (it has no
+/// SSE4.1). Below 2^52 the remainder `x − ⌊x⌋` is exact, so halves round
+/// up as `round` rounds them; from 2^52 on, every `f64` is whole.
+fn round_nanos(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x < EXACT {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
     }
 }
 
@@ -303,6 +317,36 @@ mod tests {
         assert_eq!(d.as_nanos(), 1);
     }
 
+    /// `round_nanos` against `round`: ties, the largest `f64` below 0.5,
+    /// the 2^52 switch, subnormals, `-0.0` and values past `u64::MAX`.
+    #[test]
+    fn round_nanos_matches_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            two52.next_down(),
+            two52,
+            two52.next_up(),
+            2.0 * two52,
+            u64::MAX as f64,
+            1e20,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        edges.extend((0..64).map(|k| ((1u64 << 51) - k) as f64 + 0.5));
+        for x in edges {
+            assert_eq!(round_nanos(x), x.round() as u64, "{x:e}");
+        }
+        assert_eq!(SimTime::from_secs_f64(-0.0), SimTime::ZERO);
+    }
+
     #[test]
     fn negative_duration_clamps_to_zero() {
         assert_eq!(SimDuration::from_secs_f64(-4.0), SimDuration::ZERO);
@@ -337,6 +381,22 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12)), "12.000s");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn round_nanos_matches_round_on_ties(k in 0u64..1 << 52) {
+            let x = k as f64 + 0.5;
+            proptest::prop_assert_eq!(round_nanos(x), x.round() as u64);
+        }
+
+        #[test]
+        fn conversions_round_as_round_does(mantissa in 1.0f64..10.0, exp in -12i32..=15) {
+            let s = mantissa * 10f64.powi(exp);
+            let nanos = (s * 1e9).round() as u64;
+            proptest::prop_assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), nanos);
+            proptest::prop_assert_eq!(SimTime::from_secs_f64(s).as_nanos(), nanos);
+        }
     }
 
     #[test]

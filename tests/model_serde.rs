@@ -359,6 +359,52 @@ fn unusable_model_and_platform_fields_are_config_errors() {
 }
 
 #[test]
+fn runs_past_the_interval_or_request_cap_are_config_errors() {
+    let gen_a = PlatformSpec::gen_a();
+    let json = serde_json::to_string(&ExperimentConfig::paper_default(
+        gen_a.clone(),
+        Scenario::Chatbot,
+        None,
+    ))
+    .expect("config encodes");
+    // Neither of the first two runs could finish: 3e11 intervals, or a
+    // 3e14-request trace built before the first one. The third used to
+    // panic the trace generator with a NaN peak rate. All fail before any
+    // trace is generated, with an error naming the cap or the field.
+    for (from, to, field, names) in [
+        (
+            "\"control_interval\":500000000",
+            "\"control_interval\":1",
+            "control_interval",
+            "MAX_RUN_INTERVALS",
+        ),
+        ("\"rate\":null", "\"rate\":1e12", "rate", "MAX_RUN_REQUESTS"),
+        (
+            "\"rate_profile\":\"Constant\"",
+            "\"rate_profile\":{\"Diurnal\":{\"amplitude\":null,\"period_secs\":60.0}}",
+            "rate_profile",
+            "amplitude",
+        ),
+    ] {
+        assert!(json.contains(from), "{from} not in {json}");
+        let cfg: ExperimentConfig =
+            serde_json::from_str(&json.replace(from, to)).expect("edited config decodes");
+        match try_run_experiment_traced(&cfg, &mut RpAu::new(&gen_a), Tracer::disabled()) {
+            Err(AumError::Config(msg)) => {
+                assert!(
+                    msg.starts_with(field) && msg.contains(names),
+                    "{field}: {msg}"
+                );
+            }
+            other => panic!(
+                "{field}: expected a config error, got {:?}",
+                other.map(|o| o.efficiency)
+            ),
+        }
+    }
+}
+
+#[test]
 fn corrupted_model_is_rejected() {
     let path = std::env::temp_dir().join("aum_corrupt_model.json");
     std::fs::write(&path, "{ not valid json").expect("write");
